@@ -362,9 +362,12 @@ class ComparisonReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "paragraph_scores", tuple(self.paragraph_scores))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        paths = [score.path for score in self.paragraph_scores]
-        if len(paths) != len(set(paths)):
+        # A plain attribute, not a field: equality, hashing, repr and
+        # asdict() see only the declared fields.
+        by_path = {score.path: score for score in self.paragraph_scores}
+        if len(by_path) != len(self.paragraph_scores):
             raise ValueError("every aligned path may appear only once")
+        object.__setattr__(self, "_by_path", by_path)
         top = self.top_level_scores()
         if top:
             weighted = sum(s.combined_score * s.weight for s in top) / sum(
@@ -386,7 +389,4 @@ class ComparisonReport:
         return tuple(s for s in self.paragraph_scores if s.path.depth == 1)
 
     def find(self, path: NumberPath) -> ParagraphScore | None:
-        for score in self.paragraph_scores:
-            if score.path == path:
-                return score
-        return None
+        return self._by_path.get(path)

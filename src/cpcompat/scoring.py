@@ -18,6 +18,7 @@ reading.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 
 from .model import (
@@ -46,30 +47,34 @@ def match_options(
 
     Options are taken in list order on the A side; each draws the first
     not-yet-paired B option with the same normalized phrase. Within a
-    phrase the pairing is therefore positional, which keeps the result
-    symmetric even when a phrase repeats.
+    phrase the pairing is therefore positional: the k-th A option with a
+    phrase pairs with the k-th B option with that phrase, which keeps the
+    result symmetric even when a phrase repeats.
+
+    Each phrase keeps a queue of its B indices in B order, so the cost is
+    O(len(options_a) + len(options_b)).
     """
+    queues: dict[str, deque[int]] = defaultdict(deque)
+    for index_b, option_b in enumerate(options_b):
+        queues[option_b.normalized_phrase].append(index_b)
+
     matches: list[ProvisionalMatch] = []
-    consumed = [False] * len(options_b)
     for index_a, option_a in enumerate(options_a):
-        for index_b, option_b in enumerate(options_b):
-            if consumed[index_b]:
-                continue
-            if option_a.normalized_phrase != option_b.normalized_phrase:
-                continue
-            consumed[index_b] = True
-            factor = 1.0 - abs(
-                option_keyword_value(option_a) - option_keyword_value(option_b)
+        queue = queues.get(option_a.normalized_phrase)
+        if not queue:
+            continue
+        index_b = queue.popleft()
+        factor = 1.0 - abs(
+            option_keyword_value(option_a) - option_keyword_value(options_b[index_b])
+        )
+        matches.append(
+            ProvisionalMatch(
+                index_a=index_a,
+                index_b=index_b,
+                equality_score=100.0,
+                keyword_factor=factor,
             )
-            matches.append(
-                ProvisionalMatch(
-                    index_a=index_a,
-                    index_b=index_b,
-                    equality_score=100.0,
-                    keyword_factor=factor,
-                )
-            )
-            break
+        )
     return matches
 
 

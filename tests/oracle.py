@@ -23,6 +23,29 @@ def _normalized(option: PolicyOption) -> str:
     return " ".join(option.phrase.split()).lower()
 
 
+def oracle_matches(
+    options_a: Sequence[PolicyOption],
+    options_b: Sequence[PolicyOption],
+) -> list[tuple[int, int, float]]:
+    """Pair options by exhaustive search, as (index_a, index_b, factor).
+
+    Each A option, in order, takes the first not-yet-used B option whose
+    normalized phrase is equal.
+    """
+    used_b = [False] * len(options_b)
+    triples: list[tuple[int, int, float]] = []
+    for j in range(len(options_a)):
+        for k in range(len(options_b)):
+            if used_b[k]:
+                continue
+            if _normalized(options_a[j]) == _normalized(options_b[k]):
+                factor = 1.0 - abs(_strength(options_a[j]) - _strength(options_b[k]))
+                triples.append((j, k, factor))
+                used_b[k] = True
+                break
+    return triples
+
+
 def oracle_score(
     options_a: Sequence[PolicyOption],
     options_b: Sequence[PolicyOption],
@@ -31,9 +54,8 @@ def oracle_score(
 ) -> float:
     """Score one paragraph pair by exhaustive pairing.
 
-    Pairs each A option with the first not-yet-used B option whose
-    normalized phrase is equal, then applies the OR rule (maximum term) or
-    the AND rule (term sum over the mode's denominator).
+    Pairs the options with ``oracle_matches``, then applies the OR rule
+    (maximum term) or the AND rule (term sum over the mode's denominator).
     """
     count_a = len(options_a)
     count_b = len(options_b)
@@ -45,17 +67,7 @@ def oracle_score(
             return 100.0
         return 0.0
 
-    used_b = [False] * count_b
-    terms: list[float] = []
-    for j in range(count_a):
-        for k in range(count_b):
-            if used_b[k]:
-                continue
-            if _normalized(options_a[j]) == _normalized(options_b[k]):
-                factor = 1.0 - abs(_strength(options_a[j]) - _strength(options_b[k]))
-                terms.append(100.0 * factor)
-                used_b[k] = True
-                break
+    terms = [100.0 * factor for _, _, factor in oracle_matches(options_a, options_b)]
 
     effective = Connective.AND if connective is Connective.NONE else connective
     if effective is Connective.OR:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -18,6 +19,15 @@ from cpcompat.model import (
 
 # Small pool so generated option lists collide often, including duplicates.
 SCORING_PHRASES = ("a", "b", "c", "d")
+
+# Three phrases, each spelled with varying case and whitespace, so that
+# equal normalized phrases are written differently on the two sides.
+SPELLED_PHRASES = tuple(
+    f"{lead}{case(first)}{gap}{case(second)}{trail}"
+    for first, second in (("key", "usage"), ("audit", "log"), ("name", "form"))
+    for case in (str.lower, str.upper, str.title)
+    for lead, gap, trail in product(("", " \t"), (" ", "  ", "\t"), ("", "  "))
+)
 
 _TITLE_ALPHABET = string.ascii_letters + string.digits + " .-"
 _PHRASE_ALPHABET = string.ascii_lowercase + string.digits + " .-"

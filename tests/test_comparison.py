@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 
 from cpcompat.comparison import align, compare, report_to_dict, report_to_json
-from cpcompat.model import ComparisonMode, MatchStatus, NumberPath
+from cpcompat.model import (
+    ComparisonMode,
+    ComparisonReport,
+    MatchStatus,
+    NumberPath,
+    ParagraphScore,
+)
 from cpcompat.parser import parse_policy
 
 from strategies import policies, policy_pairs_same_outline
@@ -288,6 +295,57 @@ class TestReportSerialization:
         b = policy_from("2 B\n")
         data = report_to_dict(compare(a, b, MERGE))
         assert {"code": "MISSING_IN_B", "path": "1", "message": data["diagnostics"][0]["message"]} == data["diagnostics"][0]
+
+
+class TestReportLookup:
+    def report(self):
+        a = policy_from("1 A\n1.1 Aa\na) MUST x\n2 B\n", name="A")
+        b = policy_from("1 A\n1.2 Ab\n2 B\na) MUST y\n", name="B")
+        return compare(a, b, MERGE)
+
+    def test_find_absent_path_is_none(self):
+        assert self.report().find(NumberPath.parse("3.1")) is None
+
+    def test_duplicate_paths_rejected(self):
+        row = ParagraphScore(
+            path=NumberPath.parse("1"),
+            own_score=50.0,
+            child_aggregate=None,
+            combined_score=50.0,
+            weight=1,
+            match_status=MatchStatus.MATCHED,
+        )
+        with pytest.raises(ValueError, match="only once"):
+            ComparisonReport(
+                mode=MERGE,
+                policy_a_name="A",
+                policy_b_name="B",
+                paragraph_scores=(row, row),
+                overall_weighted=50.0,
+                overall_unweighted=50.0,
+            )
+
+    def test_index_is_not_a_field(self):
+        report = self.report()
+        declared = [
+            "mode",
+            "policy_a_name",
+            "policy_b_name",
+            "paragraph_scores",
+            "overall_weighted",
+            "overall_unweighted",
+            "diagnostics",
+        ]
+        assert [f.name for f in dataclasses.fields(ComparisonReport)] == declared
+        assert list(dataclasses.asdict(report)) == declared
+        assert repr(report) == "ComparisonReport({})".format(
+            ", ".join(f"{name}={getattr(report, name)!r}" for name in declared)
+        )
+
+    def test_equal_reports_compare_and_hash_equal(self):
+        first, second = self.report(), self.report()
+        assert first == second
+        assert hash(first) == hash(second)
 
 
 class TestComparisonProperties:

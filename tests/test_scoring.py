@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpcompat.model import (
@@ -22,8 +24,14 @@ from cpcompat.scoring import (
     score_paragraph_options,
 )
 
-from oracle import oracle_score
-from strategies import connectives, declared_connectives, modes, option_lists
+from oracle import oracle_matches, oracle_score
+from strategies import (
+    SPELLED_PHRASES,
+    connectives,
+    declared_connectives,
+    modes,
+    option_lists,
+)
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
@@ -98,6 +106,47 @@ class TestMatchOptions:
     def test_empty_lists(self):
         assert match_options((), ()) == []
         assert match_options(OPTIONS_A, ()) == []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        options_a=option_lists(max_size=8, phrases=SPELLED_PHRASES),
+        options_b=option_lists(max_size=8, phrases=SPELLED_PHRASES),
+    )
+    def test_pairs_agree_with_oracle(self, options_a, options_b):
+        matches = match_options(options_a, options_b)
+        got = [(m.index_a, m.index_b, m.keyword_factor) for m in matches]
+        assert got == oracle_matches(options_a, options_b)
+
+    # A quadratic scan takes over ten seconds on each of these, the linear
+    # one tens of milliseconds; the bound only has to tell them apart.
+    @staticmethod
+    def timed_match(phrases_a, phrases_b):
+        options_a = [opt(phrase) for phrase in phrases_a]
+        options_b = [opt(phrase) for phrase in phrases_b]
+        started = time.perf_counter()
+        matches = match_options(options_a, options_b)
+        return matches, time.perf_counter() - started
+
+    def test_disjoint_lists_match_in_linear_time(self):
+        matches, elapsed = self.timed_match(
+            [f"only a {i}" for i in range(20_000)],
+            [f"only b {i}" for i in range(20_000)],
+        )
+        assert matches == []
+        assert elapsed < 2.0, f"matching took {elapsed:.2f}s"
+
+    def test_shared_lists_match_in_linear_time(self):
+        # 10,000 shared phrases, in opposite orders and behind 10,000
+        # one-sided options on the B side.
+        shared = [f"shared {i}" for i in range(10_000)]
+        matches, elapsed = self.timed_match(
+            shared + [f"only a {i}" for i in range(10_000)],
+            [f"only b {i}" for i in range(10_000)] + shared[::-1],
+        )
+        assert [(m.index_a, m.index_b) for m in matches] == [
+            (i, 19_999 - i) for i in range(10_000)
+        ]
+        assert elapsed < 2.0, f"matching took {elapsed:.2f}s"
 
 
 class TestWorkedExample:
