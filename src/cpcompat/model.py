@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Iterator
 
 _DOTTED_RE = re.compile(r"^\d+(\.\d+)*$")
+_LABELS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 #: Tolerance used when a score must equal an exact value (e.g. "is 100").
 SCORE_EPSILON = 1e-9
@@ -90,7 +91,7 @@ class NumberPath:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("number path needs at least one segment")
-        if any(segment < 1 for segment in self.segments):
+        if min(self.segments) < 1:
             raise ValueError(f"number path segments must be >= 1, got {self.segments}")
 
     @classmethod
@@ -111,13 +112,6 @@ class NumberPath:
     def parent(self) -> "NumberPath | None":
         return NumberPath(self.segments[:-1]) if len(self.segments) > 1 else None
 
-    def extends(self, other: "NumberPath") -> bool:
-        """True when this path is a direct child of ``other``."""
-        return (
-            len(self.segments) == len(other.segments) + 1
-            and self.segments[:-1] == other.segments
-        )
-
     def __str__(self) -> str:
         return self.dotted
 
@@ -137,15 +131,14 @@ class PolicyOption:
     normalized_phrase: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.label is not None and not (
-            len(self.label) == 1 and "a" <= self.label <= "z"
-        ):
+        if self.label is not None and self.label not in _LABELS:
             raise ValueError(f"option label must be one lowercase letter: {self.label!r}")
-        if not self.phrase.strip():
+        normalized = normalize_phrase(self.phrase)
+        if not normalized:
             raise ValueError("option phrase must be non-empty")
         if "\n" in self.phrase or "\r" in self.phrase:
             raise ValueError("option phrase must not contain line breaks")
-        object.__setattr__(self, "normalized_phrase", normalize_phrase(self.phrase))
+        object.__setattr__(self, "normalized_phrase", normalized)
 
 
 def option_keyword_value(option: PolicyOption) -> float:
@@ -191,13 +184,16 @@ class Paragraph:
                 raise ValueError(f"comment must start with //: {comment!r}")
             if "\n" in comment or "\r" in comment:
                 raise ValueError("comment must not contain line breaks")
+        segments = self.path.segments
         previous_segment = 0
         for child in self.children:
-            if not child.path.extends(self.path):
+            child_segments = child.path.segments
+            # Path segments are never empty, so equal prefixes mean one more segment.
+            if child_segments[:-1] != segments:
                 raise ValueError(
                     f"child {child.path} does not extend parent {self.path} by one segment"
                 )
-            segment = child.path.segments[-1]
+            segment = child_segments[-1]
             if segment <= previous_segment:
                 raise ValueError(
                     f"children of {self.path} must be strictly ordered, "

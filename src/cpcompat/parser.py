@@ -12,6 +12,11 @@ the section numbers, never from indentation:
   ``[x) ][KEYWORD ]phrase`` with a single-letter label and one of the
   requirement keywords MUST, RECOMMENDED, OPTIONAL, NOT (case-sensitive).
 
+Each stripped line is dispatched on its first character: only ``/`` can
+open a comment, only an ASCII digit a heading, and only ``c`` or ``C`` (the
+sole characters whose lower case starts with ``c``) a connection line; all
+other lines are options, which need no further test to be told apart.
+
 ``parse_policy`` never raises on malformed input; it collects diagnostics
 and returns no policy when any of them is an error. ``render_policy``
 writes a document that parses back to an equivalent tree.
@@ -59,12 +64,13 @@ class ParseDiagnostic:
         return f"line {self.line}: {self.severity.value.upper()} {self.code}: {self.message}"
 
 
-# ASCII-only so that unicode digits in titles are never read as numbers.
-_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)\s+(.+?)(?:\s+(\d+))?$", re.ASCII)
-_LABEL_RE = re.compile(r"^([A-Za-z])\)\s*")
-_DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$", re.ASCII)
+# Numbers are ASCII digits only; ``\s`` is any unicode whitespace, the set
+# str.strip() removes, so a title never starts or ends with whitespace.
+_HEADING_RE = re.compile(r"^([0-9]+(?:\.[0-9]+)*)\s+(.+?)(?:\s+([0-9]+))?$")
+_DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
 _KEYWORDS = {k.name: k for k in Keyword}
+_LABEL_LETTERS = frozenset(string.ascii_letters)
 
 
 @dataclass
@@ -87,7 +93,7 @@ class _Parser:
     def __init__(self) -> None:
         self.diagnostics: list[ParseDiagnostic] = []
         self.root = _Node(path=(), title="", weight=1, line=0)
-        # Stack of open sections, innermost last; the pseudo-root stays.
+        # Open sections, innermost last, over the pseudo-root (empty path: no section yet).
         self.stack: list[_Node] = [self.root]
         self.seen_paths: set[tuple[int, ...]] = set()
 
@@ -97,31 +103,23 @@ class _Parser:
     def error(self, code: str, line: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(Severity.ERROR, code, line, message))
 
-    @property
-    def current(self) -> _Node | None:
-        node = self.stack[-1]
-        return node if node.path else None
-
     def feed(self, line_no: int, raw: str) -> None:
         line = raw.strip()
         if not line:
             return
-        if line.startswith("//"):
+        first = line[0]
+        if first == "/" and line[1:2] == "/":
             self.handle_comment(line_no, line)
-            return
-        heading = _HEADING_RE.match(line)
-        if heading is not None:
+        elif "0" <= first <= "9" and (heading := _HEADING_RE.match(line)):
             self.handle_heading(line_no, heading)
-            return
-        tokens = line.split()
-        if tokens[0].lower() == "connection":
+        elif first in "cC" and (tokens := line.split())[0].lower() == "connection":
             self.handle_connection(line_no, tokens)
-            return
-        self.handle_option(line_no, line, tokens)
+        else:
+            self.handle_option(line_no, line)
 
     def handle_comment(self, line_no: int, line: str) -> None:
-        current = self.current
-        if current is None:
+        current = self.stack[-1]
+        if not current.path:
             self.warn(
                 "COMMENT_BEFORE_SECTION",
                 line_no,
@@ -131,9 +129,9 @@ class _Parser:
         current.comments.append(line)
 
     def handle_heading(self, line_no: int, match: re.Match[str]) -> None:
-        number, title, weight_text = match.group(1), match.group(2), match.group(3)
-        segments = tuple(int(s) for s in number.split("."))
-        if any(s == 0 for s in segments):
+        number, title, weight_text = match.groups()
+        segments = tuple(map(int, number.split(".")))
+        if 0 in segments:
             self.error(
                 "BAD_SECTION_NUMBER",
                 line_no,
@@ -165,9 +163,10 @@ class _Parser:
         self.attach(line_no, node)
 
     def attach(self, line_no: int, node: _Node) -> None:
-        dotted = ".".join(str(s) for s in node.path)
         if node.path in self.seen_paths:
-            self.error("DUPLICATE_SECTION", line_no, f"section {dotted} already defined")
+            self.error(
+                "DUPLICATE_SECTION", line_no, f"section {_dotted(node.path)} already defined"
+            )
             self.push(node)
             return
         self.seen_paths.add(node.path)
@@ -181,14 +180,13 @@ class _Parser:
                 self.error(
                     "SECTION_OUT_OF_ORDER",
                     line_no,
-                    f"section {dotted} appears after its parent was closed",
+                    f"section {_dotted(node.path)} appears after its parent was closed",
                 )
             else:
-                parent_dotted = ".".join(str(s) for s in parent_path)
                 self.error(
                     "ORPHAN_SECTION",
                     line_no,
-                    f"section {dotted} has no parent section {parent_dotted}",
+                    f"section {_dotted(node.path)} has no parent section {_dotted(parent_path)}",
                 )
             self.push(node)
             return
@@ -196,7 +194,7 @@ class _Parser:
             self.error(
                 "SECTION_OUT_OF_ORDER",
                 line_no,
-                f"section {dotted} does not follow its siblings in order",
+                f"section {_dotted(node.path)} does not follow its siblings in order",
             )
             self.push(node)
             return
@@ -211,8 +209,8 @@ class _Parser:
         self.stack.append(node)
 
     def handle_connection(self, line_no: int, tokens: list[str]) -> None:
-        current = self.current
-        if current is None:
+        current = self.stack[-1]
+        if not current.path:
             self.error(
                 "CONNECTION_BEFORE_SECTION",
                 line_no,
@@ -236,9 +234,9 @@ class _Parser:
         current.connective = connective
         current.connective_declared = True
 
-    def handle_option(self, line_no: int, line: str, tokens: list[str]) -> None:
-        current = self.current
-        if current is None:
+    def handle_option(self, line_no: int, line: str) -> None:
+        current = self.stack[-1]
+        if not current.path:
             self.error(
                 "OPTION_BEFORE_SECTION",
                 line_no,
@@ -246,19 +244,20 @@ class _Parser:
             )
             return
 
-        first = tokens[0]
-        if _DOTTED_NUMBER_RE.match(first) and "." in first and any(c.isdigit() for c in first):
-            self.warn(
-                "HEADING_LIKE_OPTION",
-                line_no,
-                f"option starts with {first!r}, which looks like a section number",
-            )
+        first = line[0]
+        if first == "." or "0" <= first <= "9":
+            token = line.split(None, 1)[0]
+            if _DOTTED_NUMBER_RE.match(token) and "." in token and any(c.isdigit() for c in token):
+                self.warn(
+                    "HEADING_LIKE_OPTION",
+                    line_no,
+                    f"option starts with {token!r}, which looks like a section number",
+                )
 
         rest = line
         label: str | None = None
-        label_match = _LABEL_RE.match(rest)
-        if label_match is not None:
-            label = label_match.group(1)
+        if line[1:2] == ")" and first in _LABEL_LETTERS:
+            label = first
             if label.isupper():
                 self.warn(
                     "BAD_OPTION_LABEL",
@@ -274,15 +273,14 @@ class _Parser:
                 )
                 return
             current.labels.add(label)
-            rest = rest[label_match.end():]
+            rest = line[2:].lstrip()
 
-        keyword: Keyword | None = None
         head, _, tail = rest.partition(" ")
-        if head in _KEYWORDS:
-            keyword = _KEYWORDS[head]
+        keyword = _KEYWORDS.get(head)
+        if keyword is not None:
             rest = tail.lstrip()
 
-        if not rest.strip():
+        if not rest:
             self.error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")
             return
         current.options.append(PolicyOption(phrase=rest, label=label, keyword=keyword))
@@ -302,6 +300,11 @@ class _Parser:
             comments=tuple(node.comments),
             children=tuple(self.freeze(c) for c in node.children),
         )
+
+
+def _dotted(path: tuple[int, ...]) -> str:
+    """Dotted spelling of a section number, for diagnostics only."""
+    return NumberPath(path).dotted
 
 
 def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[ParseDiagnostic]]:

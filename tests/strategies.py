@@ -195,3 +195,38 @@ def policy_pairs_same_outline(
     side_a = Policy(name="A", roots=tuple(reclothe(root) for root in skeleton.roots))
     side_b = Policy(name="B", roots=tuple(reclothe(root) for root in skeleton.roots))
     return side_a, side_b
+
+
+# Line fragments chosen to sit on the edges of the parser's line dispatch:
+# unicode whitespace and digits, words that start with "c" but are not
+# "Connection", labels with and without a space, bare and tab-joined
+# keywords, comment and path slashes, and dotted numbers that are not
+# section numbers.
+_SOUP_ATOMS = (
+    "1", "2", "1.1", "1.2", "1.1.1", "0.1", "1..2", ".5", "01", "3x",
+    "TOP", "Scope", "x", "rotate keys", "2",
+    "\u00a0", "\u2003", "\u001f", "\u0663", "\u0661.\u0662",
+    "cache", "Cx", "C", "connections", "Connection", "connection", "AND", "OR", "XOR",
+    "a)", "A)", "b)", "a)MUST", "C)",
+    "MUST", "RECOMMENDED", "OPTIONAL", "NOT", "MUST\tx",
+    "//", "/etc",
+)
+_SOUP_SEPARATORS = (" ", " ", "  ", "\t", "", "\u00a0", "\u2003", "\u001f")
+
+
+def _soup_lines() -> st.SearchStrategy[str]:
+    pieces = st.lists(
+        st.tuples(st.sampled_from(_SOUP_ATOMS), st.sampled_from(_SOUP_SEPARATORS)),
+        min_size=1,
+        max_size=5,
+    )
+    return pieces.map(lambda parts: "".join(a + s for a, s in parts))
+
+
+def line_soups() -> st.SearchStrategy[str]:
+    """Documents of at most 15 lines drawn from the dispatch edge cases,
+    most of them opened by a heading so that later lines reach a section."""
+    opening = st.sampled_from(((), ("1 TOP",), ("1 INTRO 2",), ("1 \u00a0TOP",)))
+    return st.tuples(opening, st.lists(_soup_lines(), max_size=14)).map(
+        lambda parts: "\n".join((*parts[0], *parts[1]))
+    )

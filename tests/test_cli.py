@@ -49,6 +49,19 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.txt")]) == 1
         assert "absent.txt" in capsys.readouterr().err
 
+    def test_unicode_whitespace_in_headings(self, tmp_path):
+        # Text pasted from a word processor carries no-break and em spaces.
+        file = tmp_path / "pasted.txt"
+        file.write_text("1 \u00a0TITLE\n1.1 Scope\u2003 3\na) MUST x\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cpcompat", "validate", str(file)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "valid" in result.stderr
+
     def test_non_utf8_exits_2(self, tmp_path, capsys):
         file = tmp_path / "binary.txt"
         file.write_bytes(b"1 TOP\n\xff\xfe broken\n")

@@ -1,0 +1,93 @@
+"""The construction checks of the domain model: one test per rule."""
+
+from __future__ import annotations
+
+import pytest
+
+from cpcompat.model import NumberPath, Policy, PolicyOption
+
+
+class TestNumberPath:
+    def test_needs_a_segment(self):
+        with pytest.raises(ValueError, match="needs at least one segment"):
+            NumberPath(())
+
+    @pytest.mark.parametrize("segments", [(0,), (1, 0), (2, -1, 3)])
+    def test_segment_below_one(self, segments):
+        with pytest.raises(ValueError, match="segments must be >= 1"):
+            NumberPath(segments)
+
+
+class TestPolicyOption:
+    @pytest.mark.parametrize("label", ["A", "ab", "", "1", "\u00e9"])
+    def test_bad_label(self, label):
+        with pytest.raises(ValueError, match="option label must be one lowercase letter"):
+            PolicyOption(phrase="x", label=label)
+
+    @pytest.mark.parametrize("label", ["a", "z"])
+    def test_lowercase_letters_are_labels(self, label):
+        assert PolicyOption(phrase="x", label=label).label == label
+
+    @pytest.mark.parametrize("phrase", ["", "   ", "\t\u00a0"])
+    def test_blank_phrase(self, phrase):
+        with pytest.raises(ValueError, match="option phrase must be non-empty"):
+            PolicyOption(phrase=phrase)
+
+    @pytest.mark.parametrize("phrase", ["a\nb", "a\rb"])
+    def test_phrase_with_line_break(self, phrase):
+        with pytest.raises(ValueError, match="option phrase must not contain line breaks"):
+            PolicyOption(phrase=phrase)
+
+
+class TestParagraph:
+    @pytest.mark.parametrize("title", ["", " T", "T ", "T\u00a0"])
+    def test_title_not_stripped(self, title, paragraph_factory):
+        with pytest.raises(ValueError, match="title must be non-empty and stripped"):
+            paragraph_factory("1", title=title)
+
+    def test_title_with_line_break(self, paragraph_factory):
+        with pytest.raises(ValueError, match="title must not contain line breaks"):
+            paragraph_factory("1", title="A\nB")
+
+    def test_weight_zero(self, paragraph_factory):
+        with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
+            paragraph_factory("1", weight=0)
+
+    def test_duplicate_labels(self, paragraph_factory):
+        options = (PolicyOption(phrase="x", label="a"), PolicyOption(phrase="y", label="a"))
+        with pytest.raises(ValueError, match="duplicate option labels in paragraph 1"):
+            paragraph_factory("1", options=options)
+
+    def test_comment_without_slashes(self, paragraph_factory):
+        with pytest.raises(ValueError, match="comment must start with //"):
+            paragraph_factory("1", comments=("/ remark",))
+
+    def test_comment_with_line_break(self, paragraph_factory):
+        with pytest.raises(ValueError, match="comment must not contain line breaks"):
+            paragraph_factory("1", comments=("// a\nb",))
+
+    @pytest.mark.parametrize("child", ["1", "2.1", "1.1.1", "2"])
+    def test_child_does_not_extend_parent(self, child, paragraph_factory):
+        with pytest.raises(ValueError, match=f"child {child} does not extend parent 1 by one"):
+            paragraph_factory("1", children=(paragraph_factory(child),))
+
+    @pytest.mark.parametrize("order", [("1.2", "1.1"), ("1.1", "1.1")])
+    def test_unordered_children(self, order, paragraph_factory):
+        children = tuple(paragraph_factory(dotted) for dotted in order)
+        with pytest.raises(ValueError, match="children of 1 must be strictly ordered"):
+            paragraph_factory("1", children=children)
+
+    def test_nested_children_are_accepted(self, paragraph_factory):
+        middle = paragraph_factory("1.3", children=(paragraph_factory("1.3.2"),))
+        tree = paragraph_factory("1", children=(paragraph_factory("1.1"), middle))
+        assert [p.path.dotted for p in tree.walk()] == ["1", "1.1", "1.3", "1.3.2"]
+
+
+class TestPolicy:
+    def test_root_not_at_depth_one(self, paragraph_factory):
+        with pytest.raises(ValueError, match="root paragraph 1.1 must have depth 1"):
+            Policy(name="P", roots=(paragraph_factory("1.1"),))
+
+    def test_unordered_roots(self, paragraph_factory):
+        with pytest.raises(ValueError, match="root sections must be strictly increasing"):
+            Policy(name="P", roots=(paragraph_factory("2"), paragraph_factory("1")))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from cpcompat.model import Connective, Keyword, NumberPath, tree_equal
 from cpcompat.parser import Severity, parse_policy, render_policy
 
-from strategies import policies
+from strategies import line_soups, policies
 
 
 def parse_ok(text: str, name: str = "P"):
@@ -110,6 +110,31 @@ class TestHeadingParsing:
         policy, _ = parse_ok("1 TOP\r\n\r\na) MUST do it\r\n")
         assert policy.roots[0].options[0].phrase == "do it"
 
+    @pytest.mark.parametrize(
+        "text, path, title, weight",
+        [
+            ("1 \u00a0TITLE\n", "1", "TITLE", 1),
+            ("1 TITLE\u00a0 2\n", "1", "TITLE", 2),
+            ("1 TOP\n1.1 Scope\u2003 3\n", "1.1", "Scope", 3),
+            ("1\u00a0TOP\u001f4\n", "1", "TOP", 4),
+        ],
+    )
+    def test_unicode_whitespace_separates_number_title_and_weight(
+        self, text, path, title, weight
+    ):
+        policy, _ = parse_ok(text)
+        paragraph = policy.find(NumberPath.parse(path))
+        assert (paragraph.title, paragraph.weight) == (title, weight)
+        reparsed, diagnostics = parse_policy(render_policy(policy), name="P")
+        assert diagnostics == []
+        assert tree_equal(policy, reparsed)
+
+    def test_unicode_digits_are_not_section_numbers(self):
+        # U+0663 ARABIC-INDIC DIGIT THREE: a title word, never a number.
+        policy, _ = parse_ok("1 TOP \u0663\n\u0663 hours\n")
+        assert (policy.roots[0].title, policy.roots[0].weight) == ("TOP \u0663", 1)
+        assert policy.roots[0].options[0].phrase == "\u0663 hours"
+
 
 class TestOptionParsing:
     def test_unlabeled_option_with_keyword(self):
@@ -176,6 +201,84 @@ class TestConnectionParsing:
     def test_labeled_option_may_start_with_connection_word(self):
         policy, _ = parse_ok("1 T\na) connection reuse is allowed\n")
         assert policy.roots[0].options[0].phrase == "connection reuse is allowed"
+
+
+def _option(label, keyword, phrase):
+    return [(label, keyword, phrase)], Connective.NONE, (), 1
+
+
+def _connection(connective):
+    return [], connective, (), 1
+
+
+class TestLineDispatch:
+    """What one line under ``1 INTRO`` becomes, for each first-character
+    branch of the dispatch and its edges. ``None`` means no policy."""
+
+    @pytest.mark.parametrize(
+        "line, codes, outcome",
+        [
+            # "c" or "C": a connection line only when the first word is "connection".
+            ("cache MUST rotate", [], _option(None, None, "cache MUST rotate")),
+            ("Connections AND", [], _option(None, None, "Connections AND")),
+            ("Connection AND", [], _connection(Connective.AND)),
+            ("connection  or", [], _connection(Connective.OR)),
+            ("Connection XOR", ["BAD_CONNECTIVE"], None),
+            ("CONNECTION", ["BAD_CONNECTIVE"], None),
+            ("C) x", ["BAD_OPTION_LABEL"], _option("c", None, "x")),
+            ("c) connection", [], _option("c", None, "connection")),
+            # Labels and keywords.
+            ("a)MUST x", [], _option("a", Keyword.MUST, "x")),
+            ("Z)NOT x", ["BAD_OPTION_LABEL"], _option("z", Keyword.NOT, "x")),
+            ("a) \u00a0MUST x", [], _option("a", Keyword.MUST, "x")),
+            ("a) MUST\u00a0x", [], _option("a", None, "MUST\u00a0x")),
+            ("a) MUST", ["EMPTY_OPTION_PHRASE"], None),
+            ("a)", ["EMPTY_OPTION_PHRASE"], None),
+            ("MUST", ["EMPTY_OPTION_PHRASE"], None),
+            ("MUST\tx", [], _option(None, None, "MUST\tx")),
+            ("MUST  x", [], _option(None, Keyword.MUST, "x")),
+            ("must x", [], _option(None, None, "must x")),
+            ("\u00e9) x", [], _option(None, None, "\u00e9) x")),
+            # Digits and dots: headings, heading-like options, plain options.
+            ("2 NEXT", [], ([], Connective.NONE, (), 2)),
+            ("1..2 foo", ["HEADING_LIKE_OPTION"], _option(None, None, "1..2 foo")),
+            (".5 foo", ["HEADING_LIKE_OPTION"], _option(None, None, ".5 foo")),
+            ("1.2", ["HEADING_LIKE_OPTION"], _option(None, None, "1.2")),
+            ("3x", [], _option(None, None, "3x")),
+            ("1)x", [], _option(None, None, "1)x")),
+            # Slashes: a comment needs two.
+            ("/etc/passwd", [], _option(None, None, "/etc/passwd")),
+            ("/", [], _option(None, None, "/")),
+            ("// note", [], ([], Connective.NONE, ("// note",), 1)),
+            ("x\u00a0y", [], _option(None, None, "x\u00a0y")),
+        ],
+    )
+    def test_line(self, line, codes, outcome):
+        policy, diagnostics = parse_policy(f"1 INTRO\n{line}\n")
+        assert [d.code for d in diagnostics] == codes
+        if outcome is None:
+            assert policy is None
+            return
+        intro = policy.roots[0]
+        assert (
+            [(o.label, o.keyword, o.phrase) for o in intro.options],
+            intro.connective,
+            intro.comments,
+            len(policy.roots),
+        ) == outcome
+
+
+class TestParsingNeverRaises:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=line_soups())
+    def test_line_soups(self, text):
+        policy, diagnostics = parse_policy(text, name="soup")
+        has_error = any(d.severity is Severity.ERROR for d in diagnostics)
+        assert (policy is None) == has_error
+        if policy is not None:
+            reparsed, _ = parse_policy(render_policy(policy), name="soup")
+            assert reparsed is not None
+            assert tree_equal(policy, reparsed)
 
 
 class TestWarnings:
