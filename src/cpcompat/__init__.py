@@ -40,7 +40,6 @@ from .model import (
     ParagraphScore,
     Policy,
     PolicyOption,
-    keyword_value,
     normalize_phrase,
     tree_equal,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "combine_with_children",
     "compare",
     "evaluate",
-    "keyword_value",
     "match_options",
     "merge",
     "normalize_phrase",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .acceptance import (
     AcceptanceRule,
@@ -32,7 +33,7 @@ from .acceptance import (
 from .comparison import compare, report_to_json
 from .merger import MergeRejectedError, merge
 from .model import ComparisonMode, ComparisonReport, Policy
-from .parser import Severity, parse_policy, render_policy
+from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
 
 __all__ = ["main", "cmd_validate", "cmd_compare", "cmd_merge"]
 
@@ -58,17 +59,15 @@ def _read_text(path: str) -> tuple[str | None, int]:
         return None, EXIT_IO
 
 
-def _load_policy(path: str) -> tuple[Policy | None, int]:
+def _load_policy(path: str) -> tuple[Policy | None, int, list[ParseDiagnostic]]:
     """Read and parse one policy file, reporting diagnostics to stderr."""
     text, code = _read_text(path)
     if text is None:
-        return None, code
+        return None, code, []
     policy, diagnostics = parse_policy(text, name=Path(path).stem)
     for diagnostic in diagnostics:
         _say(f"{path}: {diagnostic}")
-    if policy is None:
-        return None, EXIT_PARSE
-    return policy, EXIT_OK
+    return policy, EXIT_OK if policy is not None else EXIT_PARSE, diagnostics
 
 
 def _load_rules(path: str) -> tuple[list[AcceptanceRule] | None, int]:
@@ -122,34 +121,22 @@ def _write_or_print(text: str, out: str | None) -> int:
 
 
 def cmd_validate(file: str) -> int:
-    text, code = _read_text(file)
-    if text is None:
-        return code
-    policy, diagnostics = parse_policy(text, name=Path(file).stem)
-    for diagnostic in diagnostics:
-        _say(f"{file}: {diagnostic}")
+    policy, code, diagnostics = _load_policy(file)
     if policy is None:
-        return EXIT_PARSE
+        return code
     warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
     paragraphs = sum(1 for _ in policy.walk())
     _say(f"{file}: valid, {paragraphs} paragraphs, {warnings} warnings")
     return EXIT_OK
 
 
-class _Compared:
+class _Compared(NamedTuple):
     """Loaded inputs and results shared by compare and merge."""
 
-    def __init__(
-        self,
-        policy_a: Policy,
-        policy_b: Policy,
-        report: ComparisonReport,
-        verdict: Verdict | None,
-    ) -> None:
-        self.policy_a = policy_a
-        self.policy_b = policy_b
-        self.report = report
-        self.verdict = verdict
+    policy_a: Policy
+    policy_b: Policy
+    report: ComparisonReport
+    verdict: Verdict | None
 
 
 def _compared(
@@ -159,10 +146,10 @@ def _compared(
     rules: str | None,
 ) -> tuple[_Compared | None, int]:
     """Shared front half of compare and merge."""
-    policy_a, code_a = _load_policy(file_a)
+    policy_a, code_a, _ = _load_policy(file_a)
     if policy_a is None and code_a == EXIT_IO:
         return None, code_a
-    policy_b, code_b = _load_policy(file_b)
+    policy_b, code_b, _ = _load_policy(file_b)
     if policy_b is None and code_b == EXIT_IO:
         return None, code_b
     if policy_a is None or policy_b is None:

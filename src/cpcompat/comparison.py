@@ -14,19 +14,27 @@ paragraphs already contribute through their parents.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .model import (
     ComparisonDiagnostic,
     ComparisonMode,
     ComparisonReport,
-    Connective,
     MatchStatus,
     NumberPath,
     Paragraph,
     ParagraphScore,
     Policy,
+    normalize_phrase,
+    overall_scores,
 )
-from .scoring import score_option_lists, score_paragraph_options
+from .scoring import (
+    child_aggregate,
+    combine_with_children,
+    resolve_connective,
+    score_option_lists,
+    score_paragraph_options,
+)
 
 __all__ = [
     "align",
@@ -59,10 +67,6 @@ def align(
     return pairs
 
 
-def _normalized_title(title: str) -> str:
-    return " ".join(title.split()).lower()
-
-
 def _row_status(paragraph_a: Paragraph | None, paragraph_b: Paragraph | None) -> MatchStatus:
     if paragraph_a is None:
         return MatchStatus.MISSING_IN_A
@@ -73,123 +77,94 @@ def _row_status(paragraph_a: Paragraph | None, paragraph_b: Paragraph | None) ->
     return MatchStatus.MATCHED
 
 
-class _Comparer:
-    def __init__(self, policy_b: Policy, mode: ComparisonMode) -> None:
-        self.mode = mode
-        self.by_path_b = {p.path: p for p in policy_b.walk()}
-        self.rows: list[ParagraphScore] = []
-        self.diagnostics: list[ComparisonDiagnostic] = []
+def _missing(code: str, paragraph: Paragraph) -> ComparisonDiagnostic:
+    path = paragraph.path
+    return ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
 
-    def note(self, code: str, path: NumberPath | None, message: str) -> None:
-        self.diagnostics.append(ComparisonDiagnostic(code=code, path=path, message=message))
 
-    def check_pairing(self, paragraph_a: Paragraph, paragraph_b: Paragraph) -> None:
-        if _normalized_title(paragraph_a.title) != _normalized_title(paragraph_b.title):
-            self.note(
-                "TITLE_MISMATCH",
-                paragraph_a.path,
-                f"section {paragraph_a.path.dotted} is titled "
-                f"{paragraph_a.title!r} in one policy and {paragraph_b.title!r} in the other",
-            )
-        declared = (paragraph_a.connective, paragraph_b.connective)
-        if Connective.NONE not in declared and declared[0] is not declared[1]:
-            self.note(
-                "CONNECTIVE_MISMATCH",
-                paragraph_a.path,
-                f"section {paragraph_a.path.dotted} declares "
-                f"{declared[0].name} in one policy and {declared[1].name} in the other; "
-                f"the first policy's connective governs",
-            )
-
-    def score_a_side(self, paragraph_a: Paragraph) -> ParagraphScore:
-        """Score one paragraph of policy A, recursing into its children."""
-        paragraph_b = self.by_path_b.get(paragraph_a.path)
-        if paragraph_b is None:
-            self.note(
-                "MISSING_IN_B",
-                paragraph_a.path,
-                f"section {paragraph_a.path.dotted} has no counterpart",
-            )
-            own = score_option_lists(
-                paragraph_a.options, (), paragraph_a.connective, self.mode
-            )
-        else:
-            self.check_pairing(paragraph_a, paragraph_b)
-            own = score_paragraph_options(paragraph_a, paragraph_b, self.mode)
-
-        row_index = len(self.rows)
-        self.rows.append(None)  # placeholder keeps preorder row order
-        child_rows = [self.score_a_side(child) for child in paragraph_a.children]
-
-        aggregate: float | None = None
-        combined = own
-        if child_rows:
-            weight_sum = sum(row.weight for row in child_rows)
-            aggregate = (
-                sum(row.combined_score * row.weight for row in child_rows) / weight_sum
-            )
-            n = len(child_rows)
-            combined = (own + aggregate * n) / (1 + n)
-
-        row = ParagraphScore(
-            path=paragraph_a.path,
-            own_score=own,
-            child_aggregate=aggregate,
-            combined_score=combined,
-            weight=paragraph_a.weight,
-            match_status=_row_status(paragraph_a, paragraph_b),
+def _pairing_diagnostics(
+    paragraph_a: Paragraph,
+    paragraph_b: Paragraph,
+) -> Iterator[ComparisonDiagnostic]:
+    path = paragraph_a.path
+    if normalize_phrase(paragraph_a.title) != normalize_phrase(paragraph_b.title):
+        yield ComparisonDiagnostic(
+            "TITLE_MISMATCH",
+            path,
+            f"section {path.dotted} is titled "
+            f"{paragraph_a.title!r} in one policy and {paragraph_b.title!r} in the other",
         )
-        self.rows[row_index] = row
-        return row
-
-    def score_b_only(self, paragraph_b: Paragraph) -> None:
-        """Add a row for a paragraph policy A does not have."""
-        self.note(
-            "MISSING_IN_A",
-            paragraph_b.path,
-            f"section {paragraph_b.path.dotted} has no counterpart",
-        )
-        own = score_option_lists((), paragraph_b.options, paragraph_b.connective, self.mode)
-        # Policy A has no such paragraph, hence no subparagraph count to
-        # blend with and no declared weight; the row stands on its own.
-        self.rows.append(
-            ParagraphScore(
-                path=paragraph_b.path,
-                own_score=own,
-                child_aggregate=None,
-                combined_score=own,
-                weight=1,
-                match_status=MatchStatus.MISSING_IN_A,
-            )
+    _, conflict = resolve_connective(paragraph_a, paragraph_b)
+    if conflict:
+        yield ComparisonDiagnostic(
+            "CONNECTIVE_MISMATCH",
+            path,
+            f"section {path.dotted} declares "
+            f"{paragraph_a.connective.name} in one policy and "
+            f"{paragraph_b.connective.name} in the other; "
+            f"the first policy's connective governs",
         )
 
 
 def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> ComparisonReport:
-    """Compare two policies and report per-paragraph and overall scores."""
-    comparer = _Comparer(policy_b, mode)
-    for root in policy_a.roots:
-        comparer.score_a_side(root)
-    covered = {row.path for row in comparer.rows}
-    for paragraph_b in policy_b.walk():
-        if paragraph_b.path not in covered:
-            comparer.score_b_only(paragraph_b)
+    """Compare two policies and report per-paragraph and overall scores.
 
-    top_level = [row for row in comparer.rows if row.path.depth == 1]
-    if top_level:
-        weight_sum = sum(row.weight for row in top_level)
-        weighted = sum(row.combined_score * row.weight for row in top_level) / weight_sum
-        unweighted = sum(row.combined_score for row in top_level) / len(top_level)
-    else:
-        weighted = unweighted = 100.0
+    Rows and diagnostics follow :func:`align`'s pair order.
+    """
+    pairs = align(policy_a, policy_b)
+    diagnostics: list[ComparisonDiagnostic] = []
+    own_scores: list[float] = []
+    for paragraph_a, paragraph_b in pairs:
+        if paragraph_a is None:
+            diagnostics.append(_missing("MISSING_IN_A", paragraph_b))
+            own = score_option_lists((), paragraph_b.options, paragraph_b.connective, mode)
+        elif paragraph_b is None:
+            diagnostics.append(_missing("MISSING_IN_B", paragraph_a))
+            own = score_option_lists(paragraph_a.options, (), paragraph_a.connective, mode)
+        else:
+            diagnostics.extend(_pairing_diagnostics(paragraph_a, paragraph_b))
+            own = score_paragraph_options(paragraph_a, paragraph_b, mode)
+        own_scores.append(own)
 
+    # A paragraph's children come after it in preorder, so walking the pairs
+    # backwards has every child's combined score ready for its parent.
+    rows: list[ParagraphScore] = []
+    combined: dict[NumberPath, float] = {}
+    for (paragraph_a, paragraph_b), own in zip(reversed(pairs), reversed(own_scores)):
+        combined_score = own
+        aggregate: float | None = None
+        if paragraph_a is None:
+            # Policy A has no such paragraph, hence no subparagraph count to
+            # blend with and no declared weight; the row stands on its own.
+            path, weight = paragraph_b.path, 1
+        else:
+            path, weight = paragraph_a.path, paragraph_a.weight
+            children = paragraph_a.children
+            if children:
+                aggregate = child_aggregate((combined[c.path], c.weight) for c in children)
+                combined_score = combine_with_children(own, aggregate, len(children))
+        combined[path] = combined_score
+        rows.append(
+            ParagraphScore(
+                path=path,
+                own_score=own,
+                child_aggregate=aggregate,
+                combined_score=combined_score,
+                weight=weight,
+                match_status=_row_status(paragraph_a, paragraph_b),
+            )
+        )
+    rows.reverse()
+
+    weighted, unweighted = overall_scores(rows)
     return ComparisonReport(
         mode=mode,
         policy_a_name=policy_a.name,
         policy_b_name=policy_b.name,
-        paragraph_scores=tuple(comparer.rows),
+        paragraph_scores=tuple(rows),
         overall_weighted=weighted,
         overall_unweighted=unweighted,
-        diagnostics=tuple(comparer.diagnostics),
+        diagnostics=tuple(diagnostics),
     )
 
 

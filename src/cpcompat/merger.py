@@ -22,13 +22,13 @@ from .acceptance import Verdict
 from .model import (
     ComparisonMode,
     ComparisonReport,
-    Connective,
     Paragraph,
     Policy,
     PolicyOption,
+    normalize_phrase,
     option_keyword_value,
 )
-from .scoring import match_options
+from .scoring import match_options, resolve_connective
 
 __all__ = ["MergeRejectedError", "merge"]
 
@@ -111,18 +111,11 @@ def _merge_children(
 def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragraph:
     options, annotations = _merge_options(paragraph_a, paragraph_b)
 
-    title_a = " ".join(paragraph_a.title.split()).lower()
-    title_b = " ".join(paragraph_b.title.split()).lower()
-    if title_a != title_b:
+    if normalize_phrase(paragraph_a.title) != normalize_phrase(paragraph_b.title):
         annotations.insert(0, f'// merged: title in B was "{paragraph_b.title}"')
 
-    connective = paragraph_a.connective
-    if connective is Connective.NONE:
-        connective = paragraph_b.connective
-    elif (
-        paragraph_b.connective is not Connective.NONE
-        and paragraph_b.connective is not connective
-    ):
+    connective, conflict = resolve_connective(paragraph_a, paragraph_b)
+    if conflict:
         annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective.name}")
 
     comments = list(paragraph_a.comments)

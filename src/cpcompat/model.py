@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 _DOTTED_RE = re.compile(r"^\d+(\.\d+)*$")
 _LABELS = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -34,11 +34,6 @@ class Keyword(Enum):
     RECOMMENDED = 0.8
     OPTIONAL = 0.5
     NOT = 0.0
-
-
-def keyword_value(keyword: Keyword) -> float:
-    """Numeric strength of a requirement keyword (see :class:`Keyword`)."""
-    return keyword.value
 
 
 def normalize_phrase(text: str) -> str:
@@ -284,19 +279,15 @@ def _paragraph_equal(left: Paragraph, right: Paragraph) -> bool:
 class ProvisionalMatch:
     """A phrase-equal option pair across two paragraphs.
 
-    ``equality_score`` is 100 for phrase-equal options and 0 otherwise;
     ``keyword_factor`` is 1 minus the absolute strength difference of the
     two keywords, so identical keywords give 1.0 and MUST vs NOT gives 0.0.
     """
 
     index_a: int
     index_b: int
-    equality_score: float
     keyword_factor: float
 
     def __post_init__(self) -> None:
-        if self.equality_score not in (0.0, 100.0):
-            raise ValueError(f"equality score must be 0 or 100: {self.equality_score}")
         if not 0.0 <= self.keyword_factor <= 1.0:
             raise ValueError(f"keyword factor must be in [0, 1]: {self.keyword_factor}")
 
@@ -327,6 +318,21 @@ class ParagraphScore:
             raise ValueError(f"child_aggregate out of range [0, 100]: {self.child_aggregate}")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight}")
+
+
+def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
+    """Weighted and unweighted mean combined score of the top-level rows.
+
+    Deeper rows are already folded into their ancestors' combined scores.
+    With no top-level rows nothing was required, so both figures are 100.
+    """
+    top = [row for row in rows if row.path.depth == 1]
+    if not top:
+        return 100.0, 100.0
+    weight_sum = sum(row.weight for row in top)
+    weighted = sum(row.combined_score * row.weight for row in top) / weight_sum
+    unweighted = sum(row.combined_score for row in top) / len(top)
+    return weighted, unweighted
 
 
 @dataclass(frozen=True)
@@ -364,14 +370,7 @@ class ComparisonReport:
         if len(by_path) != len(self.paragraph_scores):
             raise ValueError("every aligned path may appear only once")
         object.__setattr__(self, "_by_path", by_path)
-        top = self.top_level_scores()
-        if top:
-            weighted = sum(s.combined_score * s.weight for s in top) / sum(
-                s.weight for s in top
-            )
-            unweighted = sum(s.combined_score for s in top) / len(top)
-        else:
-            weighted = unweighted = 100.0
+        weighted, unweighted = overall_scores(self.paragraph_scores)
         if abs(weighted - self.overall_weighted) > SCORE_EPSILON:
             raise ValueError(
                 f"overall_weighted {self.overall_weighted} inconsistent with rows ({weighted})"

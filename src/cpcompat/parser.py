@@ -80,7 +80,6 @@ class _Node:
     path: tuple[int, ...]
     title: str
     weight: int
-    line: int
     options: list[PolicyOption] = field(default_factory=list)
     connective: Connective = Connective.NONE
     connective_declared: bool = False
@@ -92,7 +91,7 @@ class _Node:
 class _Parser:
     def __init__(self) -> None:
         self.diagnostics: list[ParseDiagnostic] = []
-        self.root = _Node(path=(), title="", weight=1, line=0)
+        self.root = _Node(path=(), title="", weight=1)
         # Open sections, innermost last, over the pseudo-root (empty path: no section yet).
         self.stack: list[_Node] = [self.root]
         self.seen_paths: set[tuple[int, ...]] = set()
@@ -130,7 +129,13 @@ class _Parser:
 
     def handle_heading(self, line_no: int, match: re.Match[str]) -> None:
         number, title, weight_text = match.groups()
-        segments = tuple(map(int, number.split(".")))
+        # int() refuses numbers longer than the interpreter's digit limit
+        # (sys.get_int_max_str_digits(), 4300 by default).
+        try:
+            segments = tuple(map(int, number.split(".")))
+        except ValueError:
+            self.error("BAD_SECTION_NUMBER", line_no, "section number has too many digits")
+            return
         if 0 in segments:
             self.error(
                 "BAD_SECTION_NUMBER",
@@ -141,7 +146,10 @@ class _Parser:
 
         weight = 1
         if weight_text is not None:
-            weight = int(weight_text)
+            try:
+                weight = int(weight_text)
+            except ValueError:
+                self.error("BAD_WEIGHT", line_no, "paragraph weight has too many digits")
             if weight == 0:
                 self.error("BAD_WEIGHT", line_no, "paragraph weight must be positive")
                 weight = 1
@@ -159,7 +167,7 @@ class _Parser:
                 f"main section title {title!r} is not upper case",
             )
 
-        node = _Node(path=segments, title=title, weight=weight, line=line_no)
+        node = _Node(path=segments, title=title, weight=weight)
         self.attach(line_no, node)
 
     def attach(self, line_no: int, node: _Node) -> None:

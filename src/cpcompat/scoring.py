@@ -32,6 +32,7 @@ from .model import (
 
 __all__ = [
     "match_options",
+    "resolve_connective",
     "score_option_lists",
     "score_paragraph_options",
     "combine_with_children",
@@ -71,7 +72,6 @@ def match_options(
             ProvisionalMatch(
                 index_a=index_a,
                 index_b=index_b,
-                equality_score=100.0,
                 keyword_factor=factor,
             )
         )
@@ -92,7 +92,7 @@ def score_option_lists(
         # fully incompatible; an acquired policy is simply superseded.
         return 100.0 if mode is ComparisonMode.ACQUIRE else 0.0
 
-    terms = [m.equality_score * m.keyword_factor for m in match_options(options_a, options_b)]
+    terms = [100.0 * m.keyword_factor for m in match_options(options_a, options_b)]
 
     if connective is Connective.OR:
         return max(terms, default=0.0)
@@ -104,19 +104,31 @@ def score_option_lists(
     return sum(terms) / denominator
 
 
+def resolve_connective(
+    paragraph_a: Paragraph,
+    paragraph_b: Paragraph,
+) -> tuple[Connective, bool]:
+    """The connective that governs two corresponding paragraphs, and
+    whether the two sides conflict.
+
+    Paragraph A's connective governs; B's fills in only when A does not
+    declare one. The sides conflict when both declare a connective and
+    the two differ.
+    """
+    connective_a, connective_b = paragraph_a.connective, paragraph_b.connective
+    if connective_a is Connective.NONE:
+        return connective_b, False
+    return connective_a, connective_b is not Connective.NONE and connective_b is not connective_a
+
+
 def score_paragraph_options(
     paragraph_a: Paragraph,
     paragraph_b: Paragraph,
     mode: ComparisonMode,
 ) -> float:
-    """Score the option lists of two corresponding paragraphs.
-
-    Paragraph A's connective governs; B's is consulted only when A does
-    not declare one.
-    """
-    connective = paragraph_a.connective
-    if connective is Connective.NONE:
-        connective = paragraph_b.connective
+    """Score the option lists of two corresponding paragraphs under the
+    connective :func:`resolve_connective` picks."""
+    connective, _ = resolve_connective(paragraph_a, paragraph_b)
     return score_option_lists(paragraph_a.options, paragraph_b.options, connective, mode)
 
 

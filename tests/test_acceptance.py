@@ -27,7 +27,6 @@ from cpcompat.model import (
     NumberPath,
     Paragraph,
     PolicyOption,
-    keyword_value,
     tree_equal,
 )
 from cpcompat.parser import Severity, parse_policy, render_policy
@@ -90,10 +89,10 @@ def test_criterion_2_worked_example_scores(
 
 def test_criterion_3_keyword_values():
     with criterion(3, "requirement keywords map to 1.0 / 0.8 / 0.5 / 0.0"):
-        assert keyword_value(Keyword.MUST) == 1.0
-        assert keyword_value(Keyword.RECOMMENDED) == 0.8
-        assert keyword_value(Keyword.OPTIONAL) == 0.5
-        assert keyword_value(Keyword.NOT) == 0.0
+        assert Keyword.MUST.value == 1.0
+        assert Keyword.RECOMMENDED.value == 0.8
+        assert Keyword.OPTIONAL.value == 0.5
+        assert Keyword.NOT.value == 0.0
         assert len(Keyword) == 4
 
 

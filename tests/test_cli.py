@@ -62,6 +62,18 @@ class TestValidate:
         assert "Traceback" not in result.stderr
         assert "valid" in result.stderr
 
+    def test_overlong_section_number_exits_2(self, tmp_path):
+        file = tmp_path / "huge.txt"
+        file.write_text("1" * 4301 + " TOP\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cpcompat", "validate", str(file)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "BAD_SECTION_NUMBER" in result.stderr
+
     def test_non_utf8_exits_2(self, tmp_path, capsys):
         file = tmp_path / "binary.txt"
         file.write_bytes(b"1 TOP\n\xff\xfe broken\n")

@@ -348,6 +348,45 @@ class TestReportLookup:
         assert hash(first) == hash(second)
 
 
+class TestReportTotals:
+    # Top-level rows 40 (weight 3) and 80 (weight 1): weighted 50, unweighted
+    # 60. The 1.1 row sits below the top level and does not count.
+    ROWS = tuple(
+        ParagraphScore(
+            path=NumberPath.parse(path),
+            own_score=score,
+            child_aggregate=None,
+            combined_score=score,
+            weight=weight,
+            match_status=MatchStatus.MATCHED,
+        )
+        for path, score, weight in (("1", 40.0, 3), ("1.1", 0.0, 5), ("2", 80.0, 1))
+    )
+
+    def report(self, weighted: float, unweighted: float) -> ComparisonReport:
+        return ComparisonReport(
+            mode=MERGE,
+            policy_a_name="A",
+            policy_b_name="B",
+            paragraph_scores=self.ROWS,
+            overall_weighted=weighted,
+            overall_unweighted=unweighted,
+        )
+
+    def test_totals_within_tolerance_accepted(self):
+        self.report(50.0 + 5e-10, 60.0 - 5e-10)
+
+    @pytest.mark.parametrize("offset", [2e-9, -2e-9])
+    def test_weighted_total_inconsistent_with_rows_rejected(self, offset):
+        with pytest.raises(ValueError, match="overall_weighted .* inconsistent"):
+            self.report(50.0 + offset, 60.0)
+
+    @pytest.mark.parametrize("offset", [2e-9, -2e-9])
+    def test_unweighted_total_inconsistent_with_rows_rejected(self, offset):
+        with pytest.raises(ValueError, match="overall_unweighted .* inconsistent"):
+            self.report(50.0, 60.0 + offset)
+
+
 class TestComparisonProperties:
     @settings(max_examples=150, deadline=None)
     @given(policy=policies())
@@ -376,3 +415,24 @@ class TestComparisonProperties:
             assert 0.0 <= report.overall_unweighted <= 100.0
             for row in report.paragraph_scores:
                 assert 0.0 <= row.combined_score <= 100.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
+    def test_rows_and_missing_diagnostics_follow_align(self, policy_a, policy_b):
+        pairs = align(policy_a, policy_b)
+        one_sided = [
+            ("MISSING_IN_A", pb.path) if pa is None else ("MISSING_IN_B", pa.path)
+            for pa, pb in pairs
+            if pa is None or pb is None
+        ]
+        for mode in (MERGE, ACQUIRE):
+            report = compare(policy_a, policy_b, mode)
+            assert [row.path for row in report.paragraph_scores] == [
+                (pa or pb).path for pa, pb in pairs
+            ]
+            missing = [
+                (d.code, d.path)
+                for d in report.diagnostics
+                if d.code in ("MISSING_IN_A", "MISSING_IN_B")
+            ]
+            assert missing == one_sided

@@ -360,6 +360,21 @@ class TestErrors:
         assert policy is None
         assert error_codes(diagnostics) == ["BAD_WEIGHT"]
 
+    # CPython's int() refuses strings of more than 4300 digits by default.
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("1" * 4301 + " T", "BAD_SECTION_NUMBER"),
+            ("1 T " + "1" * 4301, "BAD_WEIGHT"),
+            ("1." + "2" * 4301 + " T", "BAD_SECTION_NUMBER"),
+        ],
+        ids=["section", "weight", "inner-segment"],
+    )
+    def test_numbers_too_long_to_convert_rejected(self, text, code):
+        policy, diagnostics = parse_policy(text)
+        assert policy is None
+        assert error_codes(diagnostics) == [code]
+
     def test_unknown_connective_rejected(self):
         policy, diagnostics = parse_policy("1 TOP\nConnection XOR\n")
         assert policy is None

@@ -68,7 +68,6 @@ class TestMatchOptions:
     def test_worked_example_pairs(self):
         matches = match_options(OPTIONS_A, OPTIONS_B)
         assert [(m.index_a, m.index_b) for m in matches] == [(0, 0), (1, 1)]
-        assert all(m.equality_score == 100.0 for m in matches)
         assert matches[0].keyword_factor == pytest.approx(0.8, abs=1e-12)
         assert matches[1].keyword_factor == pytest.approx(0.5, abs=1e-12)
 
