@@ -92,8 +92,11 @@ class RuleFailure:
 
 @dataclass(frozen=True)
 class Verdict:
-    accepted: bool
     failures: tuple[RuleFailure, ...]
+
+    @property
+    def accepted(self) -> bool:
+        return not self.failures
 
 
 def _syntax_error(line_no: int, line: str, why: str) -> RuleSyntaxError:
@@ -205,4 +208,4 @@ def evaluate(report: ComparisonReport, rules: Sequence[AcceptanceRule]) -> Verdi
                     message=f"score {actual:.4f} does not satisfy '{rule.describe()}'",
                 )
             )
-    return Verdict(accepted=not failures, failures=tuple(failures))
+    return Verdict(tuple(failures))

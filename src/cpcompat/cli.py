@@ -12,7 +12,8 @@ summary go to stderr.
 
 Exit codes: 0 success (and, with rules, acceptance); 1 file I/O problem;
 2 parse errors, including input that is not UTF-8; 3 rules rejected the
-combination; 4 the rules file itself is unusable.
+combination; 4 the rules file itself is unusable; 5 the merged policy
+cannot be written in the text format.
 """
 
 from __future__ import annotations
@@ -20,16 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
-from .acceptance import (
-    AcceptanceRule,
-    RuleSyntaxError,
-    UnknownPathError,
-    Verdict,
-    evaluate,
-    parse_rules,
-)
+from .acceptance import RuleError, Verdict, evaluate, parse_rules
 from .comparison import compare, report_to_json
 from .merger import MergeRejectedError, merge
 from .model import ComparisonMode, ComparisonReport, Policy
@@ -42,45 +35,47 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_REJECTED = 3
 EXIT_RULES = 4
+EXIT_RENDER = 5
+
+
+class _Exit(SystemExit):
+    """Ends a command with exit code ``code``; the reason is already on stderr.
+
+    ``main`` returns the code. A SystemExit, so a caller of a ``cmd_``
+    function that does not catch it still exits with the right code.
+    """
 
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _read_text(path: str) -> tuple[str | None, int]:
+def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
+    """Read and parse one policy file, reporting diagnostics to stderr.
+
+    The policy is None when the file is not UTF-8 or does not parse; an
+    unreadable file ends the command with exit code 1.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8"), EXIT_OK
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         _say(f"{path}: not valid UTF-8: {exc}")
-        return None, EXIT_PARSE
+        return None, []
     except OSError as exc:
         _say(f"{path}: {exc}")
-        return None, EXIT_IO
-
-
-def _load_policy(path: str) -> tuple[Policy | None, int, list[ParseDiagnostic]]:
-    """Read and parse one policy file, reporting diagnostics to stderr."""
-    text, code = _read_text(path)
-    if text is None:
-        return None, code, []
+        raise _Exit(EXIT_IO) from None
     policy, diagnostics = parse_policy(text, name=Path(path).stem)
     for diagnostic in diagnostics:
         _say(f"{path}: {diagnostic}")
-    return policy, EXIT_OK if policy is not None else EXIT_PARSE, diagnostics
+    return policy, diagnostics
 
 
-def _load_rules(path: str) -> tuple[list[AcceptanceRule] | None, int]:
+def _verdict(report: ComparisonReport, rules: str) -> Verdict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        _say(f"{path}: {exc}")
-        return None, EXIT_RULES
-    try:
-        return parse_rules(text), EXIT_OK
-    except RuleSyntaxError as exc:
-        _say(f"{path}: {exc}")
-        return None, EXIT_RULES
+        return evaluate(report, parse_rules(Path(rules).read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, RuleError) as exc:
+        _say(f"{rules}: {exc}")
+        raise _Exit(EXIT_RULES) from None
 
 
 def _summarize(report: ComparisonReport) -> None:
@@ -108,35 +103,25 @@ def _announce(verdict: Verdict) -> None:
             _say(f"  {failure.message}")
 
 
-def _write_or_print(text: str, out: str | None) -> int:
+def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         print(text, end="" if text.endswith("\n") else "\n")
-        return EXIT_OK
+        return
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         _say(f"{out}: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+        raise _Exit(EXIT_IO) from None
 
 
 def cmd_validate(file: str) -> int:
-    policy, code, diagnostics = _load_policy(file)
+    policy, diagnostics = _load_policy(file)
     if policy is None:
-        return code
+        return EXIT_PARSE
     warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
     paragraphs = sum(1 for _ in policy.walk())
     _say(f"{file}: valid, {paragraphs} paragraphs, {warnings} warnings")
     return EXIT_OK
-
-
-class _Compared(NamedTuple):
-    """Loaded inputs and results shared by compare and merge."""
-
-    policy_a: Policy
-    policy_b: Policy
-    report: ComparisonReport
-    verdict: Verdict | None
 
 
 def _compared(
@@ -144,30 +129,16 @@ def _compared(
     file_b: str,
     mode: ComparisonMode,
     rules: str | None,
-) -> tuple[_Compared | None, int]:
-    """Shared front half of compare and merge."""
-    policy_a, code_a, _ = _load_policy(file_a)
-    if policy_a is None and code_a == EXIT_IO:
-        return None, code_a
-    policy_b, code_b, _ = _load_policy(file_b)
-    if policy_b is None and code_b == EXIT_IO:
-        return None, code_b
+) -> tuple[Policy, Policy, ComparisonReport, Verdict | None]:
+    """Shared front half of compare and merge: both policies, the report
+    and, with rules, the verdict."""
+    policy_a, _ = _load_policy(file_a)
+    policy_b, _ = _load_policy(file_b)
     if policy_a is None or policy_b is None:
-        return None, EXIT_PARSE
-
+        raise _Exit(EXIT_PARSE)
     report = compare(policy_a, policy_b, mode)
-
-    verdict: Verdict | None = None
-    if rules is not None:
-        parsed_rules, code = _load_rules(rules)
-        if parsed_rules is None:
-            return None, code
-        try:
-            verdict = evaluate(report, parsed_rules)
-        except UnknownPathError as exc:
-            _say(f"{rules}: {exc}")
-            return None, EXIT_RULES
-    return _Compared(policy_a, policy_b, report, verdict), EXIT_OK
+    verdict = None if rules is None else _verdict(report, rules)
+    return policy_a, policy_b, report, verdict
 
 
 def cmd_compare(
@@ -177,17 +148,13 @@ def cmd_compare(
     rules: str | None = None,
     report_out: str | None = None,
 ) -> int:
-    result, code = _compared(file_a, file_b, mode, rules)
-    if result is None:
-        return code
-    write_code = _write_or_print(report_to_json(result.report) + "\n", report_out)
-    if write_code != EXIT_OK:
-        return write_code
-    _summarize(result.report)
-    if result.verdict is None:
+    _, _, report, verdict = _compared(file_a, file_b, mode, rules)
+    _write_or_print(report_to_json(report) + "\n", report_out)
+    _summarize(report)
+    if verdict is None:
         return EXIT_OK
-    _announce(result.verdict)
-    return EXIT_OK if result.verdict.accepted else EXIT_REJECTED
+    _announce(verdict)
+    return EXIT_OK if verdict.accepted else EXIT_REJECTED
 
 
 def cmd_merge(
@@ -197,20 +164,23 @@ def cmd_merge(
     rules: str | None = None,
     out: str | None = None,
 ) -> int:
-    result, code = _compared(file_a, file_b, mode, rules)
-    if result is None:
-        return code
-    verdict = result.verdict
+    policy_a, policy_b, report, verdict = _compared(file_a, file_b, mode, rules)
     if verdict is None:
-        verdict = evaluate(result.report, [])
-    _summarize(result.report)
+        verdict = evaluate(report, [])
+    _summarize(report)
     _announce(verdict)
     try:
-        merged = merge(result.policy_a, result.policy_b, result.report, verdict, mode)
+        merged = merge(policy_a, policy_b, report, verdict)
     except MergeRejectedError:
         _say("no unified policy was written")
         return EXIT_REJECTED
-    return _write_or_print(render_policy(merged), out)
+    try:
+        text = render_policy(merged)
+    except ValueError as exc:
+        _say(f"no unified policy was written: {exc}")
+        return EXIT_RENDER
+    _write_or_print(text, out)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -243,21 +213,24 @@ def main(argv: list[str] | None = None) -> int:
     merger.add_argument("--out", help="write the merged policy here instead of stdout")
 
     arguments = parser.parse_args(argv)
-    if arguments.command == "validate":
-        return cmd_validate(arguments.file)
-    mode = ComparisonMode(arguments.mode)
-    if arguments.command == "compare":
-        return cmd_compare(
+    try:
+        if arguments.command == "validate":
+            return cmd_validate(arguments.file)
+        mode = ComparisonMode(arguments.mode)
+        if arguments.command == "compare":
+            return cmd_compare(
+                arguments.file_a,
+                arguments.file_b,
+                mode,
+                rules=arguments.rules,
+                report_out=arguments.report,
+            )
+        return cmd_merge(
             arguments.file_a,
             arguments.file_b,
             mode,
             rules=arguments.rules,
-            report_out=arguments.report,
+            out=arguments.out,
         )
-    return cmd_merge(
-        arguments.file_a,
-        arguments.file_b,
-        mode,
-        rules=arguments.rules,
-        out=arguments.out,
-    )
+    except _Exit as stop:
+        return stop.code

@@ -26,7 +26,6 @@ from .model import (
     ParagraphScore,
     Policy,
     normalize_phrase,
-    overall_scores,
 )
 from .scoring import (
     child_aggregate,
@@ -156,14 +155,11 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
         )
     rows.reverse()
 
-    weighted, unweighted = overall_scores(rows)
     return ComparisonReport(
         mode=mode,
         policy_a_name=policy_a.name,
         policy_b_name=policy_b.name,
         paragraph_scores=tuple(rows),
-        overall_weighted=weighted,
-        overall_unweighted=unweighted,
         diagnostics=tuple(diagnostics),
     )
 

@@ -37,13 +37,6 @@ class MergeRejectedError(RuntimeError):
     """Raised when a merge is attempted with a rejected verdict."""
 
 
-def _strip_label(option: PolicyOption) -> PolicyOption:
-    # Labels are reassigned when the merged policy is rendered.
-    if option.label is None:
-        return option
-    return PolicyOption(phrase=option.phrase, label=None, keyword=option.keyword)
-
-
 def _merge_options(
     paragraph_a: Paragraph,
     paragraph_b: Paragraph,
@@ -59,17 +52,17 @@ def _merge_options(
     for index_a, option_a in enumerate(options_a):
         match = matches.get(index_a)
         if match is None:
-            merged.append(_strip_label(option_a))
+            merged.append(option_a)
             annotations.append(f"// unmatched: from A: {option_a.phrase}")
             continue
         option_b = options_b[match.index_b]
         if option_keyword_value(option_b) > option_keyword_value(option_a):
-            merged.append(_strip_label(option_b))
+            merged.append(option_b)
         else:
-            merged.append(_strip_label(option_a))
+            merged.append(option_a)
     for index_b, option_b in enumerate(options_b):
         if index_b not in matched_b:
-            merged.append(_strip_label(option_b))
+            merged.append(option_b)
             annotations.append(f"// unmatched: from B: {option_b.phrase}")
     return tuple(merged), annotations
 
@@ -138,24 +131,19 @@ def merge(
     policy_b: Policy,
     report: ComparisonReport,
     verdict: Verdict,
-    mode: ComparisonMode,
 ) -> Policy:
-    """Produce the unified policy for an accepted comparison.
+    """Produce the unified policy for an accepted comparison, in the
+    report's mode.
 
-    Raises MergeRejectedError when the verdict was not accepted, and
-    ValueError when the mode does not match the report's.
+    Raises MergeRejectedError when the verdict was not accepted.
     """
-    if mode is not report.mode:
-        raise ValueError(
-            f"merge mode {mode.value} does not match the report's {report.mode.value}"
-        )
     if not verdict.accepted:
         failures = "; ".join(f.message for f in verdict.failures)
         raise MergeRejectedError(
             f"verdict rejected the combination of {policy_a.name!r} "
             f"and {policy_b.name!r}: {failures}"
         )
-    if mode is ComparisonMode.ACQUIRE:
+    if report.mode is ComparisonMode.ACQUIRE:
         return policy_a
     roots = _merge_children(policy_a.roots, policy_b.roots)
     return Policy(name=f"{policy_a.name}+{policy_b.name}", roots=roots)

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 _DOTTED_RE = re.compile(r"^\d+(\.\d+)*$")
-_LABELS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 #: Tolerance used when a score must equal an exact value (e.g. "is 100").
 SCORE_EPSILON = 1e-9
@@ -103,10 +102,6 @@ class NumberPath:
     def depth(self) -> int:
         return len(self.segments)
 
-    @property
-    def parent(self) -> "NumberPath | None":
-        return NumberPath(self.segments[:-1]) if len(self.segments) > 1 else None
-
     def __str__(self) -> str:
         return self.dotted
 
@@ -115,19 +110,17 @@ class NumberPath:
 class PolicyOption:
     """One option line of a paragraph.
 
-    ``label`` is the optional letter marker ("a)" in the source), ``keyword``
-    the optional requirement keyword, ``phrase`` the option text itself.
-    ``normalized_phrase`` is derived and is what option equality compares.
+    ``keyword`` is the optional requirement keyword, ``phrase`` the option
+    text itself. ``normalized_phrase`` is derived and is what option
+    matching compares. The letter marker of the source line ("a)") is
+    layout: the parser checks it and the renderer writes a fresh one.
     """
 
     phrase: str
-    label: str | None = None
     keyword: Keyword | None = None
     normalized_phrase: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.label is not None and self.label not in _LABELS:
-            raise ValueError(f"option label must be one lowercase letter: {self.label!r}")
         normalized = normalize_phrase(self.phrase)
         if not normalized:
             raise ValueError("option phrase must be non-empty")
@@ -171,9 +164,6 @@ class Paragraph:
             raise ValueError("title must not contain line breaks")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight}")
-        labels = [opt.label for opt in self.options if opt.label is not None]
-        if len(labels) != len(set(labels)):
-            raise ValueError(f"duplicate option labels in paragraph {self.path}")
         for comment in self.comments:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
@@ -195,10 +185,6 @@ class Paragraph:
                     f"got segment {segment} after {previous_segment}"
                 )
             previous_segment = segment
-
-    @property
-    def depth(self) -> int:
-        return self.path.depth
 
     def walk(self) -> Iterator["Paragraph"]:
         """This paragraph and all descendants, preorder."""
@@ -233,46 +219,15 @@ class Policy:
         for root in self.roots:
             yield from root.walk()
 
-    def find(self, path: NumberPath) -> Paragraph | None:
-        for paragraph in self.walk():
-            if paragraph.path == path:
-                return paragraph
-        return None
-
 
 def tree_equal(left: Policy | Paragraph, right: Policy | Paragraph) -> bool:
     """Structural equality of two policies or paragraph subtrees.
 
-    Compares paths, titles, weights, connectives, comments, and option
-    sequences by (keyword, phrase).  Option labels are presentational (the
-    renderer synthesizes missing ones), so they are ignored.
+    Two policies are equal when their outlines are, whatever their names.
     """
-    if isinstance(left, Policy) != isinstance(right, Policy):
-        return False
-    if isinstance(left, Policy):
-        left_nodes, right_nodes = left.roots, right.roots
-    else:
-        if not _paragraph_equal(left, right):
-            return False
-        left_nodes, right_nodes = left.children, right.children
-    if len(left_nodes) != len(right_nodes):
-        return False
-    return all(tree_equal(l, r) for l, r in zip(left_nodes, right_nodes))
-
-
-def _paragraph_equal(left: Paragraph, right: Paragraph) -> bool:
-    return (
-        left.path == right.path
-        and left.title == right.title
-        and left.weight == right.weight
-        and left.connective == right.connective
-        and left.comments == right.comments
-        and len(left.options) == len(right.options)
-        and all(
-            lo.keyword == ro.keyword and lo.phrase == ro.phrase
-            for lo, ro in zip(left.options, right.options)
-        )
-    )
+    if isinstance(left, Policy) and isinstance(right, Policy):
+        return left.roots == right.roots
+    return left == right
 
 
 @dataclass(frozen=True)
@@ -349,16 +304,15 @@ class ComparisonReport:
     """Full outcome of comparing policy B against policy A.
 
     ``paragraph_scores`` has one row per aligned path at every depth.  The
-    overall scores aggregate the top-level rows only; deeper paragraphs are
-    already folded into their ancestors' combined scores.
+    overall scores are derived from the rows by :func:`overall_scores`.
     """
 
     mode: ComparisonMode
     policy_a_name: str
     policy_b_name: str
     paragraph_scores: tuple[ParagraphScore, ...]
-    overall_weighted: float
-    overall_unweighted: float
+    overall_weighted: float = field(init=False)
+    overall_unweighted: float = field(init=False)
     diagnostics: tuple[ComparisonDiagnostic, ...] = ()
 
     def __post_init__(self) -> None:
@@ -371,17 +325,8 @@ class ComparisonReport:
             raise ValueError("every aligned path may appear only once")
         object.__setattr__(self, "_by_path", by_path)
         weighted, unweighted = overall_scores(self.paragraph_scores)
-        if abs(weighted - self.overall_weighted) > SCORE_EPSILON:
-            raise ValueError(
-                f"overall_weighted {self.overall_weighted} inconsistent with rows ({weighted})"
-            )
-        if abs(unweighted - self.overall_unweighted) > SCORE_EPSILON:
-            raise ValueError(
-                f"overall_unweighted {self.overall_unweighted} inconsistent with rows ({unweighted})"
-            )
-
-    def top_level_scores(self) -> tuple[ParagraphScore, ...]:
-        return tuple(s for s in self.paragraph_scores if s.path.depth == 1)
+        object.__setattr__(self, "overall_weighted", weighted)
+        object.__setattr__(self, "overall_unweighted", unweighted)
 
     def find(self, path: NumberPath) -> ParagraphScore | None:
         return self._by_path.get(path)

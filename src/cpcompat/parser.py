@@ -72,6 +72,11 @@ _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 _KEYWORDS = {k.name: k for k in Keyword}
 _LABEL_LETTERS = frozenset(string.ascii_letters)
 
+#: Most segments a section number may have. Deeper sections are an error,
+#: which keeps every recursive walk over a policy tree far from the
+#: interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 @dataclass
 class _Node:
@@ -141,6 +146,13 @@ class _Parser:
                 "BAD_SECTION_NUMBER",
                 line_no,
                 f"section number {number} contains a zero segment",
+            )
+            return
+        if len(segments) > MAX_DEPTH:
+            self.error(
+                "DEPTH_LIMIT",
+                line_no,
+                f"section number has {len(segments)} segments, more than {MAX_DEPTH}",
             )
             return
 
@@ -263,7 +275,6 @@ class _Parser:
                 )
 
         rest = line
-        label: str | None = None
         if line[1:2] == ")" and first in _LABEL_LETTERS:
             label = first
             if label.isupper():
@@ -291,7 +302,7 @@ class _Parser:
         if not rest:
             self.error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")
             return
-        current.options.append(PolicyOption(phrase=rest, label=label, keyword=keyword))
+        current.options.append(PolicyOption(phrase=rest, keyword=keyword))
 
     def build(self, name: str) -> Policy | None:
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
@@ -363,9 +374,9 @@ def _render_paragraph(paragraph: Paragraph, out: list[str]) -> None:
 def render_policy(policy: Policy) -> str:
     """Write a policy back out in the standardized text format.
 
-    Option labels are reassigned alphabetically, so a paragraph is limited
-    to 26 options. Everything else round-trips: parsing the output yields
-    a tree equal to the input up to option labels.
+    Option labels are assigned alphabetically, so a paragraph is limited
+    to 26 options; more raise ValueError. Parsing the output yields a tree
+    equal to the input.
     """
     lines: list[str] = []
     for root in policy.roots:

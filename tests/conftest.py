@@ -46,26 +46,26 @@ def sample_policy_text() -> str:
     return SAMPLE_POLICY_TEXT
 
 
-def _option(label: str, keyword: Keyword | None, phrase: str) -> PolicyOption:
-    return PolicyOption(phrase=phrase, label=label, keyword=keyword)
+def _option(keyword: Keyword | None, phrase: str) -> PolicyOption:
+    return PolicyOption(phrase=phrase, keyword=keyword)
 
 
 @pytest.fixture
 def worked_example_options_a() -> tuple[PolicyOption, ...]:
     return (
-        _option("a", Keyword.MUST, "a"),
-        _option("b", Keyword.MUST, "b"),
-        _option("c", Keyword.MUST, "c"),
+        _option(Keyword.MUST, "a"),
+        _option(Keyword.MUST, "b"),
+        _option(Keyword.MUST, "c"),
     )
 
 
 @pytest.fixture
 def worked_example_options_b() -> tuple[PolicyOption, ...]:
     return (
-        _option("a", Keyword.RECOMMENDED, "a"),
-        _option("b", Keyword.OPTIONAL, "b"),
-        _option("c", Keyword.RECOMMENDED, "d"),
-        _option("d", Keyword.RECOMMENDED, "e"),
+        _option(Keyword.RECOMMENDED, "a"),
+        _option(Keyword.OPTIONAL, "b"),
+        _option(Keyword.RECOMMENDED, "d"),
+        _option(Keyword.RECOMMENDED, "e"),
     )
 
 
@@ -98,6 +98,12 @@ def worked_policy_a_text() -> str:
 @pytest.fixture
 def worked_policy_b_text() -> str:
     return WORKED_POLICY_B_TEXT
+
+
+def find(policy: Policy, dotted: str) -> Paragraph | None:
+    """The paragraph of ``policy`` numbered ``dotted``, or None."""
+    path = NumberPath.parse(dotted)
+    return next((p for p in policy.walk() if p.path == path), None)
 
 
 def make_paragraph(

@@ -16,6 +16,7 @@ from cpcompat.model import (
     Policy,
     PolicyOption,
 )
+from cpcompat.parser import MAX_DEPTH
 
 # Small pool so generated option lists collide often, including duplicates.
 SCORING_PHRASES = ("a", "b", "c", "d")
@@ -55,7 +56,6 @@ def scoring_options(
     return st.builds(
         PolicyOption,
         phrase=st.sampled_from(phrases),
-        label=st.none(),
         keyword=keywords_or_none(),
     )
 
@@ -97,7 +97,6 @@ def document_options() -> st.SearchStrategy[PolicyOption]:
     return st.builds(
         PolicyOption,
         phrase=_phrases(),
-        label=st.none(),
         keyword=keywords_or_none(),
     )
 
@@ -230,3 +229,45 @@ def line_soups() -> st.SearchStrategy[str]:
     return st.tuples(opening, st.lists(_soup_lines(), max_size=14)).map(
         lambda parts: "\n".join((*parts[0], *parts[1]))
     )
+
+
+# Enough distinct phrases that two drawn wide sections overlap only in part,
+# so their merged union often passes the 26 options a rendered section holds.
+_WIDE_PHRASES = tuple(f"measure {index}" for index in range(40))
+
+
+@st.composite
+def wide_sections(draw) -> str:
+    """Text of section 1 with 0 to 40 unlabeled options of distinct phrases,
+    each with or without a keyword."""
+    count = draw(st.integers(0, len(_WIDE_PHRASES)))
+    phrases = draw(st.permutations(_WIDE_PHRASES))[:count]
+    keywords = draw(
+        st.lists(st.sampled_from(("", "MUST ", "NOT ")), min_size=count, max_size=count)
+    )
+    return "1 WIDE\n" + "".join(f"{k}{p}\n" for k, p in zip(keywords, phrases))
+
+
+def chain_text(depth: int, root: int = 1, option: str = "") -> str:
+    """A chain of ``depth`` nested sections under section ``root``, each the
+    first child of the one before; ``option`` is the deepest section's body."""
+    numbers = [str(root)] + ["1"] * (depth - 1)
+    headings = "".join(
+        ".".join(numbers[: level + 1]) + (" DEEP\n" if level == 0 else " Level\n")
+        for level in range(depth)
+    )
+    return headings + option
+
+
+def deep_chains() -> st.SearchStrategy[str]:
+    """Chains under section 2, shallow or within two levels of the parser's
+    depth limit on either side."""
+    depths = st.one_of(st.integers(1, 4), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2))
+    options = st.sampled_from(("", "MUST hold\n", "NOT hold\n", "other\n"))
+    return st.builds(chain_text, depths, st.just(2), options)
+
+
+def limit_documents() -> st.SearchStrategy[str]:
+    """Documents on the program's size limits: a wide section 1 and a chain
+    under section 2."""
+    return st.tuples(wide_sections(), deep_chains()).map("".join)

@@ -37,6 +37,7 @@ from cpcompat.scoring import (
     score_paragraph_options,
 )
 
+from conftest import find
 from oracle import oracle_score
 from strategies import connectives, modes, option_lists, policies
 
@@ -283,10 +284,10 @@ def test_criterion_6_end_to_end(tmp_path, worked_policy_a_text, worked_policy_b_
         policy, diagnostics = parse_policy(SAMPLE_FRAGMENT, name="fragment")
         assert not [d for d in diagnostics if d.severity is Severity.ERROR]
         assert policy is not None
-        deep = policy.find(NumberPath.parse("1.3.1.1"))
+        deep = find(policy, "1.3.1.1")
         assert deep is not None
-        assert deep.depth == 4
-        assert policy.find(NumberPath.parse("1.2")).connective is Connective.AND
+        assert deep.path.depth == 4
+        assert find(policy, "1.2").connective is Connective.AND
 
         file_a = tmp_path / "a.txt"
         file_b = tmp_path / "b.txt"

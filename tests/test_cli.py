@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from cpcompat.acceptance import evaluate
 from cpcompat.cli import main
-from cpcompat.model import tree_equal
-from cpcompat.parser import parse_policy
+from cpcompat.comparison import compare
+from cpcompat.merger import merge
+from cpcompat.model import ComparisonMode, tree_equal
+from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
+
+from strategies import chain_text, limit_documents, modes
+
+
+def run_module(*arguments: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "cpcompat", *arguments],
+        capture_output=True,
+        text=True,
+    )
 
 
 @pytest.fixture
@@ -142,6 +160,26 @@ class TestCompare:
         file_a, _ = policy_files
         assert main(["compare", str(file_a), str(tmp_path / "nope.txt")]) == 1
 
+    def test_missing_b_outranks_non_utf8_a(self, tmp_path, capsys):
+        # A's decode error is a parse failure; B's absence is still reported
+        # and, being an I/O error, decides the exit code.
+        file_a = tmp_path / "binary.txt"
+        file_a.write_bytes(b"1 TOP\n\xff broken\n")
+        assert main(["compare", str(file_a), str(tmp_path / "nope.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
+        assert "nope.txt" in err
+
+    def test_parse_errors_of_both_files_are_printed(self, tmp_path, capsys):
+        file_a = tmp_path / "a.txt"
+        file_b = tmp_path / "b.txt"
+        file_a.write_text("1 TOP\n1 TOP\n", encoding="utf-8")
+        file_b.write_text("Connection AND\n", encoding="utf-8")
+        assert main(["compare", str(file_a), str(file_b)]) == 2
+        err = capsys.readouterr().err
+        assert "DUPLICATE_SECTION" in err
+        assert "CONNECTION_BEFORE_SECTION" in err
+
     def test_bad_rules_syntax_exits_4(self, policy_files, tmp_path, capsys):
         file_a, file_b = policy_files
         rules = tmp_path / "rules.txt"
@@ -197,6 +235,80 @@ class TestMerge:
         merged, _ = parse_policy(capsys.readouterr().out)
         original, _ = parse_policy(file_a.read_text(encoding="utf-8"))
         assert tree_equal(merged, original)
+
+
+class TestSizeLimits:
+    def test_merge_past_26_options_exits_5(self, tmp_path):
+        file = tmp_path / "f30.txt"
+        file.write_text(
+            "1 WIDE\n" + "".join(f"MUST measure {i}\n" for i in range(30)), encoding="utf-8"
+        )
+        out = tmp_path / "merged.txt"
+        result = run_module("merge", str(file), str(file), "--out", str(out))
+        assert result.returncode == 5, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith("no unified policy was written: ")
+        assert not out.exists()
+
+    def test_chain_at_depth_limit_goes_through_every_command(self, tmp_path):
+        file = tmp_path / "chain.txt"
+        file.write_text(chain_text(MAX_DEPTH, option="MUST hold\n"), encoding="utf-8")
+        original, _ = parse_policy(file.read_text(encoding="utf-8"))
+        assert original is not None
+        assert max(p.path.depth for p in original.walk()) == MAX_DEPTH
+        reparsed, _ = parse_policy(render_policy(original))
+        assert tree_equal(original, reparsed)
+        assert main(["validate", str(file)]) == 0
+        for mode in ComparisonMode:
+            assert main(["compare", str(file), str(file), "--mode", mode.value]) == 0
+            out = tmp_path / f"merged-{mode.value}.txt"
+            assert main(["merge", str(file), str(file), "--mode", mode.value, "--out", str(out)]) == 0
+            merged, _ = parse_policy(out.read_text(encoding="utf-8"))
+            assert merged is not None
+            assert tree_equal(merged, original)
+
+    def test_chain_past_depth_limit_exits_2(self, tmp_path):
+        file = tmp_path / "chain.txt"
+        file.write_text(chain_text(MAX_DEPTH + 1), encoding="utf-8")
+        result = run_module("validate", str(file))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"line {MAX_DEPTH + 1}: ERROR DEPTH_LIMIT" in result.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_a=limit_documents(), text_b=limit_documents(), mode=modes())
+    def test_merge_renders_or_is_refused_by_a_documented_route(self, text_a, text_b, mode):
+        # Exit 2 only for DEPTH_LIMIT, exit 5 exactly when a merged section
+        # has more than 26 options, and otherwise a draft that reparses equal.
+        policy_a, diagnostics_a = parse_policy(text_a)
+        policy_b, diagnostics_b = parse_policy(text_b)
+        merged = None
+        if policy_a is not None and policy_b is not None:
+            report = compare(policy_a, policy_b, mode)
+            merged = merge(policy_a, policy_b, report, evaluate(report, []))
+        with tempfile.TemporaryDirectory() as work:
+            file_a, file_b, out = (Path(work) / name for name in ("a.txt", "b.txt", "out.txt"))
+            file_a.write_text(text_a, encoding="utf-8")
+            file_b.write_text(text_b, encoding="utf-8")
+            quiet = io.StringIO()
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                code = main(
+                    ["merge", str(file_a), str(file_b), "--mode", mode.value, "--out", str(out)]
+                )
+            if merged is None:
+                assert code == 2
+                errors = {
+                    d.code for d in diagnostics_a + diagnostics_b if d.severity is Severity.ERROR
+                }
+                assert errors == {"DEPTH_LIMIT"}
+            elif any(len(p.options) > 26 for p in merged.walk()):
+                assert code == 5
+                assert not out.exists()
+            else:
+                assert code == 0
+                reparsed, _ = parse_policy(out.read_text(encoding="utf-8"))
+                assert reparsed is not None
+                assert tree_equal(merged, reparsed)
 
 
 class TestEntryPoints:

@@ -193,7 +193,7 @@ class TestOverallScores:
         a = policy_from("1 TOP\n1.1 SUB\na) MUST x\n")
         b = policy_from("1 TOP\n1.1 SUB\na) MUST y\n")
         report = compare(a, b, MERGE)
-        assert len(report.top_level_scores()) == 1
+        assert [row.path.depth for row in report.paragraph_scores] == [1, 2]
         # own 100 vacuous, child aggregate 0: combined (100 + 0) / 2.
         assert report.overall_weighted == pytest.approx(50.0, abs=1e-9)
 
@@ -321,8 +321,6 @@ class TestReportLookup:
                 policy_a_name="A",
                 policy_b_name="B",
                 paragraph_scores=(row, row),
-                overall_weighted=50.0,
-                overall_unweighted=50.0,
             )
 
     def test_index_is_not_a_field(self):
@@ -363,28 +361,28 @@ class TestReportTotals:
         for path, score, weight in (("1", 40.0, 3), ("1.1", 0.0, 5), ("2", 80.0, 1))
     )
 
-    def report(self, weighted: float, unweighted: float) -> ComparisonReport:
+    def report(self) -> ComparisonReport:
         return ComparisonReport(
             mode=MERGE,
             policy_a_name="A",
             policy_b_name="B",
             paragraph_scores=self.ROWS,
-            overall_weighted=weighted,
-            overall_unweighted=unweighted,
         )
 
-    def test_totals_within_tolerance_accepted(self):
-        self.report(50.0 + 5e-10, 60.0 - 5e-10)
+    def test_totals_are_derived_from_top_level_rows(self):
+        report = self.report()
+        assert report.overall_weighted == pytest.approx(50.0, abs=1e-9)
+        assert report.overall_unweighted == pytest.approx(60.0, abs=1e-9)
 
-    @pytest.mark.parametrize("offset", [2e-9, -2e-9])
-    def test_weighted_total_inconsistent_with_rows_rejected(self, offset):
-        with pytest.raises(ValueError, match="overall_weighted .* inconsistent"):
-            self.report(50.0 + offset, 60.0)
-
-    @pytest.mark.parametrize("offset", [2e-9, -2e-9])
-    def test_unweighted_total_inconsistent_with_rows_rejected(self, offset):
-        with pytest.raises(ValueError, match="overall_unweighted .* inconsistent"):
-            self.report(50.0, 60.0 + offset)
+    def test_totals_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            ComparisonReport(
+                mode=MERGE,
+                policy_a_name="A",
+                policy_b_name="B",
+                paragraph_scores=self.ROWS,
+                overall_weighted=50.0,
+            )
 
 
 class TestComparisonProperties:

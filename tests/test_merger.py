@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from cpcompat.acceptance import evaluate, parse_rules
 from cpcompat.comparison import compare
 from cpcompat.merger import MergeRejectedError, merge
-from cpcompat.model import ComparisonMode, Connective, Keyword, NumberPath, tree_equal
+from cpcompat.model import ComparisonMode, Connective, Keyword, tree_equal
 from cpcompat.parser import parse_policy, render_policy
 
+from conftest import find
 from strategies import policies
 
 MERGE = ComparisonMode.MERGE
@@ -26,7 +27,7 @@ def policy_from(text: str, name: str = "P"):
 def merge_pair(a, b, mode=MERGE, rules_text=""):
     report = compare(a, b, mode)
     verdict = evaluate(report, parse_rules(rules_text))
-    return merge(a, b, report, verdict, mode)
+    return merge(a, b, report, verdict)
 
 
 class TestVerdictGate:
@@ -37,15 +38,7 @@ class TestVerdictGate:
         verdict = evaluate(report, parse_rules("overall > 80\n"))
         assert not verdict.accepted
         with pytest.raises(MergeRejectedError):
-            merge(a, b, report, verdict, MERGE)
-
-    def test_mode_must_match_report(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, "A")
-        b = policy_from(worked_policy_b_text, "B")
-        report = compare(a, b, MERGE)
-        verdict = evaluate(report, [])
-        with pytest.raises(ValueError):
-            merge(a, b, report, verdict, ACQUIRE)
+            merge(a, b, report, verdict)
 
 
 class TestAcquire:
@@ -62,7 +55,7 @@ class TestOptionMerging:
         b = policy_from(worked_policy_b_text, "B")
         merged = merge_pair(a, b)
         assert merged.name == "A+B"
-        paragraph = merged.find(NumberPath.parse("1"))
+        paragraph = find(merged, "1")
         assert [(o.keyword, o.phrase) for o in paragraph.options] == [
             (Keyword.MUST, "a"),
             (Keyword.MUST, "b"),
@@ -70,7 +63,6 @@ class TestOptionMerging:
             (Keyword.RECOMMENDED, "d"),
             (Keyword.RECOMMENDED, "e"),
         ]
-        assert all(o.label is None for o in paragraph.options)
         assert "// unmatched: from A: c" in paragraph.comments
         assert "// unmatched: from B: d" in paragraph.comments
         assert "// unmatched: from B: e" in paragraph.comments
@@ -114,17 +106,17 @@ class TestStructureUnion:
         a = policy_from("1 ALPHA\n", "A")
         b = policy_from("1 ALPHA\n2 BETA 5\n2.1 DETAIL\n", "B")
         merged = merge_pair(a, b)
-        adopted = merged.find(NumberPath.parse("2"))
+        adopted = find(merged, "2")
         assert adopted.weight == 5
         assert "// unmatched: from B" in adopted.comments
         # The flag marks the subtree root only.
-        assert merged.find(NumberPath.parse("2.1")).comments == ()
+        assert find(merged, "2.1").comments == ()
 
     def test_a_only_sections_get_flagged_too(self):
         a = policy_from("1 ALPHA\n2 BETA\n", "A")
         b = policy_from("1 ALPHA\n", "B")
         merged = merge_pair(a, b)
-        assert "// unmatched: from A" in merged.find(NumberPath.parse("2")).comments
+        assert "// unmatched: from A" in find(merged, "2").comments
 
     def test_shared_sections_take_a_side_weight(self):
         a = policy_from("1 ALPHA 2\n", "A")

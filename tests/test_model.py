@@ -19,15 +19,6 @@ class TestNumberPath:
 
 
 class TestPolicyOption:
-    @pytest.mark.parametrize("label", ["A", "ab", "", "1", "\u00e9"])
-    def test_bad_label(self, label):
-        with pytest.raises(ValueError, match="option label must be one lowercase letter"):
-            PolicyOption(phrase="x", label=label)
-
-    @pytest.mark.parametrize("label", ["a", "z"])
-    def test_lowercase_letters_are_labels(self, label):
-        assert PolicyOption(phrase="x", label=label).label == label
-
     @pytest.mark.parametrize("phrase", ["", "   ", "\t\u00a0"])
     def test_blank_phrase(self, phrase):
         with pytest.raises(ValueError, match="option phrase must be non-empty"):
@@ -52,11 +43,6 @@ class TestParagraph:
     def test_weight_zero(self, paragraph_factory):
         with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
             paragraph_factory("1", weight=0)
-
-    def test_duplicate_labels(self, paragraph_factory):
-        options = (PolicyOption(phrase="x", label="a"), PolicyOption(phrase="y", label="a"))
-        with pytest.raises(ValueError, match="duplicate option labels in paragraph 1"):
-            paragraph_factory("1", options=options)
 
     def test_comment_without_slashes(self, paragraph_factory):
         with pytest.raises(ValueError, match="comment must start with //"):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from cpcompat.model import Connective, Keyword, NumberPath, tree_equal
-from cpcompat.parser import Severity, parse_policy, render_policy
+from cpcompat.model import Connective, Keyword, tree_equal
+from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
 
-from strategies import line_soups, policies
+from conftest import find
+from strategies import chain_text, line_soups, policies
 
 
 def parse_ok(text: str, name: str = "P"):
@@ -46,26 +47,26 @@ class TestGoldenDocument:
 
     def test_option_details(self, sample_policy_text):
         policy, _ = parse_ok(sample_policy_text)
-        overview = policy.find(NumberPath.parse("1.1"))
+        overview = find(policy, "1.1")
         assert overview.title == "Overview"
         assert overview.weight == 2
-        assert [(o.label, o.keyword, o.phrase) for o in overview.options] == [
-            ("a", Keyword.MUST, "provide an overview"),
-            ("b", Keyword.RECOMMENDED, "include a diagram"),
+        assert [(o.keyword, o.phrase) for o in overview.options] == [
+            (Keyword.MUST, "provide an overview"),
+            (Keyword.RECOMMENDED, "include a diagram"),
         ]
 
     def test_connection_line(self, sample_policy_text):
         policy, _ = parse_ok(sample_policy_text)
-        naming = policy.find(NumberPath.parse("1.2"))
+        naming = find(policy, "1.2")
         assert naming.connective is Connective.AND
         # Paragraphs without a Connection line carry no declared connective.
-        assert policy.find(NumberPath.parse("1.1")).connective is Connective.NONE
+        assert find(policy, "1.1").connective is Connective.NONE
 
     def test_nesting_to_depth_four(self, sample_policy_text):
         policy, _ = parse_ok(sample_policy_text)
-        deep = policy.find(NumberPath.parse("1.3.1.1"))
+        deep = find(policy, "1.3.1.1")
         assert deep is not None
-        assert deep.depth == 4
+        assert deep.path.depth == 4
         assert deep.title == "Root Authorities"
         assert [o.phrase for o in deep.options] == ["operate offline"]
 
@@ -123,7 +124,7 @@ class TestHeadingParsing:
         self, text, path, title, weight
     ):
         policy, _ = parse_ok(text)
-        paragraph = policy.find(NumberPath.parse(path))
+        paragraph = find(policy, path)
         assert (paragraph.title, paragraph.weight) == (title, weight)
         reparsed, diagnostics = parse_policy(render_policy(policy), name="P")
         assert diagnostics == []
@@ -140,16 +141,12 @@ class TestOptionParsing:
     def test_unlabeled_option_with_keyword(self):
         policy, _ = parse_ok("1 T\nMUST do x\n")
         option = policy.roots[0].options[0]
-        assert option.label is None
-        assert option.keyword is Keyword.MUST
-        assert option.phrase == "do x"
+        assert (option.keyword, option.phrase) == (Keyword.MUST, "do x")
 
     def test_bare_phrase_option(self):
         policy, _ = parse_ok("1 T\nplain phrase here\n")
         option = policy.roots[0].options[0]
-        assert option.label is None
-        assert option.keyword is None
-        assert option.phrase == "plain phrase here"
+        assert (option.keyword, option.phrase) == (None, "plain phrase here")
 
     def test_keyword_matching_is_case_sensitive(self):
         policy, _ = parse_ok("1 T\nmust do x\n")
@@ -170,14 +167,19 @@ class TestOptionParsing:
     def test_label_without_space_before_phrase(self):
         policy, _ = parse_ok("1 T\na)MUST x\n")
         option = policy.roots[0].options[0]
-        assert option.label == "a"
-        assert option.keyword is Keyword.MUST
-        assert option.phrase == "x"
+        assert (option.keyword, option.phrase) == (Keyword.MUST, "x")
 
     def test_uppercase_label_warns_and_is_lowercased(self):
         policy, diagnostics = parse_policy("1 T\nA) MUST x\n")
         assert warning_codes(diagnostics) == ["BAD_OPTION_LABEL"]
-        assert policy.roots[0].options[0].label == "a"
+        option = policy.roots[0].options[0]
+        assert (option.keyword, option.phrase) == (Keyword.MUST, "x")
+
+    def test_lowercased_label_collides_with_lower_case_label(self):
+        policy, diagnostics = parse_policy("1 T\nA) x\na) y\n")
+        assert policy is None
+        assert warning_codes(diagnostics) == ["BAD_OPTION_LABEL"]
+        assert error_codes(diagnostics) == ["DUPLICATE_OPTION_LABEL"]
 
     def test_unicode_phrases_survive(self):
         policy, _ = parse_ok("1 T\na) MUST archivage sécurisé\n")
@@ -203,8 +205,8 @@ class TestConnectionParsing:
         assert policy.roots[0].options[0].phrase == "connection reuse is allowed"
 
 
-def _option(label, keyword, phrase):
-    return [(label, keyword, phrase)], Connective.NONE, (), 1
+def _option(keyword, phrase):
+    return [(keyword, phrase)], Connective.NONE, (), 1
 
 
 def _connection(connective):
@@ -219,38 +221,38 @@ class TestLineDispatch:
         "line, codes, outcome",
         [
             # "c" or "C": a connection line only when the first word is "connection".
-            ("cache MUST rotate", [], _option(None, None, "cache MUST rotate")),
-            ("Connections AND", [], _option(None, None, "Connections AND")),
+            ("cache MUST rotate", [], _option(None, "cache MUST rotate")),
+            ("Connections AND", [], _option(None, "Connections AND")),
             ("Connection AND", [], _connection(Connective.AND)),
             ("connection  or", [], _connection(Connective.OR)),
             ("Connection XOR", ["BAD_CONNECTIVE"], None),
             ("CONNECTION", ["BAD_CONNECTIVE"], None),
-            ("C) x", ["BAD_OPTION_LABEL"], _option("c", None, "x")),
-            ("c) connection", [], _option("c", None, "connection")),
+            ("C) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
+            ("c) connection", [], _option(None, "connection")),
             # Labels and keywords.
-            ("a)MUST x", [], _option("a", Keyword.MUST, "x")),
-            ("Z)NOT x", ["BAD_OPTION_LABEL"], _option("z", Keyword.NOT, "x")),
-            ("a) \u00a0MUST x", [], _option("a", Keyword.MUST, "x")),
-            ("a) MUST\u00a0x", [], _option("a", None, "MUST\u00a0x")),
+            ("a)MUST x", [], _option(Keyword.MUST, "x")),
+            ("Z)NOT x", ["BAD_OPTION_LABEL"], _option(Keyword.NOT, "x")),
+            ("a) \u00a0MUST x", [], _option(Keyword.MUST, "x")),
+            ("a) MUST\u00a0x", [], _option(None, "MUST\u00a0x")),
             ("a) MUST", ["EMPTY_OPTION_PHRASE"], None),
             ("a)", ["EMPTY_OPTION_PHRASE"], None),
             ("MUST", ["EMPTY_OPTION_PHRASE"], None),
-            ("MUST\tx", [], _option(None, None, "MUST\tx")),
-            ("MUST  x", [], _option(None, Keyword.MUST, "x")),
-            ("must x", [], _option(None, None, "must x")),
-            ("\u00e9) x", [], _option(None, None, "\u00e9) x")),
+            ("MUST\tx", [], _option(None, "MUST\tx")),
+            ("MUST  x", [], _option(Keyword.MUST, "x")),
+            ("must x", [], _option(None, "must x")),
+            ("\u00e9) x", [], _option(None, "\u00e9) x")),
             # Digits and dots: headings, heading-like options, plain options.
             ("2 NEXT", [], ([], Connective.NONE, (), 2)),
-            ("1..2 foo", ["HEADING_LIKE_OPTION"], _option(None, None, "1..2 foo")),
-            (".5 foo", ["HEADING_LIKE_OPTION"], _option(None, None, ".5 foo")),
-            ("1.2", ["HEADING_LIKE_OPTION"], _option(None, None, "1.2")),
-            ("3x", [], _option(None, None, "3x")),
-            ("1)x", [], _option(None, None, "1)x")),
+            ("1..2 foo", ["HEADING_LIKE_OPTION"], _option(None, "1..2 foo")),
+            (".5 foo", ["HEADING_LIKE_OPTION"], _option(None, ".5 foo")),
+            ("1.2", ["HEADING_LIKE_OPTION"], _option(None, "1.2")),
+            ("3x", [], _option(None, "3x")),
+            ("1)x", [], _option(None, "1)x")),
             # Slashes: a comment needs two.
-            ("/etc/passwd", [], _option(None, None, "/etc/passwd")),
-            ("/", [], _option(None, None, "/")),
+            ("/etc/passwd", [], _option(None, "/etc/passwd")),
+            ("/", [], _option(None, "/")),
             ("// note", [], ([], Connective.NONE, ("// note",), 1)),
-            ("x\u00a0y", [], _option(None, None, "x\u00a0y")),
+            ("x\u00a0y", [], _option(None, "x\u00a0y")),
         ],
     )
     def test_line(self, line, codes, outcome):
@@ -261,7 +263,7 @@ class TestLineDispatch:
             return
         intro = policy.roots[0]
         assert (
-            [(o.label, o.keyword, o.phrase) for o in intro.options],
+            [(o.keyword, o.phrase) for o in intro.options],
             intro.connective,
             intro.comments,
             len(policy.roots),
@@ -287,7 +289,7 @@ class TestWarnings:
         policy, diagnostics = parse_policy(text)
         assert policy is not None
         assert warning_codes(diagnostics) == ["DEPTH_EXCEEDS_4"]
-        assert policy.find(NumberPath.parse("1.1.1.1.1")).title == "E"
+        assert find(policy, "1.1.1.1.1").title == "E"
 
     def test_lowercase_main_section_warns(self):
         policy, diagnostics = parse_policy("1 Introduction\n")
@@ -374,6 +376,20 @@ class TestErrors:
         policy, diagnostics = parse_policy(text)
         assert policy is None
         assert error_codes(diagnostics) == [code]
+
+    def test_depth_limit(self):
+        policy, diagnostics = parse_policy(chain_text(MAX_DEPTH))
+        assert policy is not None
+        assert error_codes(diagnostics) == []
+        policy, diagnostics = parse_policy(chain_text(MAX_DEPTH + 1))
+        assert policy is None
+        assert error_codes(diagnostics) == ["DEPTH_LIMIT"]
+        assert diagnostics[-1].line == MAX_DEPTH + 1
+
+    def test_far_past_depth_limit_does_not_raise(self):
+        policy, diagnostics = parse_policy(chain_text(600))
+        assert policy is None
+        assert error_codes(diagnostics) == ["DEPTH_LIMIT"] * (600 - MAX_DEPTH)
 
     def test_unknown_connective_rejected(self):
         policy, diagnostics = parse_policy("1 TOP\nConnection XOR\n")

@@ -37,8 +37,8 @@ MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
 
 
-def opt(phrase: str, keyword: Keyword | None = None, label: str | None = None) -> PolicyOption:
-    return PolicyOption(phrase=phrase, label=label, keyword=keyword)
+def opt(phrase: str, keyword: Keyword | None = None) -> PolicyOption:
+    return PolicyOption(phrase=phrase, keyword=keyword)
 
 
 def para(
@@ -52,15 +52,15 @@ def para(
 # The worked example: three required options on side A, four options with
 # weaker keywords on side B, only "a" and "b" occurring on both sides.
 OPTIONS_A = (
-    opt("a", Keyword.MUST, "a"),
-    opt("b", Keyword.MUST, "b"),
-    opt("c", Keyword.MUST, "c"),
+    opt("a", Keyword.MUST),
+    opt("b", Keyword.MUST),
+    opt("c", Keyword.MUST),
 )
 OPTIONS_B = (
-    opt("a", Keyword.RECOMMENDED, "a"),
-    opt("b", Keyword.OPTIONAL, "b"),
-    opt("d", Keyword.RECOMMENDED, "c"),
-    opt("e", Keyword.RECOMMENDED, "d"),
+    opt("a", Keyword.RECOMMENDED),
+    opt("b", Keyword.OPTIONAL),
+    opt("d", Keyword.RECOMMENDED),
+    opt("e", Keyword.RECOMMENDED),
 )
 
 

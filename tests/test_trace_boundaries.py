@@ -78,7 +78,7 @@ def test_crossings_fire_on_compare_and_merge(monkeypatch):
     policy_b, _ = parse_policy(POLICY_B, name="B")
     mode = ComparisonMode.MERGE
     report = cpcompat.comparison.compare(policy_a, policy_b, mode)
-    cpcompat.merger.merge(policy_a, policy_b, report, evaluate(report, []), mode)
+    cpcompat.merger.merge(policy_a, policy_b, report, evaluate(report, []))
 
     assert sorted(calls) == sorted(f"{o.__name__}.{a}" for o, a in CROSSINGS)
     assert all(count > 0 for count in calls.values()), calls
