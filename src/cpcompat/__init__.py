@@ -41,7 +41,6 @@ from .model import (
     Policy,
     PolicyOption,
     normalize_phrase,
-    tree_equal,
 )
 from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
 from .scoring import (
@@ -89,7 +88,6 @@ __all__ = [
     "report_to_json",
     "score_option_lists",
     "score_paragraph_options",
-    "tree_equal",
 ]
 
 __version__ = "0.1.0"

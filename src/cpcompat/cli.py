@@ -12,8 +12,8 @@ summary go to stderr.
 
 Exit codes: 0 success (and, with rules, acceptance); 1 file I/O problem;
 2 parse errors, including input that is not UTF-8; 3 rules rejected the
-combination; 4 the rules file itself is unusable; 5 the merged policy
-cannot be written in the text format.
+combination; 4 the rules file itself is unusable. Code 5 is retired:
+every merged policy can be written in the text format.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_REJECTED = 3
 EXIT_RULES = 4
-EXIT_RENDER = 5
 
 
 class _Exit(SystemExit):
@@ -174,12 +173,7 @@ def cmd_merge(
     except MergeRejectedError:
         _say("no unified policy was written")
         return EXIT_REJECTED
-    try:
-        text = render_policy(merged)
-    except ValueError as exc:
-        _say(f"no unified policy was written: {exc}")
-        return EXIT_RENDER
-    _write_or_print(text, out)
+    _write_or_print(render_policy(merged), out)
     return EXIT_OK
 
 

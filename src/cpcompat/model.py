@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-_DOTTED_RE = re.compile(r"^\d+(\.\d+)*$")
+# ASCII digits only, as in a section heading.
+_DOTTED_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 
 #: Tolerance used when a score must equal an exact value (e.g. "is 100").
 SCORE_EPSILON = 1e-9
@@ -33,6 +34,19 @@ class Keyword(Enum):
     RECOMMENDED = 0.8
     OPTIONAL = 0.5
     NOT = 0.0
+
+
+_KEYWORD_NAMES = frozenset(Keyword.__members__)
+
+
+def _check_line(text: str, what: str) -> None:
+    """Require text that one parsed line gives back: non-empty, stripped,
+    and free of str.splitlines's line boundaries (all of them whitespace
+    that str.strip would remove at an edge)."""
+    if not text or text != text.strip():
+        raise ValueError(f"{what} must be non-empty and stripped: {text!r}")
+    if len(text.splitlines()) != 1:
+        raise ValueError(f"{what} must not contain line breaks: {text!r}")
 
 
 def normalize_phrase(text: str) -> str:
@@ -90,7 +104,7 @@ class NumberPath:
 
     @classmethod
     def parse(cls, dotted: str) -> "NumberPath":
-        if not _DOTTED_RE.match(dotted):
+        if not _DOTTED_RE.fullmatch(dotted):
             raise ValueError(f"not a dotted section number: {dotted!r}")
         return cls(tuple(int(part) for part in dotted.split(".")))
 
@@ -112,8 +126,10 @@ class PolicyOption:
 
     ``keyword`` is the optional requirement keyword, ``phrase`` the option
     text itself. ``normalized_phrase`` is derived and is what option
-    matching compares. The letter marker of the source line ("a)") is
+    matching compares. The label of the source line ("a)", "aa)") is
     layout: the parser checks it and the renderer writes a fresh one.
+    A phrase without a keyword may not start with a keyword token, which
+    the parser would read as the option's keyword.
     """
 
     phrase: str
@@ -121,12 +137,10 @@ class PolicyOption:
     normalized_phrase: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        normalized = normalize_phrase(self.phrase)
-        if not normalized:
-            raise ValueError("option phrase must be non-empty")
-        if "\n" in self.phrase or "\r" in self.phrase:
-            raise ValueError("option phrase must not contain line breaks")
-        object.__setattr__(self, "normalized_phrase", normalized)
+        _check_line(self.phrase, "option phrase")
+        if self.keyword is None and self.phrase.partition(" ")[0] in _KEYWORD_NAMES:
+            raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
+        object.__setattr__(self, "normalized_phrase", normalize_phrase(self.phrase))
 
 
 def option_keyword_value(option: PolicyOption) -> float:
@@ -158,17 +172,13 @@ class Paragraph:
         object.__setattr__(self, "options", tuple(self.options))
         object.__setattr__(self, "comments", tuple(self.comments))
         object.__setattr__(self, "children", tuple(self.children))
-        if not self.title or self.title != self.title.strip():
-            raise ValueError(f"title must be non-empty and stripped: {self.title!r}")
-        if "\n" in self.title or "\r" in self.title:
-            raise ValueError("title must not contain line breaks")
+        _check_line(self.title, "title")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight}")
         for comment in self.comments:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
-            if "\n" in comment or "\r" in comment:
-                raise ValueError("comment must not contain line breaks")
+            _check_line(comment, "comment")
         segments = self.path.segments
         previous_segment = 0
         for child in self.children:
@@ -218,16 +228,6 @@ class Policy:
         """All paragraphs of the policy, preorder."""
         for root in self.roots:
             yield from root.walk()
-
-
-def tree_equal(left: Policy | Paragraph, right: Policy | Paragraph) -> bool:
-    """Structural equality of two policies or paragraph subtrees.
-
-    Two policies are equal when their outlines are, whatever their names.
-    """
-    if isinstance(left, Policy) and isinstance(right, Policy):
-        return left.roots == right.roots
-    return left == right
 
 
 @dataclass(frozen=True)

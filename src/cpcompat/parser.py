@@ -9,7 +9,7 @@ the section numbers, never from indentation:
 * ``Connection AND``   - declares how the current paragraph's options
   combine (``AND`` or ``OR``, case-insensitive).
 * anything else        - an option of the current paragraph, written as
-  ``[x) ][KEYWORD ]phrase`` with a single-letter label and one of the
+  ``[x) ][KEYWORD ]phrase`` with a label of ASCII letters and one of the
   requirement keywords MUST, RECOMMENDED, OPTIONAL, NOT (case-sensitive).
 
 Each stripped line is dispatched on its first character: only ``/`` can
@@ -70,7 +70,6 @@ _HEADING_RE = re.compile(r"^([0-9]+(?:\.[0-9]+)*)\s+(.+?)(?:\s+([0-9]+))?$")
 _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
 _KEYWORDS = {k.name: k for k in Keyword}
-_LABEL_LETTERS = frozenset(string.ascii_letters)
 
 #: Most segments a section number may have. Deeper sections are an error,
 #: which keeps every recursive walk over a policy tree far from the
@@ -275,9 +274,9 @@ class _Parser:
                 )
 
         rest = line
-        if line[1:2] == ")" and first in _LABEL_LETTERS:
-            label = first
-            if label.isupper():
+        label, paren, tail = line.partition(")")
+        if paren and label.isascii() and label.isalpha():
+            if not label.islower():
                 self.warn(
                     "BAD_OPTION_LABEL",
                     line_no,
@@ -292,7 +291,7 @@ class _Parser:
                 )
                 return
             current.labels.add(label)
-            rest = line[2:].lstrip()
+            rest = tail.lstrip()
 
         head, _, tail = rest.partition(" ")
         keyword = _KEYWORDS.get(head)
@@ -356,15 +355,19 @@ def _option_line(option: PolicyOption, label: str) -> str:
     return f"{label}) {option.phrase}"
 
 
+def _label(index: int) -> str:
+    """Label of the option at ``index``, counting from 0: ``a`` to ``z``,
+    then ``aa`` to ``zz``, ``aaa`` and on (bijective base 26)."""
+    if index < 26:
+        return string.ascii_lowercase[index]
+    return _label(index // 26 - 1) + string.ascii_lowercase[index % 26]
+
+
 def _render_paragraph(paragraph: Paragraph, out: list[str]) -> None:
     out.append(_heading_line(paragraph))
     out.extend(paragraph.comments)
-    if len(paragraph.options) > len(string.ascii_lowercase):
-        raise ValueError(
-            f"paragraph {paragraph.path.dotted} has more options than available labels"
-        )
     for index, option in enumerate(paragraph.options):
-        out.append(_option_line(option, string.ascii_lowercase[index]))
+        out.append(_option_line(option, _label(index)))
     if paragraph.connective is not Connective.NONE:
         out.append(f"Connection {paragraph.connective.name}")
     for child in paragraph.children:
@@ -374,9 +377,9 @@ def _render_paragraph(paragraph: Paragraph, out: list[str]) -> None:
 def render_policy(policy: Policy) -> str:
     """Write a policy back out in the standardized text format.
 
-    Option labels are assigned alphabetically, so a paragraph is limited
-    to 26 options; more raise ValueError. Parsing the output yields a tree
-    equal to the input.
+    Option labels are assigned in order, ``a)`` to ``z)`` and then ``aa)``,
+    ``ab)`` and on, so a paragraph may have any number of options. Parsing
+    the output yields a tree equal to the input.
     """
     lines: list[str] = []
     for root in policy.roots:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import string
-from itertools import product
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -21,13 +21,14 @@ from cpcompat.parser import MAX_DEPTH
 # Small pool so generated option lists collide often, including duplicates.
 SCORING_PHRASES = ("a", "b", "c", "d")
 
-# Three phrases, each spelled with varying case and whitespace, so that
-# equal normalized phrases are written differently on the two sides.
+# Three phrases, each spelled with varying case and inner whitespace, so
+# that equal normalized phrases are written differently on the two sides.
+# (A phrase is stripped: the model refuses edge whitespace.)
 SPELLED_PHRASES = tuple(
-    f"{lead}{case(first)}{gap}{case(second)}{trail}"
+    f"{case(first)}{gap}{case(second)}"
     for first, second in (("key", "usage"), ("audit", "log"), ("name", "form"))
     for case in (str.lower, str.upper, str.title)
-    for lead, gap, trail in product(("", " \t"), (" ", "  ", "\t"), ("", "  "))
+    for gap in (" ", "  ", "\t")
 )
 
 _TITLE_ALPHABET = string.ascii_letters + string.digits + " .-"
@@ -232,7 +233,8 @@ def line_soups() -> st.SearchStrategy[str]:
 
 
 # Enough distinct phrases that two drawn wide sections overlap only in part,
-# so their merged union often passes the 26 options a rendered section holds.
+# so their merged union often passes 26 options, where rendered labels run
+# past z) to aa), ab) and on.
 _WIDE_PHRASES = tuple(f"measure {index}" for index in range(40))
 
 
@@ -271,3 +273,55 @@ def limit_documents() -> st.SearchStrategy[str]:
     """Documents on the program's size limits: a wide section 1 and a chain
     under section 2."""
     return st.tuples(wide_sections(), deep_chains()).map("".join)
+
+
+# Text the format cannot always hold as it is: keywords, which an option
+# line reads first, the line boundaries of str.splitlines other than "\n"
+# and "\r", and whitespace that a parsed line loses at its edges.
+_HOSTILE_ATOMS = (
+    "MUST", "NOT", "OPTIONAL", "RECOMMENDED", "x", "rotate keys", "a)", "1", "//",
+    " ", "  ", "\t", "\u00a0", "\u2028", "\x0b", "\x85", "\x1c",
+)
+
+
+def _hostile_text() -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(_HOSTILE_ATOMS), min_size=1, max_size=5).map("".join)
+
+
+def _admitted(factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, or None when the model refuses it."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _hostile_paragraphs(draw, path: tuple[int, ...]) -> Paragraph | None:
+    """A section built through the model API from hostile text, with the
+    options, comments and subsection the model admits; None when it
+    refuses the title."""
+    paragraph = _admitted(
+        Paragraph, NumberPath(path), draw(_hostile_text()), connective=draw(connectives())
+    )
+    if paragraph is None:
+        return None
+    for _ in range(draw(st.integers(0, 4))):
+        option = _admitted(PolicyOption, draw(_hostile_text()), draw(keywords_or_none()))
+        if option is not None:
+            paragraph = replace(paragraph, options=paragraph.options + (option,))
+    for _ in range(draw(st.integers(0, 2))):
+        comments = paragraph.comments + ("//" + draw(_hostile_text()),)
+        paragraph = _admitted(replace, paragraph, comments=comments) or paragraph
+    if len(path) == 1 and (child := draw(_hostile_paragraphs(path + (1,)))) is not None:
+        paragraph = replace(paragraph, children=(child,))
+    return paragraph
+
+
+@st.composite
+def hostile_policies(draw) -> Policy:
+    """Policies of one to three sections, each with at most one subsection,
+    built through the model API from hostile text rather than parsed."""
+    count = draw(st.integers(1, 3))
+    sections = [draw(_hostile_paragraphs((segment,))) for segment in range(1, count + 1)]
+    return Policy(name="hostile", roots=tuple(s for s in sections if s is not None))

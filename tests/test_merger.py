@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from cpcompat.acceptance import evaluate, parse_rules
 from cpcompat.comparison import compare
 from cpcompat.merger import MergeRejectedError, merge
-from cpcompat.model import ComparisonMode, Connective, Keyword, tree_equal
+from cpcompat.model import ComparisonMode, Connective, Keyword
 from cpcompat.parser import parse_policy, render_policy
 
 from conftest import find
@@ -164,7 +164,7 @@ class TestMergedPolicyQuality:
     def test_self_merge_is_identity(self, sample_policy_text):
         policy = policy_from(sample_policy_text, "sample")
         merged = merge_pair(policy, policy)
-        assert tree_equal(merged, policy)
+        assert merged.roots == policy.roots
 
     def test_merge_result_round_trips(self, worked_policy_a_text, worked_policy_b_text):
         a = policy_from(worked_policy_a_text, "A")
@@ -172,14 +172,14 @@ class TestMergedPolicyQuality:
         merged = merge_pair(a, b)
         reparsed, diagnostics = parse_policy(render_policy(merged), name=merged.name)
         assert reparsed is not None, diagnostics
-        assert tree_equal(merged, reparsed)
+        assert merged.roots == reparsed.roots
 
     def test_merge_is_idempotent(self, worked_policy_a_text, worked_policy_b_text):
         a = policy_from(worked_policy_a_text, "A")
         b = policy_from(worked_policy_b_text, "B")
         merged = merge_pair(a, b)
         again = merge_pair(merged, merged)
-        assert tree_equal(again, merged)
+        assert again.roots == merged.roots
 
     @settings(max_examples=100, deadline=None)
     @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
@@ -187,10 +187,10 @@ class TestMergedPolicyQuality:
         merged = merge_pair(policy_a, policy_b)
         reparsed, diagnostics = parse_policy(render_policy(merged), name=merged.name)
         assert reparsed is not None, [str(d) for d in diagnostics]
-        assert tree_equal(merged, reparsed)
+        assert merged.roots == reparsed.roots
 
     @settings(max_examples=100, deadline=None)
     @given(policy=policies())
     def test_random_self_merge_is_identity(self, policy):
         merged = merge_pair(policy, policy)
-        assert tree_equal(merged, policy)
+        assert merged.roots == policy.roots

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from cpcompat.model import NumberPath, Policy, PolicyOption
+from cpcompat.model import Keyword, NumberPath, Policy, PolicyOption
+from cpcompat.parser import Severity, parse_policy, render_policy
+
+from strategies import hostile_policies
 
 
 class TestNumberPath:
@@ -24,10 +28,26 @@ class TestPolicyOption:
         with pytest.raises(ValueError, match="option phrase must be non-empty"):
             PolicyOption(phrase=phrase)
 
-    @pytest.mark.parametrize("phrase", ["a\nb", "a\rb"])
+    @pytest.mark.parametrize("phrase", ["a\nb", "a\rb", "x\x0by", "x\u2028y", "x\x85y"])
     def test_phrase_with_line_break(self, phrase):
         with pytest.raises(ValueError, match="option phrase must not contain line breaks"):
             PolicyOption(phrase=phrase)
+
+    @pytest.mark.parametrize("phrase", [" x", "x ", "x\u00a0", "\tx"])
+    def test_phrase_not_stripped(self, phrase):
+        with pytest.raises(ValueError, match="option phrase must be non-empty and stripped"):
+            PolicyOption(phrase=phrase)
+
+    @pytest.mark.parametrize("phrase", ["NOT x", "NOT", "MUST  do", "RECOMMENDED x", "OPTIONAL"])
+    def test_phrase_starting_with_a_keyword_needs_one(self, phrase):
+        with pytest.raises(ValueError, match="without a keyword starts with one"):
+            PolicyOption(phrase=phrase)
+        # With its own keyword in front, the phrase reads back whole.
+        assert PolicyOption(phrase=phrase, keyword=Keyword.MUST).phrase == phrase
+
+    @pytest.mark.parametrize("phrase", ["MUST\tx", "MUSTx", "must x", "x NOT y"])
+    def test_phrase_that_only_looks_like_a_keyword(self, phrase):
+        assert PolicyOption(phrase=phrase).keyword is None
 
 
 class TestParagraph:
@@ -37,8 +57,9 @@ class TestParagraph:
             paragraph_factory("1", title=title)
 
     def test_title_with_line_break(self, paragraph_factory):
-        with pytest.raises(ValueError, match="title must not contain line breaks"):
-            paragraph_factory("1", title="A\nB")
+        for title in ("A\nB", "TO\x85P", "A\u2029B"):
+            with pytest.raises(ValueError, match="title must not contain line breaks"):
+                paragraph_factory("1", title=title)
 
     def test_weight_zero(self, paragraph_factory):
         with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
@@ -49,8 +70,14 @@ class TestParagraph:
             paragraph_factory("1", comments=("/ remark",))
 
     def test_comment_with_line_break(self, paragraph_factory):
-        with pytest.raises(ValueError, match="comment must not contain line breaks"):
-            paragraph_factory("1", comments=("// a\nb",))
+        for comment in ("// a\nb", "// a\u2028b", "// a\x1cb"):
+            with pytest.raises(ValueError, match="comment must not contain line breaks"):
+                paragraph_factory("1", comments=(comment,))
+
+    @pytest.mark.parametrize("comment", ["// a ", "//\u00a0", "//\t"])
+    def test_comment_not_stripped(self, comment, paragraph_factory):
+        with pytest.raises(ValueError, match="comment must be non-empty and stripped"):
+            paragraph_factory("1", comments=(comment,))
 
     @pytest.mark.parametrize("child", ["1", "2.1", "1.1.1", "2"])
     def test_child_does_not_extend_parent(self, child, paragraph_factory):
@@ -77,3 +104,14 @@ class TestPolicy:
     def test_unordered_roots(self, paragraph_factory):
         with pytest.raises(ValueError, match="root sections must be strictly increasing"):
             Policy(name="P", roots=(paragraph_factory("2"), paragraph_factory("1")))
+
+
+class TestOnlyWritableTrees:
+    """Whatever the model admits, the text format writes back unchanged."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(policy=hostile_policies())
+    def test_built_trees_render_and_reparse_equal(self, policy):
+        reparsed, diagnostics = parse_policy(render_policy(policy), name=policy.name)
+        assert not [d for d in diagnostics if d.severity is Severity.ERROR]
+        assert reparsed.roots == policy.roots

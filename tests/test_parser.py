@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from cpcompat.model import Connective, Keyword, tree_equal
+from cpcompat.model import Connective, Keyword, PolicyOption
 from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
 
 from conftest import find
@@ -128,7 +128,7 @@ class TestHeadingParsing:
         assert (paragraph.title, paragraph.weight) == (title, weight)
         reparsed, diagnostics = parse_policy(render_policy(policy), name="P")
         assert diagnostics == []
-        assert tree_equal(policy, reparsed)
+        assert policy.roots == reparsed.roots
 
     def test_unicode_digits_are_not_section_numbers(self):
         # U+0663 ARABIC-INDIC DIGIT THREE: a title word, never a number.
@@ -214,8 +214,9 @@ def _connection(connective):
 
 
 class TestLineDispatch:
-    """What one line under ``1 INTRO`` becomes, for each first-character
-    branch of the dispatch and its edges. ``None`` means no policy."""
+    """What one line (or two, for a duplicate label) under ``1 INTRO``
+    becomes, for each first-character branch of the dispatch and its edges.
+    ``None`` means no policy."""
 
     @pytest.mark.parametrize(
         "line, codes, outcome",
@@ -253,6 +254,17 @@ class TestLineDispatch:
             ("/", [], _option(None, "/")),
             ("// note", [], ([], Connective.NONE, ("// note",), 1)),
             ("x\u00a0y", [], _option(None, "x\u00a0y")),
+            # Labels of more than one letter.
+            ("ab) x", [], _option(None, "x")),
+            ("Ab) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
+            ("ab) MUST x", [], _option(Keyword.MUST, "x")),
+            ("ab)c) x", [], _option(None, "c) x")),
+            ("a1) x", [], _option(None, "a1) x")),
+            ("a\u00e9) x", [], _option(None, "a\u00e9) x")),
+            (") x", [], _option(None, ") x")),
+            ("aa) x\naa) y", ["DUPLICATE_OPTION_LABEL"], None),
+            ("etc) x", [], _option(None, "x")),
+            ("MUST) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
         ],
     )
     def test_line(self, line, codes, outcome):
@@ -280,7 +292,7 @@ class TestParsingNeverRaises:
         if policy is not None:
             reparsed, _ = parse_policy(render_policy(policy), name="soup")
             assert reparsed is not None
-            assert tree_equal(policy, reparsed)
+            assert policy.roots == reparsed.roots
 
 
 class TestWarnings:
@@ -469,7 +481,7 @@ class TestRendering:
         rendered = render_policy(policy)
         reparsed, diagnostics = parse_policy(rendered, name="sample")
         assert diagnostics == []
-        assert tree_equal(policy, reparsed)
+        assert policy.roots == reparsed.roots
 
     def test_render_synthesizes_labels(self):
         policy, _ = parse_ok("1 TOP\nMUST first\nsecond thing\n")
@@ -517,13 +529,15 @@ class TestRendering:
         reparsed, _ = parse_policy(render_policy(policy))
         assert reparsed.roots[0].comments == ("// keep me", "// me too")
 
-    def test_too_many_options_to_label(self, paragraph_factory, policy_factory):
-        from cpcompat.model import PolicyOption
-
-        options = tuple(PolicyOption(phrase=f"item {i}") for i in range(27))
-        policy = policy_factory("big", paragraph_factory("1", options=options))
-        with pytest.raises(ValueError):
-            render_policy(policy)
+    def test_labels_run_past_z(self, paragraph_factory, policy_factory):
+        options = tuple(PolicyOption(phrase=f"item {i}") for i in range(703))
+        policy = policy_factory("big", paragraph_factory("1", title="BIG", options=options))
+        rendered = render_policy(policy)
+        labels = [line.partition(")")[0] for line in rendered.splitlines()[1:]]
+        assert [labels[i] for i in (0, 25, 26, 701, 702)] == ["a", "z", "aa", "zz", "aaa"]
+        reparsed, diagnostics = parse_policy(rendered, name="big")
+        assert diagnostics == []
+        assert policy.roots == reparsed.roots
 
     @settings(max_examples=200, deadline=None)
     @given(policy=policies())
@@ -532,4 +546,4 @@ class TestRendering:
         reparsed, diagnostics = parse_policy(rendered, name=policy.name)
         assert not [d for d in diagnostics if d.severity is Severity.ERROR]
         assert reparsed is not None
-        assert tree_equal(policy, reparsed)
+        assert policy.roots == reparsed.roots

@@ -18,6 +18,7 @@ from cpcompat.acceptance import (
     evaluate,
     parse_rules,
 )
+from cpcompat.cli import main
 from cpcompat.comparison import compare
 from cpcompat.model import ComparisonMode, NumberPath
 from cpcompat.parser import parse_policy
@@ -140,6 +141,19 @@ class TestParseRuleErrors:
     def test_bad_lines_raise_syntax_errors(self, line):
         with pytest.raises(RuleSyntaxError):
             parse_rules(line + "\n")
+
+    def test_section_numbers_are_ascii_digits(self, tmp_path, capsys):
+        # U+0663 ARABIC-INDIC DIGIT THREE: no section number in a rule, as in
+        # a heading, even where the policy has a section 3.
+        line = "paragraph \u0663 > 50\n"
+        with pytest.raises(RuleSyntaxError, match="bad section number"):
+            parse_rules(line)
+        policy = tmp_path / "p.txt"
+        policy.write_text("1 ONE\n2 TWO\n3 THREE\na) MUST x\n", encoding="utf-8")
+        rules = tmp_path / "rules.txt"
+        rules.write_text(line, encoding="utf-8")
+        assert main(["compare", str(policy), str(policy), "--rules", str(rules)]) == 4
+        assert "bad section number" in capsys.readouterr().err
 
     def test_error_names_line_number(self):
         with pytest.raises(RuleSyntaxError, match="line 3"):
