@@ -19,7 +19,6 @@ from .acceptance import (
     AcceptanceRule,
     RuleError,
     RuleFailure,
-    RuleKind,
     RuleSyntaxError,
     UnknownPathError,
     Verdict,
@@ -68,7 +67,6 @@ __all__ = [
     "PolicyOption",
     "RuleError",
     "RuleFailure",
-    "RuleKind",
     "RuleSyntaxError",
     "Severity",
     "UnknownPathError",

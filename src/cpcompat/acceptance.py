@@ -9,7 +9,7 @@ lines ignored:
     paragraph 4.1 == 100    # exact compatibility required
 
 ``>`` is strict: a score exactly at the threshold is rejected. ``>=``
-accepts it. ``==`` exists only for the full score of 100. Comparisons
+accepts it. ``==`` exists only for a section's full score of 100. Comparisons
 tolerate float noise of 1e-9 either way.
 
 The verdict accepts only when every rule passes; rejected verdicts list
@@ -18,14 +18,12 @@ each failed rule with the score that was observed.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import SCORE_EPSILON, ComparisonReport, NumberPath
 
 __all__ = [
-    "RuleKind",
     "AcceptanceRule",
     "RuleFailure",
     "Verdict",
@@ -49,38 +47,35 @@ class UnknownPathError(RuleError):
     """A rule names a paragraph the comparison report does not contain."""
 
 
-class RuleKind(enum.Enum):
-    OVERALL_MIN = "overall_min"
-    PARAGRAPH_MIN = "paragraph_min"
-    PARAGRAPH_EXACT_100 = "paragraph_exact_100"
-
-
 @dataclass(frozen=True)
 class AcceptanceRule:
-    kind: RuleKind
+    """One threshold rule: ``operator`` is ``>``, ``>=`` or ``==``.
+
+    A rule with no ``path`` reads the overall score, weighted unless
+    ``weighted`` is False. A rule with a ``path`` reads that section's
+    combined score. ``==`` exists only for a section's full score of 100.
+    """
+
+    operator: str
     threshold: float
-    path: NumberPath | None
-    use_weighted: bool
-    inclusive: bool
+    path: NumberPath | None = None
+    weighted: bool = True
 
     def __post_init__(self) -> None:
+        if self.operator not in (">", ">=", "=="):
+            raise ValueError(f"unknown operator {self.operator!r}")
         if not 0.0 <= self.threshold <= 100.0:
-            raise ValueError("rule threshold must be within [0, 100]")
-        needs_path = self.kind is not RuleKind.OVERALL_MIN
-        if needs_path != (self.path is not None):
-            raise ValueError("paragraph rules need a path; overall rules take none")
-        if self.kind is RuleKind.PARAGRAPH_EXACT_100 and self.threshold != 100.0:
-            raise ValueError("exact rules only exist for the full score of 100")
+            raise ValueError("threshold must be within [0, 100]")
+        if self.operator == "==" and (self.path is None or self.threshold != 100.0):
+            raise ValueError("'==' rules only exist for a section's full score of 100")
+        if self.path is not None and not self.weighted:
+            raise ValueError("section rules read the combined score and take no basis")
 
     def describe(self) -> str:
-        operator = ">=" if self.inclusive else ">"
-        threshold = f"{self.threshold:g}"
-        if self.kind is RuleKind.OVERALL_MIN:
-            basis = "weighted" if self.use_weighted else "unweighted"
-            return f"overall {operator} {threshold} {basis}"
-        if self.kind is RuleKind.PARAGRAPH_MIN:
-            return f"paragraph {self.path.dotted} {operator} {threshold}"
-        return f"paragraph {self.path.dotted} == 100"
+        if self.path is None:
+            basis = "weighted" if self.weighted else "unweighted"
+            return f"overall {self.operator} {self.threshold:g} {basis}"
+        return f"paragraph {self.path.dotted} {self.operator} {self.threshold:g}"
 
 
 @dataclass(frozen=True)
@@ -99,63 +94,41 @@ class Verdict:
         return not self.failures
 
 
-def _syntax_error(line_no: int, line: str, why: str) -> RuleSyntaxError:
-    return RuleSyntaxError(f"line {line_no}: {why}: {line!r}")
+def _parse_rule(line_no: int, line: str) -> AcceptanceRule:
+    """Check a line's token shape, then let AcceptanceRule judge its values."""
 
+    def syntax_error(why: str) -> RuleSyntaxError:
+        return RuleSyntaxError(f"line {line_no}: {why}: {line!r}")
 
-def _parse_threshold(line_no: int, line: str, token: str) -> float:
+    subject, *args = line.split()
+    path = None
+    weighted = True
+    if subject == "overall" and len(args) in (2, 3):
+        operator, number, *basis = args
+        if basis:
+            if basis[0] not in ("weighted", "unweighted"):
+                raise syntax_error(f"unknown basis {basis[0]!r}")
+            weighted = basis[0] == "weighted"
+    elif subject == "paragraph" and len(args) == 3:
+        dotted, operator, number = args
+        try:
+            path = NumberPath.parse(dotted)
+        except ValueError:
+            raise syntax_error(f"bad section number {dotted!r}") from None
+    elif subject == "overall":
+        raise syntax_error("expected 'overall <operator> <number> [basis]'")
+    elif subject == "paragraph":
+        raise syntax_error("expected 'paragraph <path> <operator> <number>'")
+    else:
+        raise syntax_error(f"unknown rule {subject!r}")
     try:
-        value = float(token)
+        threshold = float(number)
     except ValueError:
-        raise _syntax_error(line_no, line, f"not a number: {token!r}") from None
-    if not 0.0 <= value <= 100.0:
-        raise _syntax_error(line_no, line, "threshold must be within [0, 100]")
-    return value
-
-
-def _parse_overall(line_no: int, line: str, tokens: list[str]) -> AcceptanceRule:
-    if len(tokens) not in (3, 4) or tokens[1] not in (">", ">="):
-        raise _syntax_error(line_no, line, "expected 'overall >|>= <number> [basis]'")
-    use_weighted = True
-    if len(tokens) == 4:
-        if tokens[3] == "unweighted":
-            use_weighted = False
-        elif tokens[3] != "weighted":
-            raise _syntax_error(line_no, line, f"unknown basis {tokens[3]!r}")
-    return AcceptanceRule(
-        kind=RuleKind.OVERALL_MIN,
-        threshold=_parse_threshold(line_no, line, tokens[2]),
-        path=None,
-        use_weighted=use_weighted,
-        inclusive=tokens[1] == ">=",
-    )
-
-
-def _parse_paragraph(line_no: int, line: str, tokens: list[str]) -> AcceptanceRule:
-    if len(tokens) != 4 or tokens[2] not in (">", ">=", "=="):
-        raise _syntax_error(line_no, line, "expected 'paragraph <path> >|>=|== <number>'")
+        raise syntax_error(f"not a number: {number!r}") from None
     try:
-        path = NumberPath.parse(tokens[1])
-    except ValueError:
-        raise _syntax_error(line_no, line, f"bad section number {tokens[1]!r}") from None
-    threshold = _parse_threshold(line_no, line, tokens[3])
-    if tokens[2] == "==":
-        if threshold != 100.0:
-            raise _syntax_error(line_no, line, "'==' rules must require exactly 100")
-        return AcceptanceRule(
-            kind=RuleKind.PARAGRAPH_EXACT_100,
-            threshold=100.0,
-            path=path,
-            use_weighted=True,
-            inclusive=True,
-        )
-    return AcceptanceRule(
-        kind=RuleKind.PARAGRAPH_MIN,
-        threshold=threshold,
-        path=path,
-        use_weighted=True,
-        inclusive=tokens[2] == ">=",
-    )
+        return AcceptanceRule(operator, threshold, path, weighted)
+    except ValueError as error:
+        raise syntax_error(str(error)) from None
 
 
 def parse_rules(text: str) -> list[AcceptanceRule]:
@@ -163,21 +136,14 @@ def parse_rules(text: str) -> list[AcceptanceRule]:
     rules: list[AcceptanceRule] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "overall":
-            rules.append(_parse_overall(line_no, line, tokens))
-        elif tokens[0] == "paragraph":
-            rules.append(_parse_paragraph(line_no, line, tokens))
-        else:
-            raise _syntax_error(line_no, line, f"unknown rule {tokens[0]!r}")
+        if line and not line.startswith("#"):
+            rules.append(_parse_rule(line_no, line))
     return rules
 
 
 def _observed_score(report: ComparisonReport, rule: AcceptanceRule) -> float:
-    if rule.kind is RuleKind.OVERALL_MIN:
-        return report.overall_weighted if rule.use_weighted else report.overall_unweighted
+    if rule.path is None:
+        return report.overall_weighted if rule.weighted else report.overall_unweighted
     row = report.find(rule.path)
     if row is None:
         raise UnknownPathError(
@@ -188,11 +154,10 @@ def _observed_score(report: ComparisonReport, rule: AcceptanceRule) -> float:
 
 
 def _passes(rule: AcceptanceRule, actual: float) -> bool:
-    if rule.kind is RuleKind.PARAGRAPH_EXACT_100:
-        return abs(actual - 100.0) <= SCORE_EPSILON
-    if rule.inclusive:
-        return actual - rule.threshold >= -SCORE_EPSILON
-    return actual - rule.threshold > SCORE_EPSILON
+    if rule.operator == ">":
+        return actual - rule.threshold > SCORE_EPSILON
+    # No score exceeds 100, so "== 100" accepts exactly what ">= 100" does.
+    return actual - rule.threshold >= -SCORE_EPSILON
 
 
 def evaluate(report: ComparisonReport, rules: Sequence[AcceptanceRule]) -> Verdict:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 # ASCII digits only, as in a section heading.
 _DOTTED_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 
-#: Tolerance used when a score must equal an exact value (e.g. "is 100").
+#: Float noise an acceptance rule tolerates when it compares a score with its threshold.
 SCORE_EPSILON = 1e-9
 
 
@@ -152,6 +152,28 @@ def option_keyword_value(option: PolicyOption) -> float:
     return option.keyword.value if option.keyword is not None else Keyword.MUST.value
 
 
+def _check_children(
+    children: tuple["Paragraph", ...], prefix: tuple[int, ...], owner: object
+) -> None:
+    """Require each child's path to extend ``prefix`` by one segment, with
+    those segments strictly increasing. A policy's roots extend the empty
+    prefix, so they are the sections of depth 1. ``owner`` names the parent
+    in error messages; it is formatted only when a check fails."""
+    previous_segment = 0
+    for child in children:
+        segments = child.path.segments
+        # Path segments are never empty, so equal prefixes mean one more segment.
+        if segments[:-1] != prefix:
+            raise ValueError(f"child {child.path} does not extend {owner} by one segment")
+        segment = segments[-1]
+        if segment <= previous_segment:
+            raise ValueError(
+                f"children of {owner} must be strictly ordered, "
+                f"got segment {segment} after {previous_segment}"
+            )
+        previous_segment = segment
+
+
 @dataclass(frozen=True)
 class Paragraph:
     """One numbered section of a policy with its options and subparagraphs.
@@ -179,22 +201,7 @@ class Paragraph:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
             _check_line(comment, "comment")
-        segments = self.path.segments
-        previous_segment = 0
-        for child in self.children:
-            child_segments = child.path.segments
-            # Path segments are never empty, so equal prefixes mean one more segment.
-            if child_segments[:-1] != segments:
-                raise ValueError(
-                    f"child {child.path} does not extend parent {self.path} by one segment"
-                )
-            segment = child_segments[-1]
-            if segment <= previous_segment:
-                raise ValueError(
-                    f"children of {self.path} must be strictly ordered, "
-                    f"got segment {segment} after {previous_segment}"
-                )
-            previous_segment = segment
+        _check_children(self.children, self.path.segments, self.path)
 
     def walk(self) -> Iterator["Paragraph"]:
         """This paragraph and all descendants, preorder."""
@@ -212,17 +219,7 @@ class Policy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roots", tuple(self.roots))
-        previous_segment = 0
-        for root in self.roots:
-            if root.path.depth != 1:
-                raise ValueError(f"root paragraph {root.path} must have depth 1")
-            segment = root.path.segments[0]
-            if segment <= previous_segment:
-                raise ValueError(
-                    f"root sections must be strictly increasing, "
-                    f"got {segment} after {previous_segment}"
-                )
-            previous_segment = segment
+        _check_children(self.roots, (), "the policy root")
 
     def walk(self) -> Iterator[Paragraph]:
         """All paragraphs of the policy, preorder."""

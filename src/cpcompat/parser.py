@@ -86,7 +86,6 @@ class _Node:
     weight: int
     options: list[PolicyOption] = field(default_factory=list)
     connective: Connective = Connective.NONE
-    connective_declared: bool = False
     comments: list[str] = field(default_factory=list)
     children: list["_Node"] = field(default_factory=list)
     labels: set[str] = field(default_factory=set)
@@ -182,19 +181,18 @@ class _Parser:
         self.attach(line_no, node)
 
     def attach(self, line_no: int, node: _Node) -> None:
-        if node.path in self.seen_paths:
-            self.error(
-                "DUPLICATE_SECTION", line_no, f"section {_dotted(node.path)} already defined"
-            )
-            self.push(node)
-            return
-        self.seen_paths.add(node.path)
-
+        """Link a section into its parent. A section that cannot be linked
+        draws one error and is still opened, so its own children parse
+        without cascading errors."""
         while len(self.stack[-1].path) >= len(node.path):
             self.stack.pop()
         parent = self.stack[-1]
         parent_path = node.path[:-1]
-        if parent.path != parent_path:
+        if node.path in self.seen_paths:
+            self.error(
+                "DUPLICATE_SECTION", line_no, f"section {_dotted(node.path)} already defined"
+            )
+        elif parent.path != parent_path:
             if parent_path in self.seen_paths:
                 self.error(
                     "SECTION_OUT_OF_ORDER",
@@ -207,24 +205,15 @@ class _Parser:
                     line_no,
                     f"section {_dotted(node.path)} has no parent section {_dotted(parent_path)}",
                 )
-            self.push(node)
-            return
-        if parent.children and parent.children[-1].path[-1] >= node.path[-1]:
+        elif parent.children and parent.children[-1].path[-1] >= node.path[-1]:
             self.error(
                 "SECTION_OUT_OF_ORDER",
                 line_no,
                 f"section {_dotted(node.path)} does not follow its siblings in order",
             )
-            self.push(node)
-            return
-        parent.children.append(node)
-        self.stack.append(node)
-
-    def push(self, node: _Node) -> None:
-        """Keep an unattachable section on the stack so its own children
-        still parse without cascading errors."""
-        while len(self.stack[-1].path) >= len(node.path):
-            self.stack.pop()
+        else:
+            parent.children.append(node)
+        self.seen_paths.add(node.path)
         self.stack.append(node)
 
     def handle_connection(self, line_no: int, tokens: list[str]) -> None:
@@ -243,15 +232,13 @@ class _Parser:
                 "Connection line must read 'Connection AND' or 'Connection OR'",
             )
             return
-        connective = Connective[tokens[1].upper()]
-        if current.connective_declared:
+        if current.connective is not Connective.NONE:
             self.warn(
                 "DUPLICATE_CONNECTIVE",
                 line_no,
                 "paragraph already declares a connective; the last one wins",
             )
-        current.connective = connective
-        current.connective_declared = True
+        current.connective = Connective[tokens[1].upper()]
 
     def handle_option(self, line_no: int, line: str) -> None:
         current = self.stack[-1]

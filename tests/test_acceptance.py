@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpcompat.acceptance import AcceptanceRule, RuleKind, evaluate
+from cpcompat.acceptance import AcceptanceRule, evaluate
 from cpcompat.cli import cmd_compare
 from cpcompat.comparison import compare
 from cpcompat.model import (
@@ -224,10 +224,7 @@ def _property_acceptance_monotone(policy_a, policy_b, mode, low, high):
     report = compare(policy_a, policy_b, mode)
 
     def accepted(threshold: float) -> bool:
-        rule = AcceptanceRule(
-            kind=RuleKind.OVERALL_MIN, threshold=threshold, path=None,
-            use_weighted=True, inclusive=False,
-        )
+        rule = AcceptanceRule(">", threshold)
         return evaluate(report, [rule]).accepted
 
     if accepted(high):

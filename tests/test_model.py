@@ -81,7 +81,7 @@ class TestParagraph:
 
     @pytest.mark.parametrize("child", ["1", "2.1", "1.1.1", "2"])
     def test_child_does_not_extend_parent(self, child, paragraph_factory):
-        with pytest.raises(ValueError, match=f"child {child} does not extend parent 1 by one"):
+        with pytest.raises(ValueError, match=f"child {child} does not extend 1 by one"):
             paragraph_factory("1", children=(paragraph_factory(child),))
 
     @pytest.mark.parametrize("order", [("1.2", "1.1"), ("1.1", "1.1")])
@@ -98,11 +98,11 @@ class TestParagraph:
 
 class TestPolicy:
     def test_root_not_at_depth_one(self, paragraph_factory):
-        with pytest.raises(ValueError, match="root paragraph 1.1 must have depth 1"):
+        with pytest.raises(ValueError, match="child 1.1 does not extend the policy root by one segment"):
             Policy(name="P", roots=(paragraph_factory("1.1"),))
 
     def test_unordered_roots(self, paragraph_factory):
-        with pytest.raises(ValueError, match="root sections must be strictly increasing"):
+        with pytest.raises(ValueError, match="children of the policy root must be strictly ordered"):
             Policy(name="P", roots=(paragraph_factory("2"), paragraph_factory("1")))
 
 

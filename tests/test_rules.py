@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cpcompat.acceptance import (
     AcceptanceRule,
     RuleError,
-    RuleKind,
     RuleSyntaxError,
     UnknownPathError,
     Verdict,
@@ -66,38 +65,33 @@ class TestParseRules:
     def test_overall_strict_default_weighted(self):
         rules = parse_rules("overall > 80\n")
         assert rules == [
-            AcceptanceRule(
-                kind=RuleKind.OVERALL_MIN,
-                threshold=80.0,
-                path=None,
-                use_weighted=True,
-                inclusive=False,
-            )
+            AcceptanceRule(operator=">", threshold=80.0, path=None, weighted=True)
         ]
 
     def test_overall_inclusive_unweighted(self):
         (rule,) = parse_rules("overall >= 62.5 unweighted\n")
-        assert rule.inclusive is True
-        assert rule.use_weighted is False
+        assert rule.operator == ">="
+        assert rule.weighted is False
         assert rule.threshold == 62.5
 
     def test_explicit_weighted_basis(self):
         (rule,) = parse_rules("overall > 70 weighted\n")
-        assert rule.use_weighted is True
+        assert rule.weighted is True
 
     def test_paragraph_minimum(self):
         (rule,) = parse_rules("paragraph 1.2 > 50\n")
-        assert rule.kind is RuleKind.PARAGRAPH_MIN
+        assert rule.operator == ">"
         assert rule.path == NumberPath.parse("1.2")
-        assert rule.inclusive is False
+        assert rule.threshold == 50.0
 
     def test_paragraph_inclusive(self):
         (rule,) = parse_rules("paragraph 4 >= 99.5\n")
-        assert rule.inclusive is True
+        assert rule.operator == ">="
 
     def test_paragraph_exact(self):
         (rule,) = parse_rules("paragraph 1.2.3 == 100\n")
-        assert rule.kind is RuleKind.PARAGRAPH_EXACT_100
+        assert rule.operator == "=="
+        assert rule.path == NumberPath.parse("1.2.3")
         assert rule.threshold == 100.0
 
     def test_comments_and_blanks_ignored(self):
@@ -106,13 +100,50 @@ class TestParseRules:
 
     def test_multiple_rules_in_order(self):
         rules = parse_rules("overall > 80\nparagraph 1 == 100\n")
-        assert [r.kind for r in rules] == [
-            RuleKind.OVERALL_MIN,
-            RuleKind.PARAGRAPH_EXACT_100,
+        assert [(r.operator, r.path) for r in rules] == [
+            (">", None),
+            ("==", NumberPath.parse("1")),
         ]
 
     def test_empty_text_gives_no_rules(self):
         assert parse_rules("") == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "overall > 80 weighted",
+            "overall >= 62.5 unweighted",
+            "paragraph 1.2 > 50",
+            "paragraph 4 >= 99.5",
+            "paragraph 1.2.3 == 100",
+        ],
+    )
+    def test_description_parses_back_to_the_rule(self, line):
+        (rule,) = parse_rules(line)
+        assert rule.describe() == line
+        assert parse_rules(rule.describe()) == [rule]
+
+
+class TestRuleConstruction:
+    @pytest.mark.parametrize(
+        "args, why",
+        [
+            (("<", 80.0), "unknown operator"),
+            (("=", 100.0, NumberPath.parse("1")), "unknown operator"),
+            ((">", 100.5), "within \\[0, 100\\]"),
+            ((">=", -0.5, NumberPath.parse("1")), "within \\[0, 100\\]"),
+            (("==", 100.0), "'==' rules only exist"),
+            (("==", 99.0, NumberPath.parse("1")), "'==' rules only exist"),
+            ((">", 50.0, NumberPath.parse("1"), False), "take no basis"),
+        ],
+    )
+    def test_invalid_rules_are_refused(self, args, why):
+        with pytest.raises(ValueError, match=why):
+            AcceptanceRule(*args)
+
+    def test_refusal_of_a_parsed_line_names_the_line(self):
+        with pytest.raises(RuleSyntaxError, match="^line 2: '==' rules only exist.*'overall == 100'"):
+            parse_rules("overall > 50\noverall == 100\n")
 
 
 class TestParseRuleErrors:
@@ -136,6 +167,9 @@ class TestParseRuleErrors:
             "paragraph 1.2 == 99",
             "paragraph 1.2 = 100",
             "paragraph 1.2 >= 100 weighted",
+            "overall == 100",
+            "paragraph 1.2 >= 100.5",
+            "paragraph 1.2 >= nan",
         ],
     )
     def test_bad_lines_raise_syntax_errors(self, line):
@@ -217,7 +251,7 @@ class TestEvaluate:
     def test_verdict_is_plain_data(self, report_32_5):
         verdict = evaluate(report_32_5, parse_rules("overall > 80\n"))
         assert isinstance(verdict, Verdict)
-        assert verdict.failures[0].rule.kind is RuleKind.OVERALL_MIN
+        assert verdict.failures[0].rule == AcceptanceRule(">", 80.0)
 
 
 class TestEvaluateProperties:
@@ -230,16 +264,21 @@ class TestEvaluateProperties:
     def test_acceptance_is_monotone_in_threshold(self, policy, low, high):
         low, high = sorted((low, high))
         report = compare(policy, policy, MERGE)
-        rule_low = AcceptanceRule(
-            kind=RuleKind.OVERALL_MIN, threshold=low, path=None,
-            use_weighted=True, inclusive=False,
-        )
-        rule_high = AcceptanceRule(
-            kind=RuleKind.OVERALL_MIN, threshold=high, path=None,
-            use_weighted=True, inclusive=False,
-        )
+        rule_low = AcceptanceRule(">", low)
+        rule_high = AcceptanceRule(">", high)
         if evaluate(report, [rule_high]).accepted:
             assert evaluate(report, [rule_low]).accepted
+
+    @settings(max_examples=200, deadline=None)
+    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
+    def test_exact_100_accepts_what_at_least_100_accepts(self, policy_a, policy_b):
+        # No score exceeds 100, which is why "==" needs no code of its own.
+        for mode in ComparisonMode:
+            report = compare(policy_a, policy_b, mode)
+            for row in report.paragraph_scores:
+                exact = parse_rules(f"paragraph {row.path} == 100")
+                at_least = parse_rules(f"paragraph {row.path} >= 100")
+                assert evaluate(report, exact).accepted == evaluate(report, at_least).accepted
 
     def test_rule_order_does_not_change_verdict(self, report_mixed):
         rules = parse_rules(
