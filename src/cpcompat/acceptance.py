@@ -3,10 +3,13 @@
 A rules file holds one rule per line, with ``#`` comments and blank
 lines ignored:
 
-    overall > 80            # weighted overall score, strict
+    # weighted overall score, strict
+    overall > 80
     overall >= 60 unweighted
-    paragraph 1.2 > 50      # a paragraph's combined score
-    paragraph 4.1 == 100    # exact compatibility required
+    # a paragraph's combined score
+    paragraph 1.2 > 50
+    # exact compatibility required
+    paragraph 4.1 == 100
 
 ``>`` is strict: a score exactly at the threshold is rejected. ``>=``
 accepts it. ``==`` exists only for a section's full score of 100. Comparisons
@@ -18,8 +21,10 @@ each failed rule with the score that was observed.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .model import SCORE_EPSILON, ComparisonReport, NumberPath
 
@@ -33,6 +38,10 @@ __all__ = [
     "parse_rules",
     "evaluate",
 ]
+
+
+# A threshold as a rules file writes it: ASCII digits, an optional decimal part.
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 class RuleError(ValueError):
@@ -72,10 +81,14 @@ class AcceptanceRule:
             raise ValueError("section rules read the combined score and take no basis")
 
     def describe(self) -> str:
+        """The rule as a rules file line that parses back to this rule."""
+        # The shortest plain decimal that reads back as the same float; abs()
+        # writes -0.0, which the range check admits, as 0.
+        threshold = f"{Decimal(repr(abs(self.threshold))).normalize():f}"
         if self.path is None:
             basis = "weighted" if self.weighted else "unweighted"
-            return f"overall {self.operator} {self.threshold:g} {basis}"
-        return f"paragraph {self.path.dotted} {self.operator} {self.threshold:g}"
+            return f"overall {self.operator} {threshold} {basis}"
+        return f"paragraph {self.path.dotted} {self.operator} {threshold}"
 
 
 @dataclass(frozen=True)
@@ -121,12 +134,10 @@ def _parse_rule(line_no: int, line: str) -> AcceptanceRule:
         raise syntax_error("expected 'paragraph <path> <operator> <number>'")
     else:
         raise syntax_error(f"unknown rule {subject!r}")
+    if not _NUMBER_RE.fullmatch(number):
+        raise syntax_error(f"not a number: {number!r}")
     try:
-        threshold = float(number)
-    except ValueError:
-        raise syntax_error(f"not a number: {number!r}") from None
-    try:
-        return AcceptanceRule(operator, threshold, path, weighted)
+        return AcceptanceRule(operator, float(number), path, weighted)
     except ValueError as error:
         raise syntax_error(str(error)) from None
 

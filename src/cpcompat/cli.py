@@ -12,8 +12,9 @@ summary go to stderr.
 
 Exit codes: 0 success (and, with rules, acceptance); 1 file I/O problem;
 2 parse errors, including input that is not UTF-8; 3 rules rejected the
-combination; 4 the rules file itself is unusable. Code 5 is retired:
-every merged policy can be written in the text format.
+combination; 4 the rules file itself is unusable; 6 an unexpected
+exception, reported as one stderr line with no traceback. Code 5 is
+retired: every merged policy can be written in the text format.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_REJECTED = 3
 EXIT_RULES = 4
+EXIT_INTERNAL = 6
 
 
 class _Exit(SystemExit):
@@ -228,3 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except _Exit as stop:
         return stop.code
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        _say(f"cpcompat: internal error: {type(exc).__name__}: {message}")
+        return EXIT_INTERNAL

@@ -14,7 +14,7 @@ paragraphs already contribute through their parents.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .model import (
     ComparisonDiagnostic,
@@ -43,27 +43,24 @@ __all__ = [
 ]
 
 
+def pair_by_path(
+    paragraphs_a: Iterable[Paragraph],
+    paragraphs_b: Iterable[Paragraph],
+) -> list[tuple[Paragraph | None, Paragraph | None]]:
+    """Pair paragraphs with the same section number: A's in A's order, then
+    those only B has, in B's order. Compare and merge share this pairing."""
+    by_path_b = {p.path: p for p in paragraphs_b}
+    pairs = [(a, by_path_b.pop(a.path, None)) for a in paragraphs_a]
+    pairs.extend((None, b) for b in by_path_b.values())
+    return pairs
+
+
 def align(
     policy_a: Policy,
     policy_b: Policy,
 ) -> list[tuple[Paragraph | None, Paragraph | None]]:
-    """Pair up paragraphs with the same section number.
-
-    Pairs follow policy A's document order; paragraphs found only in
-    policy B are appended in B's document order.
-    """
-    by_path_b = {p.path: p for p in policy_b.walk()}
-    pairs: list[tuple[Paragraph | None, Paragraph | None]] = []
-    matched: set[NumberPath] = set()
-    for paragraph_a in policy_a.walk():
-        paragraph_b = by_path_b.get(paragraph_a.path)
-        if paragraph_b is not None:
-            matched.add(paragraph_a.path)
-        pairs.append((paragraph_a, paragraph_b))
-    for paragraph_b in policy_b.walk():
-        if paragraph_b.path not in matched:
-            pairs.append((None, paragraph_b))
-    return pairs
+    """:func:`pair_by_path` over all paragraphs of both policies, preorder."""
+    return pair_by_path(policy_a.walk(), policy_b.walk())
 
 
 def _row_status(paragraph_a: Paragraph | None, paragraph_b: Paragraph | None) -> MatchStatus:

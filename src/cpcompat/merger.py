@@ -4,8 +4,11 @@ The merge is gated by an acceptance verdict: callers compare the two
 policies, evaluate their rules, and only an accepted verdict unlocks the
 merge. Under acquisition the acquirer's policy stands as-is. Under a
 merger of equals the result is a union of both documents with the first
-policy winning ties, annotated with ``//`` comments wherever the two
-sides disagreed so a human editor can review every seam:
+policy winning ties. Sections are paired with the comparison's own
+alignment (``comparison.pair_by_path``, one level of children at a
+time), so the draft has exactly the sections the report has rows for.
+Seams where the two sides disagreed are annotated with ``//`` comments
+so a human editor can review each one:
 
 * matched options keep the stricter requirement keyword;
 * options present on one side only stay in the list and are flagged;
@@ -18,7 +21,10 @@ compared like any hand-written document.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .acceptance import Verdict
+from .comparison import pair_by_path
 from .model import (
     ComparisonMode,
     ComparisonReport,
@@ -44,18 +50,18 @@ def _merge_options(
     """Union of two option lists plus review annotations."""
     options_a = paragraph_a.options
     options_b = paragraph_b.options
-    matches = {m.index_a: m for m in match_options(options_a, options_b)}
-    matched_b = {m.index_b for m in matches.values()}
+    matches = {m.index_a: m.index_b for m in match_options(options_a, options_b)}
+    matched_b = set(matches.values())
 
     merged: list[PolicyOption] = []
     annotations: list[str] = []
     for index_a, option_a in enumerate(options_a):
-        match = matches.get(index_a)
-        if match is None:
+        index_b = matches.get(index_a)
+        if index_b is None:
             merged.append(option_a)
             annotations.append(f"// unmatched: from A: {option_a.phrase}")
             continue
-        option_b = options_b[match.index_b]
+        option_b = options_b[index_b]
         if option_keyword_value(option_b) > option_keyword_value(option_a):
             merged.append(option_b)
         else:
@@ -67,37 +73,19 @@ def _merge_options(
     return tuple(merged), annotations
 
 
-def _adopt(paragraph: Paragraph, side: str) -> Paragraph:
-    """Take over a one-sided subtree, flagging its root for review."""
-    return Paragraph(
-        path=paragraph.path,
-        title=paragraph.title,
-        weight=paragraph.weight,
-        options=paragraph.options,
-        connective=paragraph.connective,
-        comments=paragraph.comments + (f"// unmatched: from {side}",),
-        children=paragraph.children,
-    )
-
-
 def _merge_children(
     children_a: tuple[Paragraph, ...],
     children_b: tuple[Paragraph, ...],
 ) -> tuple[Paragraph, ...]:
-    by_segment_b = {child.path.segments[-1]: child for child in children_b}
-    segments_a = {child.path.segments[-1] for child in children_a}
-
     merged: list[Paragraph] = []
-    for child_a in children_a:
-        child_b = by_segment_b.get(child_a.path.segments[-1])
-        if child_b is None:
-            merged.append(_adopt(child_a, "A"))
-        else:
+    for child_a, child_b in pair_by_path(children_a, children_b):
+        if child_a is not None and child_b is not None:
             merged.append(_merge_paragraphs(child_a, child_b))
-    for child_b in children_b:
-        if child_b.path.segments[-1] not in segments_a:
-            merged.append(_adopt(child_b, "B"))
-    merged.sort(key=lambda child: child.path.segments[-1])
+        else:
+            # A one-sided subtree is taken over whole, its root flagged for review.
+            side, child = ("A", child_a) if child_b is None else ("B", child_b)
+            merged.append(replace(child, comments=child.comments + (f"// unmatched: from {side}",)))
+    merged.sort(key=lambda child: child.path)
     return tuple(merged)
 
 
@@ -115,10 +103,8 @@ def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragra
     comments.extend(c for c in paragraph_b.comments if c not in paragraph_a.comments)
     comments.extend(annotations)
 
-    return Paragraph(
-        path=paragraph_a.path,
-        title=paragraph_a.title,
-        weight=paragraph_a.weight,
+    return replace(
+        paragraph_a,
         options=options,
         connective=connective,
         comments=tuple(comments),

@@ -125,22 +125,20 @@ class PolicyOption:
     """One option line of a paragraph.
 
     ``keyword`` is the optional requirement keyword, ``phrase`` the option
-    text itself. ``normalized_phrase`` is derived and is what option
-    matching compares. The label of the source line ("a)", "aa)") is
-    layout: the parser checks it and the renderer writes a fresh one.
+    text itself. Option matching compares phrases after
+    :func:`normalize_phrase`. The label of the source line ("a)", "aa)")
+    is layout: the parser checks it and the renderer writes a fresh one.
     A phrase without a keyword may not start with a keyword token, which
     the parser would read as the option's keyword.
     """
 
     phrase: str
     keyword: Keyword | None = None
-    normalized_phrase: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_line(self.phrase, "option phrase")
         if self.keyword is None and self.phrase.partition(" ")[0] in _KEYWORD_NAMES:
             raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
-        object.__setattr__(self, "normalized_phrase", normalize_phrase(self.phrase))
 
 
 def option_keyword_value(option: PolicyOption) -> float:
@@ -225,23 +223,6 @@ class Policy:
         """All paragraphs of the policy, preorder."""
         for root in self.roots:
             yield from root.walk()
-
-
-@dataclass(frozen=True)
-class ProvisionalMatch:
-    """A phrase-equal option pair across two paragraphs.
-
-    ``keyword_factor`` is 1 minus the absolute strength difference of the
-    two keywords, so identical keywords give 1.0 and MUST vs NOT gives 0.0.
-    """
-
-    index_a: int
-    index_b: int
-    keyword_factor: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.keyword_factor <= 1.0:
-            raise ValueError(f"keyword factor must be in [0, 1]: {self.keyword_factor}")
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .model import (
     ComparisonMode,
     Connective,
     Paragraph,
     PolicyOption,
-    ProvisionalMatch,
+    normalize_phrase,
     option_keyword_value,
 )
 
@@ -38,6 +39,18 @@ __all__ = [
     "combine_with_children",
     "child_aggregate",
 ]
+
+
+class ProvisionalMatch(NamedTuple):
+    """A phrase-equal option pair across two paragraphs.
+
+    ``keyword_factor`` is 1 minus the absolute strength difference of the
+    two keywords, so identical keywords give 1.0 and MUST vs NOT gives 0.0.
+    """
+
+    index_a: int
+    index_b: int
+    keyword_factor: float
 
 
 def match_options(
@@ -57,24 +70,18 @@ def match_options(
     """
     queues: dict[str, deque[int]] = defaultdict(deque)
     for index_b, option_b in enumerate(options_b):
-        queues[option_b.normalized_phrase].append(index_b)
+        queues[normalize_phrase(option_b.phrase)].append(index_b)
 
     matches: list[ProvisionalMatch] = []
     for index_a, option_a in enumerate(options_a):
-        queue = queues.get(option_a.normalized_phrase)
+        queue = queues.get(normalize_phrase(option_a.phrase))
         if not queue:
             continue
         index_b = queue.popleft()
         factor = 1.0 - abs(
             option_keyword_value(option_a) - option_keyword_value(options_b[index_b])
         )
-        matches.append(
-            ProvisionalMatch(
-                index_a=index_a,
-                index_b=index_b,
-                keyword_factor=factor,
-            )
-        )
+        matches.append(ProvisionalMatch(index_a, index_b, factor))
     return matches
 
 

@@ -328,6 +328,20 @@ class TestExitCodeTable:
         assert documented == defined
 
 
+class TestInternalErrors:
+    def test_unexpected_exception_exits_6_with_one_line(self, monkeypatch, capsys, policy_files):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "compare", broken)
+        file_a, file_b = policy_files
+        assert main(["compare", str(file_a), str(file_b)]) == cli.EXIT_INTERNAL == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cpcompat: internal error: RuntimeError: boom second line\n"
+        assert "Traceback" not in captured.err
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path, sample_policy_text):
         file = tmp_path / "ok.txt"

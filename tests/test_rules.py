@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpcompat.acceptance
 from cpcompat.acceptance import (
     AcceptanceRule,
     RuleError,
@@ -116,12 +117,24 @@ class TestParseRules:
             "paragraph 1.2 > 50",
             "paragraph 4 >= 99.5",
             "paragraph 1.2.3 == 100",
+            "overall > 99.99999 weighted",
+            "paragraph 1 >= 12.3456789",
+            "overall >= 0.00001 weighted",
         ],
     )
     def test_description_parses_back_to_the_rule(self, line):
         (rule,) = parse_rules(line)
         assert rule.describe() == line
         assert parse_rules(rule.describe()) == [rule]
+
+    def test_module_docstring_example_parses(self):
+        example = cpcompat.acceptance.__doc__.split("ignored:\n\n", 1)[1].split("\n\n", 1)[0]
+        assert [rule.describe() for rule in parse_rules(example)] == [
+            "overall > 80 weighted",
+            "overall >= 60 unweighted",
+            "paragraph 1.2 > 50",
+            "paragraph 4.1 == 100",
+        ]
 
 
 class TestRuleConstruction:
@@ -170,6 +183,11 @@ class TestParseRuleErrors:
             "overall == 100",
             "paragraph 1.2 >= 100.5",
             "paragraph 1.2 >= nan",
+            # <number> is ASCII digits with an optional decimal part only.
+            "overall > \u0668\u0660",
+            "paragraph 1 >= \uff15\uff10",
+            "overall > 1_0",
+            "overall > 1e1",
         ],
     )
     def test_bad_lines_raise_syntax_errors(self, line):
