@@ -40,11 +40,10 @@ from .model import (
     Policy,
     PolicyOption,
     normalize_phrase,
+    weighted_mean,
 )
 from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
 from .scoring import (
-    child_aggregate,
-    combine_with_children,
     match_options,
     score_option_lists,
     score_paragraph_options,
@@ -72,8 +71,6 @@ __all__ = [
     "UnknownPathError",
     "Verdict",
     "align",
-    "child_aggregate",
-    "combine_with_children",
     "compare",
     "evaluate",
     "match_options",
@@ -86,6 +83,7 @@ __all__ = [
     "report_to_json",
     "score_option_lists",
     "score_paragraph_options",
+    "weighted_mean",
 ]
 
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
     unreadable file ends the command with exit code 1.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         _say(f"{path}: not valid UTF-8: {exc}")
         return None, []
@@ -73,7 +73,7 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
 
 def _verdict(report: ComparisonReport, rules: str) -> Verdict:
     try:
-        return evaluate(report, parse_rules(Path(rules).read_text(encoding="utf-8")))
+        return evaluate(report, parse_rules(Path(rules).read_text(encoding="utf-8-sig")))
     except (OSError, UnicodeDecodeError, RuleError) as exc:
         _say(f"{rules}: {exc}")
         raise _Exit(EXIT_RULES) from None
@@ -106,7 +106,7 @@ def _announce(verdict: Verdict) -> None:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.write(text)
         return
     try:
         Path(out).write_text(text, encoding="utf-8")

@@ -3,12 +3,11 @@
 Paragraphs are aligned by section number. Every paragraph of policy A
 produces one score row; paragraphs that exist only in policy B are
 appended afterwards so the report covers both documents. A paragraph's
-combined score blends its own option score with the weighted mean of its
-subparagraphs' combined scores, where the subparagraph count and weights
-are taken from policy A: the comparing party's structure governs.
-
-The two overall figures aggregate the top-level rows only; deeper
-paragraphs already contribute through their parents.
+combined score is the :func:`~cpcompat.model.weighted_mean` of its own
+option score (weight 1) and its subparagraphs' mean (weight N, their
+count), with the count and weights taken from policy A: the comparing
+party's structure governs. The overall figures are weighted means of the
+top-level rows only; deeper paragraphs contribute through their parents.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from .model import (
     ParagraphScore,
     Policy,
     normalize_phrase,
+    weighted_mean,
 )
 from .scoring import (
-    child_aggregate,
-    combine_with_children,
     resolve_connective,
     score_option_lists,
     score_paragraph_options,
@@ -73,15 +71,16 @@ def _row_status(paragraph_a: Paragraph | None, paragraph_b: Paragraph | None) ->
     return MatchStatus.MATCHED
 
 
-def _missing(code: str, paragraph: Paragraph) -> ComparisonDiagnostic:
-    path = paragraph.path
-    return ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
-
-
 def _pairing_diagnostics(
-    paragraph_a: Paragraph,
-    paragraph_b: Paragraph,
+    paragraph_a: Paragraph | None,
+    paragraph_b: Paragraph | None,
 ) -> Iterator[ComparisonDiagnostic]:
+    """MISSING_IN_A/B for a one-sided pair, else TITLE_ and CONNECTIVE_MISMATCH."""
+    if paragraph_a is None or paragraph_b is None:
+        code = "MISSING_IN_A" if paragraph_a is None else "MISSING_IN_B"
+        path = (paragraph_a or paragraph_b).path
+        yield ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
+        return
     path = paragraph_a.path
     if normalize_phrase(paragraph_a.title) != normalize_phrase(paragraph_b.title):
         yield ComparisonDiagnostic(
@@ -108,37 +107,32 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
     Rows and diagnostics follow :func:`align`'s pair order.
     """
     pairs = align(policy_a, policy_b)
-    diagnostics: list[ComparisonDiagnostic] = []
-    own_scores: list[float] = []
-    for paragraph_a, paragraph_b in pairs:
-        if paragraph_a is None:
-            diagnostics.append(_missing("MISSING_IN_A", paragraph_b))
-            own = score_option_lists((), paragraph_b.options, paragraph_b.connective, mode)
-        elif paragraph_b is None:
-            diagnostics.append(_missing("MISSING_IN_B", paragraph_a))
-            own = score_option_lists(paragraph_a.options, (), paragraph_a.connective, mode)
-        else:
-            diagnostics.extend(_pairing_diagnostics(paragraph_a, paragraph_b))
-            own = score_paragraph_options(paragraph_a, paragraph_b, mode)
-        own_scores.append(own)
+    diagnostics = [d for a, b in pairs for d in _pairing_diagnostics(a, b)]
 
     # A paragraph's children come after it in preorder, so walking the pairs
     # backwards has every child's combined score ready for its parent.
     rows: list[ParagraphScore] = []
     combined: dict[NumberPath, float] = {}
-    for (paragraph_a, paragraph_b), own in zip(reversed(pairs), reversed(own_scores)):
-        combined_score = own
-        aggregate: float | None = None
-        if paragraph_a is None:
-            # Policy A has no such paragraph, hence no subparagraph count to
-            # blend with and no declared weight; the row stands on its own.
-            path, weight = paragraph_b.path, 1
+    for paragraph_a, paragraph_b in reversed(pairs):
+        if paragraph_a is None or paragraph_b is None:
+            # One side is silent: the other side's options face an empty list.
+            side = paragraph_a or paragraph_b
+            options = (side.options, ()) if paragraph_b is None else ((), side.options)
+            own = score_option_lists(*options, side.connective, mode)
         else:
-            path, weight = paragraph_a.path, paragraph_a.weight
-            children = paragraph_a.children
-            if children:
-                aggregate = child_aggregate((combined[c.path], c.weight) for c in children)
-                combined_score = combine_with_children(own, aggregate, len(children))
+            own = score_paragraph_options(paragraph_a, paragraph_b, mode)
+        # A B-only paragraph has no declared weight and no subparagraph
+        # count from policy A to blend with; its row stands on its own.
+        path = (paragraph_a or paragraph_b).path
+        weight = 1 if paragraph_a is None else paragraph_a.weight
+        children = () if paragraph_a is None else paragraph_a.children
+        aggregate = None
+        combined_score = own
+        if children:
+            aggregate = weighted_mean((combined[c.path], c.weight) for c in children)
+            # The children's aggregate carries one unit of weight per child,
+            # the paragraph's own options one unit in all.
+            combined_score = weighted_mean(((own, 1), (aggregate, len(children))))
         combined[path] = combined_score
         rows.append(
             ParagraphScore(

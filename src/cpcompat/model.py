@@ -20,6 +20,12 @@ _DOTTED_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 #: Float noise an acceptance rule tolerates when it compares a score with its threshold.
 SCORE_EPSILON = 1e-9
 
+#: Most segments a section number may have. The parser reports deeper
+#: headings as errors and NumberPath refuses them, which keeps every
+#: recursive walk over a policy tree far from the interpreter's recursion
+#: limit and every tree the model admits within what the parser reads back.
+MAX_DEPTH = 100
+
 
 class Keyword(Enum):
     """Requirement keywords and their strength values.
@@ -101,6 +107,8 @@ class NumberPath:
             raise ValueError("number path needs at least one segment")
         if min(self.segments) < 1:
             raise ValueError(f"number path segments must be >= 1, got {self.segments}")
+        if len(self.segments) > MAX_DEPTH:
+            raise ValueError(f"number path has more than {MAX_DEPTH} segments")
 
     @classmethod
     def parse(cls, dotted: str) -> "NumberPath":
@@ -243,14 +251,26 @@ class ParagraphScore:
     match_status: MatchStatus
 
     def __post_init__(self) -> None:
-        for name in ("own_score", "combined_score"):
+        for name in ("own_score", "child_aggregate", "combined_score"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 100.0:
+            if value is not None and not 0.0 <= value <= 100.0:
                 raise ValueError(f"{name} out of range [0, 100]: {value}")
-        if self.child_aggregate is not None and not 0.0 <= self.child_aggregate <= 100.0:
-            raise ValueError(f"child_aggregate out of range [0, 100]: {self.child_aggregate}")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight}")
+
+
+def weighted_mean(scored: Iterable[tuple[float, int]]) -> float:
+    """Mean of (score, weight) pairs; ValueError when the weights add up to 0."""
+    # Left to right on purpose: the builtin sum() of floats is compensated
+    # from Python 3.12 on, which would make reports differ by interpreter.
+    total = 0.0
+    weight_sum = 0
+    for score, weight in scored:
+        total += score * weight
+        weight_sum += weight
+    if weight_sum == 0:
+        raise ValueError("weighted mean needs a positive total weight")
+    return total / weight_sum
 
 
 def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
@@ -262,9 +282,8 @@ def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
     top = [row for row in rows if row.path.depth == 1]
     if not top:
         return 100.0, 100.0
-    weight_sum = sum(row.weight for row in top)
-    weighted = sum(row.combined_score * row.weight for row in top) / weight_sum
-    unweighted = sum(row.combined_score for row in top) / len(top)
+    weighted = weighted_mean((row.combined_score, row.weight) for row in top)
+    unweighted = weighted_mean((row.combined_score, 1) for row in top)
     return weighted, unweighted
 
 

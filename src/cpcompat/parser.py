@@ -30,6 +30,7 @@ import string
 from dataclasses import dataclass, field
 
 from .model import (
+    MAX_DEPTH,
     Connective,
     Keyword,
     NumberPath,
@@ -70,11 +71,6 @@ _HEADING_RE = re.compile(r"^([0-9]+(?:\.[0-9]+)*)\s+(.+?)(?:\s+([0-9]+))?$")
 _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
 _KEYWORDS = {k.name: k for k in Keyword}
-
-#: Most segments a section number may have. Deeper sections are an error,
-#: which keeps every recursive walk over a policy tree far from the
-#: interpreter's recursion limit.
-MAX_DEPTH = 100
 
 
 @dataclass

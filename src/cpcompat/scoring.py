@@ -7,10 +7,10 @@ scores according to the paragraph connective:
 
 * ``OR``  - the best pair decides; one shared way to comply suffices.
 * ``AND`` - every option matters, so pair scores are averaged over the
-  full option count. Under MERGE semantics the larger list is the
+  full option count, with :func:`~cpcompat.model.weighted_mean` and 0
+  for each unpaired option. Under MERGE semantics the larger list is the
   denominator (both parties keep all their requirements); under ACQUIRE
-  only the acquiring side's list counts, because the acquired policy is
-  superseded.
+  only the acquiring side's list counts: the acquired policy is superseded.
 
 A paragraph without a Connection line is treated as AND, the stricter
 reading.
@@ -19,7 +19,7 @@ reading.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .model import (
@@ -29,6 +29,7 @@ from .model import (
     PolicyOption,
     normalize_phrase,
     option_keyword_value,
+    weighted_mean,
 )
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "resolve_connective",
     "score_option_lists",
     "score_paragraph_options",
-    "combine_with_children",
-    "child_aggregate",
 ]
 
 
@@ -108,7 +107,8 @@ def score_option_lists(
         denominator = len(options_a)
     else:
         denominator = max(len(options_a), len(options_b))
-    return sum(terms) / denominator
+    # Each pair counts once; the options left unpaired count 0.
+    return weighted_mean([(term, 1) for term in terms] + [(0.0, denominator - len(terms))])
 
 
 def resolve_connective(
@@ -137,30 +137,3 @@ def score_paragraph_options(
     connective :func:`resolve_connective` picks."""
     connective, _ = resolve_connective(paragraph_a, paragraph_b)
     return score_option_lists(paragraph_a.options, paragraph_b.options, connective, mode)
-
-
-def combine_with_children(
-    own_score: float,
-    child_score: float,
-    n_children: int,
-) -> float:
-    """Blend a paragraph's own score with its children's aggregate.
-
-    The aggregate carries one unit of weight per child, the paragraph's
-    own options carry one unit total.
-    """
-    if n_children < 1:
-        raise ValueError("combining requires at least one child")
-    return (own_score + child_score * n_children) / (1 + n_children)
-
-
-def child_aggregate(scored_children: Iterable[tuple[float, int]]) -> float:
-    """Weighted mean of (score, weight) pairs for a paragraph's children."""
-    total = 0.0
-    weight_sum = 0
-    for score, weight in scored_children:
-        total += score * weight
-        weight_sum += weight
-    if weight_sum == 0:
-        raise ValueError("child aggregate requires at least one child")
-    return total / weight_sum

@@ -27,10 +27,10 @@ from cpcompat.model import (
     NumberPath,
     Paragraph,
     PolicyOption,
+    weighted_mean,
 )
 from cpcompat.parser import Severity, parse_policy, render_policy
 from cpcompat.scoring import (
-    combine_with_children,
     match_options,
     score_option_lists,
     score_paragraph_options,
@@ -58,8 +58,9 @@ def criterion(number: int, description: str):
 
 def test_criterion_1_parent_child_blending():
     with criterion(1, "parent/child blending reproduces the documented constants"):
-        two = combine_with_children(100.0, 75.0, 2)
-        eight = combine_with_children(100.0, 75.0, 8)
+        # A parent's own options weigh 1, its children's aggregate 1 per child.
+        two = weighted_mean(((100.0, 1), (75.0, 2)))
+        eight = weighted_mean(((100.0, 1), (75.0, 8)))
         assert two == pytest.approx(83.3, abs=0.05)
         assert eight == pytest.approx(77.8, abs=0.05)
         assert abs(two - 250.0 / 3.0) <= TOLERANCE

@@ -25,11 +25,11 @@ from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
 from strategies import chain_text, limit_documents, modes
 
 
-def run_module(*arguments: str) -> subprocess.CompletedProcess:
+def run_module(*arguments: str, text: bool = True) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "cpcompat", *arguments],
         capture_output=True,
-        text=True,
+        text=text,
     )
 
 
@@ -99,6 +99,13 @@ class TestValidate:
         file.write_bytes(b"1 TOP\n\xff\xfe broken\n")
         assert main(["validate", str(file)]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, sample_policy_text, capsys):
+        file = tmp_path / "bom.txt"
+        file.write_text(sample_policy_text, encoding="utf-8-sig")
+        assert file.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["validate", str(file)]) == 0
+        assert "ERROR" not in capsys.readouterr().err
 
 
 class TestCompare:
@@ -189,6 +196,13 @@ class TestCompare:
         assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 4
         assert "line 1" in capsys.readouterr().err
 
+    def test_rules_file_byte_order_mark_is_ignored(self, policy_files, tmp_path, capsys):
+        file_a, file_b = policy_files
+        rules = tmp_path / "rules.txt"
+        rules.write_text("overall > 30\nparagraph 1 > 30\n", encoding="utf-8-sig")
+        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 0
+        assert "verdict: accepted" in capsys.readouterr().err
+
     def test_missing_rules_file_exits_4(self, policy_files, tmp_path):
         file_a, file_b = policy_files
         missing = tmp_path / "norules.txt"
@@ -219,6 +233,25 @@ class TestMerge:
         merged, _ = parse_policy(out)
         assert merged is not None
         assert "// unmatched: from B: d" in out
+
+    def test_empty_draft_is_empty_on_stdout_too(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "merged.txt"
+        assert main(["merge", str(empty), str(empty), "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        result = run_module("merge", str(empty), str(empty), text=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b""
+
+    @pytest.mark.parametrize("command, flag", [("merge", "--out"), ("compare", "--report")])
+    def test_stdout_gets_the_bytes_of_the_output_file(self, policy_files, tmp_path, command, flag):
+        file_a, file_b = policy_files
+        out = tmp_path / "written"
+        assert main([command, str(file_a), str(file_b), flag, str(out)]) == 0
+        result = run_module(command, str(file_a), str(file_b), text=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out.read_bytes()
 
     def test_rejection_leaves_no_output_file(self, policy_files, tmp_path):
         file_a, file_b = policy_files

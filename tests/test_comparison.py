@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,42 @@ class TestReportTotals:
                 paragraph_scores=self.ROWS,
                 overall_weighted=50.0,
             )
+
+
+class TestSameReportOnEveryInterpreter:
+    """The builtin sum() of floats is compensated from Python 3.12 on, as
+    math.fsum is. Reports must not depend on which one an interpreter has."""
+
+    @staticmethod
+    def ten_rows_of_a_tenth() -> ComparisonReport:
+        rows = [
+            ParagraphScore(NumberPath((n,)), 0.1, None, 0.1, 1, MatchStatus.MATCHED)
+            for n in range(1, 11)
+        ]
+        return ComparisonReport(MERGE, "A", "B", rows)
+
+    # Under AND, three RECOMMENDED vs NOT pairs (19.999999999999996 each) and
+    # one MUST vs OPTIONAL pair (50) add up to 110.0 left to right but to
+    # 109.99999999999999 compensated.
+    AND_A = "1 TOP\nConnection AND\nRECOMMENDED p\nRECOMMENDED q\nMUST r\nRECOMMENDED s\n"
+    AND_B = "1 TOP\nConnection AND\nNOT p\nNOT q\nOPTIONAL r\nNOT s\n"
+
+    def and_report(self) -> ComparisonReport:
+        return compare(policy_from(self.AND_A, "A"), policy_from(self.AND_B, "B"), MERGE)
+
+    def test_totals_do_not_change_with_a_compensated_sum(self, monkeypatch):
+        report = self.ten_rows_of_a_tenth()
+        assert report.overall_unweighted == 0.09999999999999999
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert self.ten_rows_of_a_tenth() == report
+        assert self.ten_rows_of_a_tenth().overall_unweighted == report.overall_unweighted
+        assert self.ten_rows_of_a_tenth().overall_weighted == report.overall_weighted
+
+    def test_and_score_does_not_change_with_a_compensated_sum(self, monkeypatch):
+        report = self.and_report()
+        assert report.paragraph_scores[0].own_score == 110.0 / 4
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert report_to_json(self.and_report()) == report_to_json(report)
 
 
 class TestComparisonProperties:

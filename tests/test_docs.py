@@ -1,0 +1,50 @@
+"""The Python examples of the documentation run against the package.
+
+Each example is executed with the names it assumes already bound:
+``text_a`` and ``text_b`` hold two policies, and ``report`` is their
+comparison, which has the sections 1 and 6.1 the examples name.
+"""
+
+from __future__ import annotations
+
+import re
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import cpcompat
+from cpcompat import ComparisonMode, compare, parse_policy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TEXT_A = "1 SCOPE\na) MUST x\n6 OPERATIONS\n6.1 Keys\na) MUST use hardware modules\n"
+TEXT_B = "1 SCOPE\na) RECOMMENDED x\n6 OPERATIONS\n6.1 Keys\na) MUST use hardware modules\n"
+
+
+def python_block(document: str, heading: str) -> str:
+    """The first ```python block under ``## heading`` of a Markdown file."""
+    text = (ROOT / document).read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def docstring_example() -> str:
+    return textwrap.dedent(cpcompat.__doc__.split("Typical library use:\n", 1)[1])
+
+
+EXAMPLES = {
+    "README.md Library use": lambda: python_block("README.md", "Library use"),
+    "RULES.md Library use": lambda: python_block("RULES.md", "Library use"),
+    "cpcompat docstring": docstring_example,
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_runs(name, capsys):
+    policy_a, _ = parse_policy(TEXT_A, name="ours")
+    policy_b, _ = parse_policy(TEXT_B, name="theirs")
+    report = compare(policy_a, policy_b, ComparisonMode.MERGE)
+    assert report.find(cpcompat.NumberPath.parse("6.1")) is not None
+    namespace = {"text_a": TEXT_A, "text_b": TEXT_B, "report": report}
+    exec(compile(EXAMPLES[name](), name, "exec"), namespace)

@@ -5,10 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from cpcompat.model import Keyword, NumberPath, Policy, PolicyOption
+from cpcompat.model import MAX_DEPTH, Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat import parser
 from cpcompat.parser import Severity, parse_policy, render_policy
 
 from strategies import hostile_policies
+
+
+def chain(depth: int) -> Paragraph:
+    """Sections 1, 1.1, 1.1.1, ... to ``depth`` segments, built through the API."""
+    paragraph = Paragraph(NumberPath((1,) * depth), "Level", options=(PolicyOption("hold"),))
+    for level in range(depth - 1, 0, -1):
+        paragraph = Paragraph(NumberPath((1,) * level), "Level", children=(paragraph,))
+    return paragraph
 
 
 class TestNumberPath:
@@ -20,6 +29,14 @@ class TestNumberPath:
     def test_segment_below_one(self, segments):
         with pytest.raises(ValueError, match="segments must be >= 1"):
             NumberPath(segments)
+
+    def test_depth_limit(self):
+        assert NumberPath((1,) * MAX_DEPTH).depth == MAX_DEPTH
+        with pytest.raises(ValueError, match=f"more than {MAX_DEPTH} segments"):
+            NumberPath((1,) * (MAX_DEPTH + 1))
+
+    def test_parser_limit_is_the_model_limit(self):
+        assert parser.MAX_DEPTH is MAX_DEPTH
 
 
 class TestPolicyOption:
@@ -113,5 +130,11 @@ class TestOnlyWritableTrees:
     @given(policy=hostile_policies())
     def test_built_trees_render_and_reparse_equal(self, policy):
         reparsed, diagnostics = parse_policy(render_policy(policy), name=policy.name)
+        assert not [d for d in diagnostics if d.severity is Severity.ERROR]
+        assert reparsed.roots == policy.roots
+
+    def test_chain_at_the_depth_limit_renders_and_reparses_equal(self):
+        policy = Policy(name="deep", roots=(chain(MAX_DEPTH),))
+        reparsed, diagnostics = parse_policy(render_policy(policy), name="deep")
         assert not [d for d in diagnostics if d.severity is Severity.ERROR]
         assert reparsed.roots == policy.roots

@@ -20,7 +20,7 @@ from cpcompat.acceptance import (
 )
 from cpcompat.cli import main
 from cpcompat.comparison import compare
-from cpcompat.model import ComparisonMode, NumberPath
+from cpcompat.model import MAX_DEPTH, ComparisonMode, NumberPath
 from cpcompat.parser import parse_policy
 
 from strategies import policies
@@ -202,6 +202,19 @@ class TestParseRuleErrors:
             parse_rules(line)
         policy = tmp_path / "p.txt"
         policy.write_text("1 ONE\n2 TWO\n3 THREE\na) MUST x\n", encoding="utf-8")
+        rules = tmp_path / "rules.txt"
+        rules.write_text(line, encoding="utf-8")
+        assert main(["compare", str(policy), str(policy), "--rules", str(rules)]) == 4
+        assert "bad section number" in capsys.readouterr().err
+
+    def test_section_number_past_the_depth_limit(self, tmp_path, capsys):
+        # A path no policy can hold is a bad section number, not an unknown one.
+        dotted = ".".join(["1"] * (MAX_DEPTH + 1))
+        line = f"paragraph {dotted} > 50\n"
+        with pytest.raises(RuleSyntaxError, match="bad section number"):
+            parse_rules(line)
+        policy = tmp_path / "p.txt"
+        policy.write_text("1 ONE\na) MUST x\n", encoding="utf-8")
         rules = tmp_path / "rules.txt"
         rules.write_text(line, encoding="utf-8")
         assert main(["compare", str(policy), str(policy), "--rules", str(rules)]) == 4

@@ -15,10 +15,9 @@ from cpcompat.model import (
     NumberPath,
     Paragraph,
     PolicyOption,
+    weighted_mean,
 )
 from cpcompat.scoring import (
-    child_aggregate,
-    combine_with_children,
     match_options,
     score_option_lists,
     score_paragraph_options,
@@ -193,14 +192,20 @@ class TestEmptySideCases:
         assert score_paragraph_options(para(()), para(()), mode) == 100.0
 
 
+def blend(own: float, aggregate: float, n_children: int) -> float:
+    """A parent's combined score as compare computes it: its own options
+    weigh 1, its children's aggregate one unit per child."""
+    return weighted_mean(((own, 1), (aggregate, n_children)))
+
+
 class TestCombineWithChildren:
     def test_two_children(self):
-        combined = combine_with_children(100.0, 75.0, 2)
+        combined = blend(100.0, 75.0, 2)
         assert abs(combined - 250.0 / 3.0) <= 1e-9
         assert combined == pytest.approx(83.3, abs=0.05)
 
     def test_eight_children(self):
-        combined = combine_with_children(100.0, 75.0, 8)
+        combined = blend(100.0, 75.0, 8)
         assert abs(combined - 700.0 / 9.0) <= 1e-9
         assert combined == pytest.approx(77.8, abs=0.05)
 
@@ -209,7 +214,7 @@ class TestCombineWithChildren:
         n=st.integers(1, 50),
     )
     def test_fixed_point_when_scores_agree(self, score, n):
-        assert combine_with_children(score, score, n) == pytest.approx(score)
+        assert blend(score, score, n) == pytest.approx(score)
 
     @given(
         own=st.floats(0, 100),
@@ -219,27 +224,36 @@ class TestCombineWithChildren:
     )
     def test_monotone_in_child_aggregate(self, own, lower, higher, n):
         low, high = sorted((lower, higher))
-        assert combine_with_children(own, low, n) <= combine_with_children(own, high, n) + 1e-12
+        assert blend(own, low, n) <= blend(own, high, n) + 1e-12
 
-    def test_rejects_zero_children(self):
-        with pytest.raises(ValueError):
-            combine_with_children(50.0, 50.0, 0)
+    @given(
+        own=st.floats(0, 100),
+        aggregate=st.floats(0, 100),
+        n=st.integers(1, 50),
+    )
+    def test_same_float_operations_as_the_documented_formula(self, own, aggregate, n):
+        # README: (own + children * N) / (1 + N), bit for bit.
+        assert blend(own, aggregate, n) == (own + aggregate * n) / (1 + n)
 
 
 class TestChildAggregate:
     def test_single_child(self):
-        assert child_aggregate([(75.0, 1)]) == 75.0
+        assert weighted_mean([(75.0, 1)]) == 75.0
 
     def test_symmetric_mean(self):
-        assert child_aggregate([(100.0, 1), (50.0, 1)]) == 75.0
+        assert weighted_mean([(100.0, 1), (50.0, 1)]) == 75.0
 
     def test_weighted_mean(self):
         # 300 / 4, computed by hand
-        assert child_aggregate([(100.0, 3), (0.0, 1)]) == 75.0
+        assert weighted_mean([(100.0, 3), (0.0, 1)]) == 75.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            child_aggregate([])
+            weighted_mean([])
+
+    def test_rejects_zero_total_weight(self):
+        with pytest.raises(ValueError):
+            weighted_mean([(50.0, 0), (100.0, 0)])
 
 
 class TestAgainstOracle:
