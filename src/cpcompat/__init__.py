@@ -25,7 +25,7 @@ from .acceptance import (
     evaluate,
     parse_rules,
 )
-from .comparison import align, compare, report_to_dict, report_to_json
+from .comparison import align, compare, report_to_json
 from .merger import MergeRejectedError, merge
 from .model import (
     ComparisonDiagnostic,
@@ -79,7 +79,6 @@ __all__ = [
     "parse_policy",
     "parse_rules",
     "render_policy",
-    "report_to_dict",
     "report_to_json",
     "score_option_lists",
     "score_paragraph_options",

@@ -20,6 +20,7 @@ retired: every merged policy can be written in the text format.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -65,7 +66,10 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
     except OSError as exc:
         _say(f"{path}: {exc}")
         raise _Exit(EXIT_IO) from None
-    policy, diagnostics = parse_policy(text, name=Path(path).stem)
+    # A file name is bytes; those the file system encoding cannot decode
+    # become U+FFFD, so the name can be written as UTF-8 like the report.
+    name = os.fsencode(Path(path).stem).decode(sys.getfilesystemencoding(), "replace")
+    policy, diagnostics = parse_policy(text, name=name)
     for diagnostic in diagnostics:
         _say(f"{path}: {diagnostic}")
     return policy, diagnostics

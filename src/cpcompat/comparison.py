@@ -8,12 +8,16 @@ option score (weight 1) and its subparagraphs' mean (weight N, their
 count), with the count and weights taken from policy A: the comparing
 party's structure governs. The overall figures are weighted means of the
 top-level rows only; deeper paragraphs contribute through their parents.
+
+:func:`report_to_json` writes the report in CLI.md's v1 layout directly,
+one string per row and per diagnostic, with the bytes that
+``json.dumps(..., indent=2, ensure_ascii=False)`` would give.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring as _string
 
 from .model import (
     ComparisonDiagnostic,
@@ -36,7 +40,6 @@ from .scoring import (
 __all__ = [
     "align",
     "compare",
-    "report_to_dict",
     "report_to_json",
 ]
 
@@ -155,36 +158,55 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
     )
 
 
-def report_to_dict(report: ComparisonReport) -> dict:
-    """Serialize a report to plain data with a stable layout."""
-    return {
-        "report_version": 1,
-        "mode": report.mode.value,
-        "policy_a_name": report.policy_a_name,
-        "policy_b_name": report.policy_b_name,
-        "overall_weighted": report.overall_weighted,
-        "overall_unweighted": report.overall_unweighted,
-        "paragraphs": [
-            {
-                "path": row.path.dotted,
-                "own_score": row.own_score,
-                "child_aggregate": row.child_aggregate,
-                "combined_score": row.combined_score,
-                "weight": row.weight,
-                "match_status": row.match_status.value,
-            }
-            for row in report.paragraph_scores
-        ],
-        "diagnostics": [
-            {
-                "code": diagnostic.code,
-                "path": diagnostic.path.dotted if diagnostic.path is not None else None,
-                "message": diagnostic.message,
-            }
-            for diagnostic in report.diagnostics
-        ],
-    }
+def _number(value: float | None) -> str:
+    # ParagraphScore admits only an int or a float in [0, 100], and json
+    # writes either as its repr.
+    return "null" if value is None else repr(value)
+
+
+def _path(path: NumberPath | None) -> str:
+    return "null" if path is None else f'"{path.dotted}"'
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False)
+    """The report as JSON, report_version 1: two-space indent, one key per
+    line, non-ASCII text written as itself. json's C encoder does not
+    indent, so ``json.dumps`` would run this layout in pure Python.
+    """
+    # Section numbers (ASCII digits and dots) and enum values need no
+    # escaping; the text fields take json's own escaper.
+    rows = [
+        f'    {{\n'
+        f'      "path": "{row.path.dotted}",\n'
+        f'      "own_score": {row.own_score!r},\n'
+        f'      "child_aggregate": {_number(row.child_aggregate)},\n'
+        f'      "combined_score": {row.combined_score!r},\n'
+        f'      "weight": {row.weight!r},\n'
+        f'      "match_status": "{row.match_status.value}"\n'
+        f'    }}'
+        for row in report.paragraph_scores
+    ]
+    diagnostics = [
+        f'    {{\n'
+        f'      "code": {_string(diagnostic.code)},\n'
+        f'      "path": {_path(diagnostic.path)},\n'
+        f'      "message": {_string(diagnostic.message)}\n'
+        f'    }}'
+        for diagnostic in report.diagnostics
+    ]
+    return (
+        f'{{\n'
+        f'  "report_version": 1,\n'
+        f'  "mode": "{report.mode.value}",\n'
+        f'  "policy_a_name": {_string(report.policy_a_name)},\n'
+        f'  "policy_b_name": {_string(report.policy_b_name)},\n'
+        f'  "overall_weighted": {report.overall_weighted!r},\n'
+        f'  "overall_unweighted": {report.overall_unweighted!r},\n'
+        f'  "paragraphs": {_array(rows)},\n'
+        f'  "diagnostics": {_array(diagnostics)}\n'
+        f'}}'
+    )

@@ -26,6 +26,11 @@ SCORE_EPSILON = 1e-9
 #: limit and every tree the model admits within what the parser reads back.
 MAX_DEPTH = 100
 
+# The one type a section number segment may have, as NumberPath checks it.
+_INT_ONLY = {int}
+# The types a score may have, as ParagraphScore checks it.
+_SCORE_TYPES = (int, float)
+
 
 class Keyword(Enum):
     """Requirement keywords and their strength values.
@@ -43,6 +48,15 @@ class Keyword(Enum):
 
 
 _KEYWORD_NAMES = frozenset(Keyword.__members__)
+
+
+def _check_weight(weight: int) -> None:
+    """Require a positive int weight: a bool or float would be written as
+    text the parser does not read back as that weight."""
+    if type(weight) is not int:
+        raise ValueError(f"weight must be an int, got {weight!r}")
+    if weight < 1:
+        raise ValueError(f"weight must be >= 1, got {weight}")
 
 
 def _check_line(text: str, what: str) -> None:
@@ -105,6 +119,10 @@ class NumberPath:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("number path needs at least one segment")
+        # Only an int is written as digits; a bool or float would render as
+        # a heading the parser reads back differently.
+        if {*map(type, self.segments)} != _INT_ONLY:
+            raise ValueError(f"number path segments must be int, got {self.segments!r}")
         if min(self.segments) < 1:
             raise ValueError(f"number path segments must be >= 1, got {self.segments}")
         if len(self.segments) > MAX_DEPTH:
@@ -118,7 +136,7 @@ class NumberPath:
 
     @property
     def dotted(self) -> str:
-        return ".".join(str(segment) for segment in self.segments)
+        return ".".join(map(str, self.segments))
 
     @property
     def depth(self) -> int:
@@ -201,8 +219,7 @@ class Paragraph:
         object.__setattr__(self, "comments", tuple(self.comments))
         object.__setattr__(self, "children", tuple(self.children))
         _check_line(self.title, "title")
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
+        _check_weight(self.weight)
         for comment in self.comments:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
@@ -251,12 +268,17 @@ class ParagraphScore:
     match_status: MatchStatus
 
     def __post_init__(self) -> None:
+        # The JSON report writes a score as its repr, which is JSON for an
+        # int or a float and nothing else (not for True, None or a subclass).
         for name in ("own_score", "child_aggregate", "combined_score"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 100.0:
+            if value is None and name == "child_aggregate":
+                continue
+            if type(value) not in _SCORE_TYPES:
+                raise ValueError(f"{name} must be an int or float, got {value!r}")
+            if not 0.0 <= value <= 100.0:
                 raise ValueError(f"{name} out of range [0, 100]: {value}")
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
+        _check_weight(self.weight)
 
 
 def weighted_mean(scored: Iterable[tuple[float, int]]) -> float:

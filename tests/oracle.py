@@ -1,16 +1,18 @@
-"""Independent brute-force reference for paragraph option scoring.
+"""Independent references for paragraph option scoring and the JSON report.
 
-This is a deliberately naive transcription of the scoring rules with
-explicit nested loops.  It only uses the domain types, never the scoring
-module, so the test suite can check the production implementation against
-it case by case.
+``oracle_score`` is a deliberately naive transcription of the scoring
+rules with explicit nested loops.  It only uses the domain types, never
+the scoring module, so the test suite can check the production
+implementation against it case by case.  ``oracle_report_dict`` states
+the JSON report's layout as plain data for ``json.dumps``, which the
+report writer must match byte for byte.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from cpcompat.model import Connective, ComparisonMode, PolicyOption
+from cpcompat.model import ComparisonMode, ComparisonReport, Connective, PolicyOption
 
 
 def _strength(option: PolicyOption) -> float:
@@ -83,3 +85,35 @@ def oracle_score(
     if mode is ComparisonMode.MERGE:
         return total / max(count_a, count_b)
     return total / count_a
+
+
+def oracle_report_dict(report: ComparisonReport) -> dict:
+    """The report as plain data with the v1 layout; ``json.dumps`` of it with
+    ``indent=2, ensure_ascii=False`` is the reference report text."""
+    return {
+        "report_version": 1,
+        "mode": report.mode.value,
+        "policy_a_name": report.policy_a_name,
+        "policy_b_name": report.policy_b_name,
+        "overall_weighted": report.overall_weighted,
+        "overall_unweighted": report.overall_unweighted,
+        "paragraphs": [
+            {
+                "path": row.path.dotted,
+                "own_score": row.own_score,
+                "child_aggregate": row.child_aggregate,
+                "combined_score": row.combined_score,
+                "weight": row.weight,
+                "match_status": row.match_status.value,
+            }
+            for row in report.paragraph_scores
+        ],
+        "diagnostics": [
+            {
+                "code": diagnostic.code,
+                "path": diagnostic.path.dotted if diagnostic.path is not None else None,
+                "message": diagnostic.message,
+            }
+            for diagnostic in report.diagnostics
+        ],
+    }

@@ -8,11 +8,15 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from cpcompat.model import (
-    Connective,
+    ComparisonDiagnostic,
     ComparisonMode,
+    ComparisonReport,
+    Connective,
     Keyword,
+    MatchStatus,
     NumberPath,
     Paragraph,
+    ParagraphScore,
     Policy,
     PolicyOption,
 )
@@ -325,3 +329,65 @@ def hostile_policies(draw) -> Policy:
     count = draw(st.integers(1, 3))
     sections = [draw(_hostile_paragraphs((segment,))) for segment in range(1, count + 1)]
     return Policy(name="hostile", roots=tuple(s for s in sections if s is not None))
+
+
+# Text a JSON writer must escape or pass through: quotes, backslashes,
+# control characters, line and paragraph separators, non-ASCII, lone
+# surrogates and astral characters.
+_JSON_ATOMS = (
+    '"', "\\", "/", "\x00", "\b", "\n", "\t", "\x1f", "\x7f", "\u2028", "\u2029",
+    "\u00e9", "\ufeff", "\ud800", "\udcff", "\U0001f512", "MUST", " ",
+)
+
+# Scores as the model admits them, ints and floats, with the edge cases of
+# repr: negative zero, the smallest subnormal and an integral 100.
+_SCORES = st.one_of(
+    st.integers(0, 100),
+    st.floats(0, 100),
+    st.sampled_from((-0.0, 5e-324, 100, 100.0, 1 / 3)),
+)
+
+
+def _json_text() -> st.SearchStrategy[str]:
+    atoms = st.one_of(
+        st.sampled_from(_JSON_ATOMS),
+        st.characters(),
+        st.characters(categories=["Cs"]),
+    )
+    return st.lists(atoms, max_size=8).map("".join)
+
+
+def _number_paths() -> st.SearchStrategy[NumberPath]:
+    return st.lists(st.integers(1, 10**12), min_size=1, max_size=4).map(
+        lambda segments: NumberPath(tuple(segments))
+    )
+
+
+@st.composite
+def api_reports(draw) -> ComparisonReport:
+    """Reports built through the model API, with hostile names, codes and
+    messages, int and float scores, and possibly no rows or diagnostics."""
+    rows = [
+        ParagraphScore(
+            path=path,
+            own_score=draw(_SCORES),
+            child_aggregate=draw(st.none() | _SCORES),
+            combined_score=draw(_SCORES),
+            weight=draw(st.integers(1, 10**6)),
+            match_status=draw(st.sampled_from(MatchStatus)),
+        )
+        for path in draw(st.lists(_number_paths(), unique=True, max_size=6))
+    ]
+    diagnostics = draw(
+        st.lists(
+            st.builds(ComparisonDiagnostic, _json_text(), st.none() | _number_paths(), _json_text()),
+            max_size=4,
+        )
+    )
+    return ComparisonReport(
+        mode=draw(modes()),
+        policy_a_name=draw(_json_text()),
+        policy_b_name=draw(_json_text()),
+        paragraph_scores=tuple(rows),
+        diagnostics=tuple(diagnostics),
+    )

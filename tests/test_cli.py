@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -140,6 +141,17 @@ class TestCompare:
         assert capsys.readouterr().out == ""
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["overall_weighted"] == 32.5
+
+    def test_file_name_that_is_not_utf8_names_the_policy_with_fffd(self, policy_files, tmp_path, capsys):
+        _, file_b = policy_files
+        file_a = tmp_path / os.fsdecode(b"\xff.txt")
+        file_a.write_text(file_b.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["compare", str(file_a), str(file_b), "--report", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["policy_a_name"] == "\ufffd"
+        capsys.readouterr()
+        assert main(["compare", str(file_a), str(file_b)]) == 0
+        assert json.loads(capsys.readouterr().out)["policy_a_name"] == "\ufffd"
 
     def test_rejecting_rules_exit_3(self, policy_files, tmp_path, capsys):
         file_a, file_b = policy_files

@@ -9,8 +9,9 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpcompat.comparison import align, compare, report_to_dict, report_to_json
+from cpcompat.comparison import align, compare, report_to_json
 from cpcompat.model import (
     ComparisonMode,
     ComparisonReport,
@@ -20,7 +21,8 @@ from cpcompat.model import (
 )
 from cpcompat.parser import parse_policy
 
-from strategies import policies, policy_pairs_same_outline
+from oracle import oracle_report_dict
+from strategies import api_reports, hostile_policies, modes, policies, policy_pairs_same_outline
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
@@ -259,7 +261,7 @@ class TestReportSerialization:
     def test_dict_shape(self, worked_policy_a_text, worked_policy_b_text):
         a = policy_from(worked_policy_a_text, name="A")
         b = policy_from(worked_policy_b_text, name="B")
-        data = report_to_dict(compare(a, b, MERGE))
+        data = json.loads(report_to_json(compare(a, b, MERGE)))
         assert list(data) == [
             "report_version",
             "mode",
@@ -289,14 +291,25 @@ class TestReportSerialization:
         b = policy_from(worked_policy_b_text, name="B")
         report = compare(a, b, ACQUIRE)
         data = json.loads(report_to_json(report))
-        assert data == report_to_dict(report)
+        assert data == oracle_report_dict(report)
         assert data["mode"] == "acquire"
 
     def test_diagnostics_serialize_with_paths(self):
         a = policy_from("1 A\na) MUST x\n")
         b = policy_from("2 B\n")
-        data = report_to_dict(compare(a, b, MERGE))
+        data = json.loads(report_to_json(compare(a, b, MERGE)))
         assert {"code": "MISSING_IN_B", "path": "1", "message": data["diagnostics"][0]["message"]} == data["diagnostics"][0]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        report=st.one_of(
+            st.builds(compare, hostile_policies(), hostile_policies(), modes()),
+            api_reports(),
+        )
+    )
+    def test_bytes_are_json_dumps_of_the_oracle(self, report):
+        expected = json.dumps(oracle_report_dict(report), indent=2, ensure_ascii=False)
+        assert report_to_json(report) == expected
 
 
 class TestReportLookup:

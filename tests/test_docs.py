@@ -1,12 +1,14 @@
-"""The Python examples of the documentation run against the package.
+"""The documentation agrees with the package.
 
-Each example is executed with the names it assumes already bound:
+Each Python example is executed with the names it assumes already bound:
 ``text_a`` and ``text_b`` hold two policies, and ``report`` is their
-comparison, which has the sections 1 and 6.1 the examples name.
+comparison, which has the sections 1 and 6.1 the examples name. The JSON
+report schema of CLI.md lists the keys the report writer writes.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import textwrap
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cpcompat
-from cpcompat import ComparisonMode, compare, parse_policy
+from cpcompat import ComparisonMode, compare, parse_policy, report_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,11 +24,15 @@ TEXT_A = "1 SCOPE\na) MUST x\n6 OPERATIONS\n6.1 Keys\na) MUST use hardware modul
 TEXT_B = "1 SCOPE\na) RECOMMENDED x\n6 OPERATIONS\n6.1 Keys\na) MUST use hardware modules\n"
 
 
+def section(document: str, heading: str) -> str:
+    """The text under ``## heading`` of a Markdown file."""
+    text = (ROOT / document).read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def python_block(document: str, heading: str) -> str:
     """The first ```python block under ``## heading`` of a Markdown file."""
-    text = (ROOT / document).read_text(encoding="utf-8")
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", section(document, heading), re.DOTALL).group(1)
 
 
 def docstring_example() -> str:
@@ -48,3 +54,20 @@ def test_example_runs(name, capsys):
     assert report.find(cpcompat.NumberPath.parse("6.1")) is not None
     namespace = {"text_a": TEXT_A, "text_b": TEXT_B, "report": report}
     exec(compile(EXAMPLES[name](), name, "exec"), namespace)
+
+
+def test_report_schema_tables_list_the_written_keys():
+    """CLI.md's three schema tables (top level, a paragraphs row, a
+    diagnostics entry) name the keys of the report, in the written order."""
+    tables = [
+        re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+        for table in section("CLI.md", "JSON report schema").split("\n\n")
+        if table.startswith("| Field |")
+    ]
+    report = compare(
+        parse_policy("1 A\na) MUST x\n", name="ours")[0],
+        parse_policy("2 B\n", name="theirs")[0],
+        ComparisonMode.MERGE,
+    )
+    data = json.loads(report_to_json(report))
+    assert tables == [list(data), list(data["paragraphs"][0]), list(data["diagnostics"][0])]

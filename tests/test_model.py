@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from cpcompat.model import MAX_DEPTH, Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat.model import (
+    MAX_DEPTH,
+    Keyword,
+    MatchStatus,
+    NumberPath,
+    Paragraph,
+    ParagraphScore,
+    Policy,
+    PolicyOption,
+)
 from cpcompat import parser
 from cpcompat.parser import Severity, parse_policy, render_policy
 
@@ -28,6 +37,13 @@ class TestNumberPath:
     @pytest.mark.parametrize("segments", [(0,), (1, 0), (2, -1, 3)])
     def test_segment_below_one(self, segments):
         with pytest.raises(ValueError, match="segments must be >= 1"):
+            NumberPath(segments)
+
+    # 2.5 would render as "2.5 TOP", an orphan section; True as "True TOP",
+    # an option line.
+    @pytest.mark.parametrize("segments", [(2.5,), (True,), (1, 2.0), (1, False)])
+    def test_segment_not_an_int(self, segments):
+        with pytest.raises(ValueError, match="segments must be int"):
             NumberPath(segments)
 
     def test_depth_limit(self):
@@ -82,6 +98,13 @@ class TestParagraph:
         with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
             paragraph_factory("1", weight=0)
 
+    # A weight of 2.5 would render as "1 TOP 2.5", read back as the title
+    # "TOP 2.5" with weight 1; True would reach the JSON report as true.
+    @pytest.mark.parametrize("weight", [2.5, 2.0, True])
+    def test_weight_not_an_int(self, weight, paragraph_factory):
+        with pytest.raises(ValueError, match="weight must be an int"):
+            paragraph_factory("1", weight=weight)
+
     def test_comment_without_slashes(self, paragraph_factory):
         with pytest.raises(ValueError, match="comment must start with //"):
             paragraph_factory("1", comments=("/ remark",))
@@ -121,6 +144,42 @@ class TestPolicy:
     def test_unordered_roots(self, paragraph_factory):
         with pytest.raises(ValueError, match="children of the policy root must be strictly ordered"):
             Policy(name="P", roots=(paragraph_factory("2"), paragraph_factory("1")))
+
+
+class TestParagraphScore:
+    def score(self, **changes) -> ParagraphScore:
+        fields = dict(
+            path=NumberPath((1,)),
+            own_score=50.0,
+            child_aggregate=None,
+            combined_score=50.0,
+            weight=1,
+            match_status=MatchStatus.MATCHED,
+        )
+        return ParagraphScore(**{**fields, **changes})
+
+    def test_weight_zero(self):
+        with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
+            self.score(weight=0)
+
+    @pytest.mark.parametrize("weight", [2.5, True])
+    def test_weight_not_an_int(self, weight):
+        with pytest.raises(ValueError, match="weight must be an int"):
+            self.score(weight=weight)
+
+    # repr(True) and repr(None) are not JSON, so the report could not hold them.
+    @pytest.mark.parametrize(
+        "changes",
+        [{"own_score": True}, {"own_score": None}, {"combined_score": False}, {"child_aggregate": True}],
+    )
+    def test_score_not_an_int_or_float(self, changes):
+        with pytest.raises(ValueError, match="must be an int or float"):
+            self.score(**changes)
+
+    @pytest.mark.parametrize("name", ["own_score", "child_aggregate", "combined_score"])
+    def test_score_out_of_range(self, name):
+        with pytest.raises(ValueError, match=f"{name} out of range"):
+            self.score(**{name: 100.5})
 
 
 class TestOnlyWritableTrees:
