@@ -15,11 +15,18 @@ Exit codes: 0 success (and, with rules, acceptance); 1 file I/O problem;
 combination; 4 the rules file itself is unusable; 6 an unexpected
 exception, reported as one stderr line with no traceback. Code 5 is
 retired: every merged policy can be written in the text format.
+
+``main`` pauses the cyclic garbage collector for the length of one
+command. Nothing cpcompat builds can form a reference cycle: policies and
+reports are frozen dataclasses over tuples, and the parser's nodes link
+only to their children, never back. Reference counting frees all of it,
+so the collector's passes over a large policy tree would find nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -48,8 +55,9 @@ class _Exit(SystemExit):
     """
 
 
-def _say(message: str) -> None:
-    print(message, file=sys.stderr)
+def _say(*lines: str) -> None:
+    """Write lines to stderr, each ended by a newline, in one write."""
+    sys.stderr.write("".join([line + "\n" for line in lines]))
 
 
 def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
@@ -70,8 +78,7 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
     # become U+FFFD, so the name can be written as UTF-8 like the report.
     name = os.fsencode(Path(path).stem).decode(sys.getfilesystemencoding(), "replace")
     policy, diagnostics = parse_policy(text, name=name)
-    for diagnostic in diagnostics:
-        _say(f"{path}: {diagnostic}")
+    _say(*[f"{path}: {diagnostic}" for diagnostic in diagnostics])
     return policy, diagnostics
 
 
@@ -84,28 +91,24 @@ def _verdict(report: ComparisonReport, rules: str) -> Verdict:
 
 
 def _summarize(report: ComparisonReport) -> None:
-    _say(
-        f"{report.policy_a_name} vs {report.policy_b_name} "
-        f"({report.mode.value} semantics)"
-    )
+    lines = [f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode.value} semantics)"]
     if report.paragraph_scores:
-        _say(f"  {'section':<12} {'score':>8}  {'weight':>6}  status")
-        for row in report.paragraph_scores:
-            _say(
-                f"  {row.path.dotted:<12} {row.combined_score:>8.2f}  "
-                f"{row.weight:>6}  {row.match_status.value}"
-            )
-    _say(f"overall weighted:   {report.overall_weighted:.2f}")
-    _say(f"overall unweighted: {report.overall_unweighted:.2f}")
+        lines.append(f"  {'section':<12} {'score':>8}  {'weight':>6}  status")
+        lines.extend(
+            f"  {row.path.dotted:<12} {row.combined_score:>8.2f}  "
+            f"{row.weight:>6}  {row.match_status.value}"
+            for row in report.paragraph_scores
+        )
+    lines.append(f"overall weighted:   {report.overall_weighted:.2f}")
+    lines.append(f"overall unweighted: {report.overall_unweighted:.2f}")
+    _say(*lines)
 
 
 def _announce(verdict: Verdict) -> None:
     if verdict.accepted:
         _say("verdict: accepted")
     else:
-        _say("verdict: rejected")
-        for failure in verdict.failures:
-            _say(f"  {failure.message}")
+        _say("verdict: rejected", *[f"  {failure.message}" for failure in verdict.failures])
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -213,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     merger.add_argument("--out", help="write the merged policy here instead of stdout")
 
     arguments = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if arguments.command == "validate":
             return cmd_validate(arguments.file)
@@ -238,3 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).splitlines())
         _say(f"cpcompat: internal error: {type(exc).__name__}: {message}")
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()

@@ -65,7 +65,8 @@ def _check_line(text: str, what: str) -> None:
     that str.strip would remove at an edge)."""
     if not text or text != text.strip():
         raise ValueError(f"{what} must be non-empty and stripped: {text!r}")
-    if len(text.splitlines()) != 1:
+    # Every line boundary is unprintable, so printable text needs no split.
+    if not text.isprintable() and len(text.splitlines()) != 1:
         raise ValueError(f"{what} must not contain line breaks: {text!r}")
 
 
@@ -109,7 +110,7 @@ class MatchStatus(Enum):
     BOTH_EMPTY = "both_empty"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class NumberPath:
     """Hierarchical section number such as 1.3.1.1."""
 
@@ -146,7 +147,7 @@ class NumberPath:
         return self.dotted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyOption:
     """One option line of a paragraph.
 
@@ -167,13 +168,18 @@ class PolicyOption:
             raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
 
 
+# Keyword strengths by keyword, with no keyword counting as MUST: a dict
+# lookup is cheaper than Enum's value descriptor.
+_KEYWORD_VALUES = {None: Keyword.MUST.value, **{keyword: keyword.value for keyword in Keyword}}
+
+
 def option_keyword_value(option: PolicyOption) -> float:
     """Strength of an option's keyword.
 
     An option with no keyword is an unqualified statement, which a policy
     means as a requirement, so it counts as MUST (1.0).
     """
-    return option.keyword.value if option.keyword is not None else Keyword.MUST.value
+    return _KEYWORD_VALUES[option.keyword]
 
 
 def _check_children(
@@ -198,7 +204,17 @@ def _check_children(
         previous_segment = segment
 
 
-@dataclass(frozen=True)
+def _preorder(paragraphs: tuple["Paragraph", ...]) -> Iterator["Paragraph"]:
+    """The paragraphs and all their descendants, preorder, with one frame
+    however deep the tree."""
+    pending = list(reversed(paragraphs))
+    while pending:
+        paragraph = pending.pop()
+        yield paragraph
+        pending.extend(reversed(paragraph.children))
+
+
+@dataclass(frozen=True, slots=True)
 class Paragraph:
     """One numbered section of a policy with its options and subparagraphs.
 
@@ -228,9 +244,7 @@ class Paragraph:
 
     def walk(self) -> Iterator["Paragraph"]:
         """This paragraph and all descendants, preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        return _preorder((self,))
 
 
 @dataclass(frozen=True)
@@ -246,11 +260,10 @@ class Policy:
 
     def walk(self) -> Iterator[Paragraph]:
         """All paragraphs of the policy, preorder."""
-        for root in self.roots:
-            yield from root.walk()
+        return _preorder(self.roots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParagraphScore:
     """Scores for one aligned paragraph pair.
 
@@ -309,13 +322,23 @@ def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
     return weighted, unweighted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonDiagnostic:
     """Structured warning attached to a comparison report."""
 
     code: str
     path: NumberPath | None
     message: str
+
+    def __post_init__(self) -> None:
+        # The JSON report writes code and message as strings and path as
+        # its dotted number or null.
+        if not isinstance(self.code, str):
+            raise ValueError(f"diagnostic code must be a str, got {self.code!r}")
+        if self.path is not None and not isinstance(self.path, NumberPath):
+            raise ValueError(f"diagnostic path must be a NumberPath or None, got {self.path!r}")
+        if not isinstance(self.message, str):
+            raise ValueError(f"diagnostic message must be a str, got {self.message!r}")
 
 
 @dataclass(frozen=True)

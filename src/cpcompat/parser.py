@@ -17,6 +17,17 @@ open a comment, only an ASCII digit a heading, and only ``c`` or ``C`` (the
 sole characters whose lower case starts with ``c``) a connection line; all
 other lines are options, which need no further test to be told apart.
 
+Most option lines skip the dispatch: one regular expression reads
+``[label) ][KEYWORD ]phrase`` with a lower-case label and a single space
+after the label and after the keyword, and a line it matches goes straight
+into the open section. The dispatch would read that line the same way, so
+the fast path changes no tree and no diagnostic. A line still goes through
+the dispatch when no section is open or its label is already used there,
+and when the expression does not match: an upper-case label, other
+whitespace after a label or keyword, a keyword with no phrase, a
+keyword-free phrase whose first token is a keyword, or an unlabeled line
+starting with ``/``, a digit, a dot, ``c`` or ``C``.
+
 ``parse_policy`` never raises on malformed input; it collects diagnostics
 and returns no policy when any of them is an error. ``render_policy``
 writes a document that parses back to an equivalent tree.
@@ -27,7 +38,7 @@ from __future__ import annotations
 import enum
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     MAX_DEPTH,
@@ -52,7 +63,7 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     """One problem found while parsing, tied to a 1-based line number."""
 
@@ -66,25 +77,39 @@ class ParseDiagnostic:
 
 
 # Numbers are ASCII digits only; ``\s`` is any unicode whitespace, the set
-# str.strip() removes, so a title never starts or ends with whitespace.
-_HEADING_RE = re.compile(r"^([0-9]+(?:\.[0-9]+)*)\s+(.+?)(?:\s+([0-9]+))?$")
+# str.strip() removes and str.split() splits on, so a title never starts or
+# ends with whitespace. The text after the number is the title, less a last
+# token of ASCII digits after whitespace, which is the weight.
+_HEADING_RE = re.compile(r"([0-9]+(?:\.[0-9]+)*)\s+(.+)")
 _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
 _KEYWORDS = {k.name: k for k in Keyword}
 
+# The option fast path (see the module docstring). An unlabeled line must
+# not start with a character feed dispatches on (``/``, a digit, ``c`` or
+# ``C``), a dot (a heading-like number) or ASCII letters and ``)`` (a label
+# handle_option would warn about).
+_KEYWORD_ALTERNATIVES = "|".join(_KEYWORDS)
+_OPTION_RE = re.compile(
+    rf"(?:([a-z]+)\) |(?![/0-9.cC]|[A-Za-z]+\)))"
+    rf"(?:({_KEYWORD_ALTERNATIVES}) |(?!(?:{_KEYWORD_ALTERNATIVES})(?: |$)))(\S.*)"
+)
 
-@dataclass
+
 class _Node:
     """Mutable paragraph under construction."""
 
-    path: tuple[int, ...]
-    title: str
-    weight: int
-    options: list[PolicyOption] = field(default_factory=list)
-    connective: Connective = Connective.NONE
-    comments: list[str] = field(default_factory=list)
-    children: list["_Node"] = field(default_factory=list)
-    labels: set[str] = field(default_factory=set)
+    __slots__ = ("path", "title", "weight", "options", "connective", "comments", "children", "labels")
+
+    def __init__(self, path: tuple[int, ...], title: str, weight: int) -> None:
+        self.path = path
+        self.title = title
+        self.weight = weight
+        self.options: list[PolicyOption] = []
+        self.connective = Connective.NONE
+        self.comments: list[str] = []
+        self.children: list[_Node] = []
+        self.labels: set[str] = set()
 
 
 class _Parser:
@@ -127,7 +152,11 @@ class _Parser:
         current.comments.append(line)
 
     def handle_heading(self, line_no: int, match: re.Match[str]) -> None:
-        number, title, weight_text = match.groups()
+        number, title = match.groups()
+        weight_text = None
+        head_tail = title.rsplit(None, 1)
+        if len(head_tail) == 2 and _is_weight(head_tail[1]):
+            title, weight_text = head_tail
         # int() refuses numbers longer than the interpreter's digit limit
         # (sys.get_int_max_str_digits(), 4300 by default).
         try:
@@ -293,14 +322,19 @@ class _Parser:
 
     def freeze(self, node: _Node) -> Paragraph:
         return Paragraph(
-            path=NumberPath(node.path),
-            title=node.title,
-            weight=node.weight,
-            options=tuple(node.options),
-            connective=node.connective,
-            comments=tuple(node.comments),
-            children=tuple(self.freeze(c) for c in node.children),
+            NumberPath(node.path),
+            node.title,
+            node.weight,
+            tuple(node.options),
+            node.connective,
+            tuple(node.comments),
+            tuple([self.freeze(c) for c in node.children]),
         )
+
+
+def _is_weight(token: str) -> bool:
+    """Whether the last token of a heading, after its title, is the weight."""
+    return token.isascii() and token.isdigit()
 
 
 def _dotted(path: tuple[int, ...]) -> str:
@@ -316,18 +350,30 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
     prevent parsing.
     """
     parser = _Parser()
+    stack = parser.stack
+    option_line = _OPTION_RE.fullmatch
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        parser.feed(line_no, raw)
+        line = raw.strip()
+        # handle_option reads a matched line the same way when a section is
+        # open and its label, if any, is new there.
+        match = option_line(line)
+        if match is not None:
+            current = stack[-1]
+            label = match[1]
+            if current.path and label not in current.labels:
+                if label is not None:
+                    current.labels.add(label)
+                current.options.append(PolicyOption(match[3], _KEYWORDS.get(match[2])))
+                continue
+        parser.feed(line_no, line)
     return parser.build(name), parser.diagnostics
 
 
 def _heading_line(paragraph: Paragraph) -> str:
     title = paragraph.title
-    last_token = title.split()[-1]
     # A title ending in a bare number needs the weight spelled out, or the
     # reparse would read that number as the weight.
-    ambiguous = last_token.isascii() and last_token.isdigit()
-    if paragraph.weight != 1 or ambiguous:
+    if paragraph.weight != 1 or _is_weight(title.split()[-1]):
         return f"{paragraph.path.dotted} {title} {paragraph.weight}"
     return f"{paragraph.path.dotted} {title}"
 

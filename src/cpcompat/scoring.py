@@ -18,7 +18,6 @@ reading.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -64,19 +63,19 @@ def match_options(
     phrase pairs with the k-th B option with that phrase, which keeps the
     result symmetric even when a phrase repeats.
 
-    Each phrase keeps a queue of its B indices in B order, so the cost is
-    O(len(options_a) + len(options_b)).
+    Each phrase keeps a list of its B indices, last first, and pops the
+    next one off its end, so the cost is O(len(options_a) + len(options_b)).
     """
-    queues: dict[str, deque[int]] = defaultdict(deque)
-    for index_b, option_b in enumerate(options_b):
-        queues[normalize_phrase(option_b.phrase)].append(index_b)
+    unpaired: dict[str, list[int]] = {}
+    for index_b in reversed(range(len(options_b))):
+        unpaired.setdefault(normalize_phrase(options_b[index_b].phrase), []).append(index_b)
 
     matches: list[ProvisionalMatch] = []
     for index_a, option_a in enumerate(options_a):
-        queue = queues.get(normalize_phrase(option_a.phrase))
-        if not queue:
+        indices = unpaired.get(normalize_phrase(option_a.phrase))
+        if not indices:
             continue
-        index_b = queue.popleft()
+        index_b = indices.pop()
         factor = 1.0 - abs(
             option_keyword_value(option_a) - option_keyword_value(options_b[index_b])
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -385,6 +386,118 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "cpcompat: internal error: RuntimeError: boom second line\n"
         assert "Traceback" not in captured.err
+
+
+def _outline_text(side: str) -> str:
+    """One side of a generated pair: three chains of sections six deep,
+    each with options, a comment and a connective. The sides differ in
+    keywords, a title, connectives and a section only A has."""
+    lines = []
+    for root in (1, 2, 3):
+        path = [root]
+        lines.append(f"{root} PART {root}")
+        for depth in range(2, 7):
+            path.append(depth % 3 + 1)
+            if side == "b" and root == 2 and depth == 6:
+                break
+            title = "Renamed" if side == "b" and depth == 3 else f"Level {depth}"
+            lines.append(f"{'.'.join(map(str, path))} {title} {depth}")
+            lines.append(f"// from {side}")
+            keyword = "MUST" if side == "a" else "RECOMMENDED"
+            lines.append(f"a) {keyword} keep logs for {depth} years")
+            lines.append("rotate keys")
+            lines.append(f"Connection {'AND' if side == 'a' or depth % 2 else 'OR'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def collector_state():
+    """Starts the test with the collector enabled and restores its state after."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not enabled:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for one command and puts its state
+    back however the command ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "rules, broken, expected",
+        [
+            (None, False, 0),
+            ("overall > 90\n", False, 3),
+            ("overall beats 80\n", False, 4),
+            (None, True, 6),
+        ],
+        ids=["ok", "rejected", "bad-rules", "internal-error"],
+    )
+    def test_state_is_restored(
+        self, enabled, rules, broken, expected, policy_files, tmp_path, monkeypatch, collector_state
+    ):
+        file_a, file_b = policy_files
+        argv = ["compare", str(file_a), str(file_b)]
+        if rules is not None:
+            (tmp_path / "rules.txt").write_text(rules, encoding="utf-8")
+            argv += ["--rules", str(tmp_path / "rules.txt")]
+        during = []
+        cli_compare = cli.compare
+
+        def compare(*args, **kwargs):
+            during.append(gc.isenabled())
+            if broken:
+                raise RuntimeError("boom")
+            return cli_compare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compare", compare)
+        if not enabled:
+            gc.disable()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == expected
+        assert gc.isenabled() is enabled
+        assert during == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_on_parse_errors(self, enabled, tmp_path, collector_state):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 TOP\n1 TOP\n", encoding="utf-8")
+        if not enabled:
+            gc.disable()
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["compare", str(bad), str(bad)]) == 2
+        assert gc.isenabled() is enabled
+
+    def test_commands_leave_no_cyclic_garbage_of_their_own(self, tmp_path, collector_state):
+        file_a, file_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        file_a.write_text(_outline_text("a"), encoding="utf-8")
+        file_b.write_text(_outline_text("b"), encoding="utf-8")
+        commands = [
+            ["compare", str(file_a), str(file_b), "--report", str(tmp_path / "report.json")],
+            ["merge", str(file_a), str(file_b), "--out", str(tmp_path / "draft.txt")],
+        ]
+        gc.collect()
+        saved_garbage = gc.garbage[:]
+        saved_flags = gc.get_debug()
+        try:
+            gc.garbage.clear()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                for argv in commands:
+                    assert main(argv) == 0
+            # A collection after the commands keeps every object it finds in a
+            # cycle; none may be one cpcompat made.
+            gc.collect()
+            ours = [o for o in gc.garbage if type(o).__module__.partition(".")[0] == "cpcompat"]
+        finally:
+            gc.set_debug(saved_flags)
+            gc.garbage[:] = saved_garbage
+        assert "DEPTH_EXCEEDS_4" in err.getvalue()
+        assert "TITLE_MISMATCH" in (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert "// unmatched: from A" in (tmp_path / "draft.txt").read_text(encoding="utf-8")
+        assert ours == []
 
 
 class TestEntryPoints:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from cpcompat.model import (
     MAX_DEPTH,
+    ComparisonDiagnostic,
+    Connective,
     Keyword,
     MatchStatus,
     NumberPath,
@@ -180,6 +187,92 @@ class TestParagraphScore:
     def test_score_out_of_range(self, name):
         with pytest.raises(ValueError, match=f"{name} out of range"):
             self.score(**{name: 100.5})
+
+
+class TestComparisonDiagnostic:
+    def test_fields_of_the_documented_types(self):
+        assert ComparisonDiagnostic("ANY", None, "m").path is None
+        assert ComparisonDiagnostic("ANY", NumberPath((1,)), "m").code == "ANY"
+
+    def test_code_not_a_str(self):
+        with pytest.raises(ValueError, match="diagnostic code must be a str"):
+            ComparisonDiagnostic(5, None, "m")
+
+    @pytest.mark.parametrize("path", ["1", (1,), 1])
+    def test_path_not_a_number_path(self, path):
+        with pytest.raises(ValueError, match="diagnostic path must be a NumberPath or None"):
+            ComparisonDiagnostic("MISSING_IN_A", path, "m")
+
+    def test_message_not_a_str(self):
+        with pytest.raises(ValueError, match="diagnostic message must be a str"):
+            ComparisonDiagnostic("MISSING_IN_A", None, None)
+
+
+def test_every_line_boundary_is_unprintable_and_refused(paragraph_factory):
+    # _check_line splits only text that is not printable, which is right
+    # only while no line boundary is printable.
+    boundaries = []
+    for code_point in range(sys.maxunicode + 1):
+        c = chr(code_point)
+        if len(("a" + c + "b").splitlines()) > 1:
+            boundaries.append(c)
+            assert not c.isprintable(), hex(code_point)
+    assert len(boundaries) == 10
+    for c in boundaries:
+        with pytest.raises(ValueError, match="option phrase must not contain line breaks"):
+            PolicyOption("a" + c + "b")
+        with pytest.raises(ValueError, match="title must not contain line breaks"):
+            paragraph_factory("1", title="a" + c + "b")
+        with pytest.raises(ValueError, match="comment must not contain line breaks"):
+            paragraph_factory("1", comments=("// a" + c + "b",))
+
+
+class TestSlottedValues:
+    """The slotted value classes copy, pickle, replace and match like plain
+    frozen dataclasses on every supported interpreter."""
+
+    VALUES = [
+        NumberPath((1, 2)),
+        PolicyOption("keep logs", Keyword.MUST),
+        Paragraph(
+            NumberPath((1,)),
+            "TOP",
+            2,
+            (PolicyOption("x"),),
+            Connective.OR,
+            ("// c",),
+            (Paragraph(NumberPath((1, 1)), "Sub"),),
+        ),
+        ParagraphScore(NumberPath((1,)), 50.0, None, 50.0, 1, MatchStatus.MATCHED),
+        ComparisonDiagnostic("MISSING_IN_B", NumberPath((2,)), "section 2 has no counterpart"),
+        parser.ParseDiagnostic(Severity.WARNING, "DEPTH_EXCEEDS_4", 3, "deep"),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_copies_are_equal(self, value):
+        assert not hasattr(value, "__dict__")
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert dataclasses.replace(value) == value
+        assert hash(dataclasses.replace(value)) == hash(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_frozen(self, value):
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+
+    def test_match_args(self):
+        match PolicyOption("keep logs", Keyword.NOT):
+            case PolicyOption(phrase, Keyword.NOT):
+                assert phrase == "keep logs"
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="weight must be >= 1"):
+            dataclasses.replace(self.VALUES[2], weight=0)
 
 
 class TestOnlyWritableTrees:

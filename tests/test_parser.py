@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from cpcompat.model import Connective, Keyword, PolicyOption
-from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
+from cpcompat.model import Connective, Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat.parser import (
+    MAX_DEPTH,
+    ParseDiagnostic,
+    Severity,
+    _Parser,
+    parse_policy,
+    render_policy,
+)
 
 from conftest import find
 from strategies import chain_text, line_soups, policies
@@ -129,6 +136,22 @@ class TestHeadingParsing:
         reparsed, diagnostics = parse_policy(render_policy(policy), name="P")
         assert diagnostics == []
         assert policy.roots == reparsed.roots
+
+    @pytest.mark.parametrize(
+        "line, title, weight",
+        [
+            ("1 6", "6", 1),
+            ("1 5 6", "5", 6),
+            ("1 A 5 6", "A 5", 6),
+            ("1 A\t\u3000007", "A", 7),
+            ("1 A 5X", "A 5X", 1),
+            ("1 A 5.5", "A 5.5", 1),
+        ],
+    )
+    def test_last_token_of_ascii_digits_is_the_weight(self, line, title, weight):
+        policy, diagnostics = parse_policy(line + "\n")
+        assert diagnostics == []
+        assert (policy.roots[0].title, policy.roots[0].weight) == (title, weight)
 
     def test_unicode_digits_are_not_section_numbers(self):
         # U+0663 ARABIC-INDIC DIGIT THREE: a title word, never a number.
@@ -280,6 +303,117 @@ class TestLineDispatch:
             intro.comments,
             len(policy.roots),
         ) == outcome
+
+
+def _intro(*options):
+    """The one-section policy ``1 INTRO`` holding ``options``."""
+    return Policy("P", (Paragraph(NumberPath((1,)), "INTRO", options=options),))
+
+
+def _diagnostic(severity, code, line, message):
+    return ParseDiagnostic(Severity[severity], code, line, message)
+
+
+_EMPTY_PHRASE = _diagnostic("ERROR", "EMPTY_OPTION_PHRASE", 2, "option has no phrase text")
+
+
+class TestOptionLineEdges:
+    """Whole documents around the common ``label) [KEYWORD ]phrase`` line:
+    the tree and every diagnostic. Each case is one the option fast path
+    must read as handle_option does, most of them by handing the line back."""
+
+    @pytest.mark.parametrize(
+        "text, policy, diagnostics",
+        [
+            ("1 INTRO\na) MUST\n", None, [_EMPTY_PHRASE]),
+            ("1 INTRO\na) NOT\n", None, [_EMPTY_PHRASE]),
+            ("1 INTRO\na) MUST \n", None, [_EMPTY_PHRASE]),
+            # Only a plain space ends a keyword; once it has, any whitespace goes.
+            ("1 INTRO\na) MUST\tkeep logs\n", _intro(PolicyOption("MUST\tkeep logs")), []),
+            ("1 INTRO\na)  MUST keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
+            ("1 INTRO\na)MUST keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
+            ("1 INTRO\na) MUST  keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
+            ("1 INTRO\na) MUST MUST keep\n", _intro(PolicyOption("MUST keep", Keyword.MUST)), []),
+            ("1 INTRO\na) MUSTER keep logs\n", _intro(PolicyOption("MUSTER keep logs")), []),
+            ("1 INTRO\nab) NOT keep logs\n", _intro(PolicyOption("keep logs", Keyword.NOT)), []),
+            ("1 INTRO\nkeep logs\n", _intro(PolicyOption("keep logs")), []),
+            ("1 INTRO\nOPTIONAL keep\n", _intro(PolicyOption("keep", Keyword.OPTIONAL)), []),
+            (
+                "1 INTRO\nA) keep logs\n",
+                _intro(PolicyOption("keep logs")),
+                [_diagnostic("WARNING", "BAD_OPTION_LABEL", 2, "option label 'A' should be lower case")],
+            ),
+            (
+                "1 INTRO\na) keep logs\na) rotate keys\n",
+                None,
+                [
+                    _diagnostic(
+                        "ERROR",
+                        "DUPLICATE_OPTION_LABEL",
+                        3,
+                        "option label 'a' is already used in this paragraph",
+                    )
+                ],
+            ),
+            # A label is ASCII letters; anything else before ")" is phrase text.
+            ("1 INTRO\n\u00e9) keep logs\n", _intro(PolicyOption("\u00e9) keep logs")), []),
+            ("1 INTRO\na1) keep logs\n", _intro(PolicyOption("a1) keep logs")), []),
+            (
+                "1 INTRO\n1.2. keep\n",
+                _intro(PolicyOption("1.2. keep")),
+                [
+                    _diagnostic(
+                        "WARNING",
+                        "HEADING_LIKE_OPTION",
+                        2,
+                        "option starts with '1.2.', which looks like a section number",
+                    )
+                ],
+            ),
+            (
+                "a) keep logs\n1 INTRO\n",
+                None,
+                [
+                    _diagnostic(
+                        "ERROR",
+                        "OPTION_BEFORE_SECTION",
+                        1,
+                        "option line before the first section heading",
+                    )
+                ],
+            ),
+            # U+00A0 and U+3000 are whitespace to strip() but do not end a keyword.
+            ("1 INTRO\na) MUST\u00a0keep logs\n", _intro(PolicyOption("MUST\u00a0keep logs")), []),
+            ("1 INTRO\na) MUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
+            (
+                "1 INTRO\na) MUST \u00a0keep logs\n",
+                _intro(PolicyOption("keep logs", Keyword.MUST)),
+                [],
+            ),
+            (
+                "1 INTRO\na) \u3000MUST keep logs\n",
+                _intro(PolicyOption("keep logs", Keyword.MUST)),
+                [],
+            ),
+            (
+                "1 INTRO\na) MUST keep\u00a0logs\n",
+                _intro(PolicyOption("keep\u00a0logs", Keyword.MUST)),
+                [],
+            ),
+            ("1 INTRO\nMUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
+        ],
+    )
+    def test_document(self, text, policy, diagnostics):
+        assert parse_policy(text, name="P") == (policy, diagnostics)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=line_soups())
+    def test_fast_path_reads_lines_as_the_line_dispatch_does(self, text):
+        # _Parser.feed alone is the full dispatch, with no fast path in front.
+        parser = _Parser()
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            parser.feed(line_no, raw)
+        assert parse_policy(text, name="soup") == (parser.build("soup"), parser.diagnostics)
 
 
 class TestParsingNeverRaises:
