@@ -73,6 +73,14 @@ class AcceptanceRule:
     def __post_init__(self) -> None:
         if self.operator not in (">", ">=", "=="):
             raise ValueError(f"unknown operator {self.operator!r}")
+        # describe() writes the threshold through repr(), which is a plain
+        # decimal only for an int or a float.
+        if type(self.threshold) not in (int, float):
+            raise ValueError(f"threshold must be an int or float, got {self.threshold!r}")
+        if self.path is not None and not isinstance(self.path, NumberPath):
+            raise ValueError(f"path must be a NumberPath or None, got {self.path!r}")
+        if type(self.weighted) is not bool:
+            raise ValueError(f"weighted must be a bool, got {self.weighted!r}")
         if not 0.0 <= self.threshold <= 100.0:
             raise ValueError("threshold must be within [0, 100]")
         if self.operator == "==" and (self.path is None or self.threshold != 100.0):

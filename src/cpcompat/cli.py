@@ -91,12 +91,12 @@ def _verdict(report: ComparisonReport, rules: str) -> Verdict:
 
 
 def _summarize(report: ComparisonReport) -> None:
-    lines = [f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode.value} semantics)"]
+    lines = [f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode._value_} semantics)"]
     if report.paragraph_scores:
         lines.append(f"  {'section':<12} {'score':>8}  {'weight':>6}  status")
         lines.extend(
             f"  {row.path.dotted:<12} {row.combined_score:>8.2f}  "
-            f"{row.weight:>6}  {row.match_status.value}"
+            f"{row.weight:>6}  {row.match_status._value_}"
             for row in report.paragraph_scores
         )
     lines.append(f"overall weighted:   {report.overall_weighted:.2f}")

@@ -9,6 +9,11 @@ count), with the count and weights taken from policy A: the comparing
 party's structure governs. The overall figures are weighted means of the
 top-level rows only; deeper paragraphs contribute through their parents.
 
+Lookups by section number, here and in ``ComparisonReport.find``, are
+keyed by the path's segment tuple, which hashes and compares in C; the
+``__hash__`` and ``__eq__`` that ``dataclass`` generates for
+``NumberPath`` would be a Python call per section at every lookup.
+
 :func:`report_to_json` writes the report in CLI.md's v1 layout directly,
 one string per row and per diagnostic, with the bytes that
 ``json.dumps(..., indent=2, ensure_ascii=False)`` would give.
@@ -50,8 +55,8 @@ def pair_by_path(
 ) -> list[tuple[Paragraph | None, Paragraph | None]]:
     """Pair paragraphs with the same section number: A's in A's order, then
     those only B has, in B's order. Compare and merge share this pairing."""
-    by_path_b = {p.path: p for p in paragraphs_b}
-    pairs = [(a, by_path_b.pop(a.path, None)) for a in paragraphs_a]
+    by_path_b = {p.path.segments: p for p in paragraphs_b}
+    pairs = [(a, by_path_b.pop(a.path.segments, None)) for a in paragraphs_a]
     pairs.extend((None, b) for b in by_path_b.values())
     return pairs
 
@@ -85,7 +90,8 @@ def _pairing_diagnostics(
         yield ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
         return
     path = paragraph_a.path
-    if normalize_phrase(paragraph_a.title) != normalize_phrase(paragraph_b.title):
+    title_a, title_b = paragraph_a.title, paragraph_b.title
+    if title_a != title_b and normalize_phrase(title_a) != normalize_phrase(title_b):
         yield ComparisonDiagnostic(
             "TITLE_MISMATCH",
             path,
@@ -98,8 +104,8 @@ def _pairing_diagnostics(
             "CONNECTIVE_MISMATCH",
             path,
             f"section {path.dotted} declares "
-            f"{paragraph_a.connective.name} in one policy and "
-            f"{paragraph_b.connective.name} in the other; "
+            f"{paragraph_a.connective._name_} in one policy and "
+            f"{paragraph_b.connective._name_} in the other; "
             f"the first policy's connective governs",
         )
 
@@ -115,7 +121,7 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
     # A paragraph's children come after it in preorder, so walking the pairs
     # backwards has every child's combined score ready for its parent.
     rows: list[ParagraphScore] = []
-    combined: dict[NumberPath, float] = {}
+    combined: dict[tuple[int, ...], float] = {}
     for paragraph_a, paragraph_b in reversed(pairs):
         if paragraph_a is None or paragraph_b is None:
             # One side is silent: the other side's options face an empty list.
@@ -132,11 +138,11 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
         aggregate = None
         combined_score = own
         if children:
-            aggregate = weighted_mean((combined[c.path], c.weight) for c in children)
+            aggregate = weighted_mean((combined[c.path.segments], c.weight) for c in children)
             # The children's aggregate carries one unit of weight per child,
             # the paragraph's own options one unit in all.
             combined_score = weighted_mean(((own, 1), (aggregate, len(children))))
-        combined[path] = combined_score
+        combined[path.segments] = combined_score
         rows.append(
             ParagraphScore(
                 path=path,
@@ -186,7 +192,7 @@ def report_to_json(report: ComparisonReport) -> str:
         f'      "child_aggregate": {_number(row.child_aggregate)},\n'
         f'      "combined_score": {row.combined_score!r},\n'
         f'      "weight": {row.weight!r},\n'
-        f'      "match_status": "{row.match_status.value}"\n'
+        f'      "match_status": "{row.match_status._value_}"\n'
         f'    }}'
         for row in report.paragraph_scores
     ]
@@ -201,7 +207,7 @@ def report_to_json(report: ComparisonReport) -> str:
     return (
         f'{{\n'
         f'  "report_version": 1,\n'
-        f'  "mode": "{report.mode.value}",\n'
+        f'  "mode": "{report.mode._value_}",\n'
         f'  "policy_a_name": {_string(report.policy_a_name)},\n'
         f'  "policy_b_name": {_string(report.policy_b_name)},\n'
         f'  "overall_weighted": {report.overall_weighted!r},\n'

@@ -21,8 +21,6 @@ compared like any hand-written document.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .acceptance import Verdict
 from .comparison import pair_by_path
 from .model import (
@@ -84,31 +82,36 @@ def _merge_children(
         else:
             # A one-sided subtree is taken over whole, its root flagged for review.
             side, child = ("A", child_a) if child_b is None else ("B", child_b)
-            merged.append(replace(child, comments=child.comments + (f"// unmatched: from {side}",)))
-    merged.sort(key=lambda child: child.path)
+            comments = child.comments + (f"// unmatched: from {side}",)
+            merged.append(Paragraph(child.path, child.title, child.weight, child.options,
+                                    child.connective, comments, child.children))
+    merged.sort(key=lambda child: child.path.segments)
     return tuple(merged)
 
 
 def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragraph:
     options, annotations = _merge_options(paragraph_a, paragraph_b)
 
-    if normalize_phrase(paragraph_a.title) != normalize_phrase(paragraph_b.title):
-        annotations.insert(0, f'// merged: title in B was "{paragraph_b.title}"')
+    title_a, title_b = paragraph_a.title, paragraph_b.title
+    if title_a != title_b and normalize_phrase(title_a) != normalize_phrase(title_b):
+        annotations.insert(0, f'// merged: title in B was "{title_b}"')
 
     connective, conflict = resolve_connective(paragraph_a, paragraph_b)
     if conflict:
-        annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective.name}")
+        annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective._name_}")
 
     comments = list(paragraph_a.comments)
     comments.extend(c for c in paragraph_b.comments if c not in paragraph_a.comments)
     comments.extend(annotations)
 
-    return replace(
-        paragraph_a,
-        options=options,
-        connective=connective,
-        comments=tuple(comments),
-        children=_merge_children(paragraph_a.children, paragraph_b.children),
+    return Paragraph(
+        paragraph_a.path,
+        paragraph_a.title,
+        paragraph_a.weight,
+        options,
+        connective,
+        tuple(comments),
+        _merge_children(paragraph_a.children, paragraph_b.children),
     )
 
 

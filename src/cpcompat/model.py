@@ -59,6 +59,22 @@ def _check_weight(weight: int) -> None:
         raise ValueError(f"weight must be >= 1, got {weight}")
 
 
+def _check_score(score: float, what: str) -> None:
+    """Require an int or float in [0, 100]."""
+    # The JSON report writes a score as its repr, which is JSON for an int
+    # or a float and nothing else (not for True, None or a subclass).
+    if type(score) not in _SCORE_TYPES:
+        raise ValueError(f"{what} must be an int or float, got {score!r}")
+    if not 0.0 <= score <= 100.0:
+        raise ValueError(f"{what} out of range [0, 100]: {score}")
+
+
+def _check_str(value: str, what: str) -> None:
+    """Require a str: the JSON report writes every text field as a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a str, got {value!r}")
+
+
 def _check_line(text: str, what: str) -> None:
     """Require text that one parsed line gives back: non-empty, stripped,
     and free of str.splitlines's line boundaries (all of them whitespace
@@ -117,7 +133,8 @@ class NumberPath:
     segments: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        if type(self.segments) is not tuple:
+            object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("number path needs at least one segment")
         # Only an int is written as digits; a bool or float would render as
@@ -168,18 +185,16 @@ class PolicyOption:
             raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
 
 
-# Keyword strengths by keyword, with no keyword counting as MUST: a dict
-# lookup is cheaper than Enum's value descriptor.
-_KEYWORD_VALUES = {None: Keyword.MUST.value, **{keyword: keyword.value for keyword in Keyword}}
-
-
 def option_keyword_value(option: PolicyOption) -> float:
     """Strength of an option's keyword.
 
     An option with no keyword is an unqualified statement, which a policy
     means as a requirement, so it counts as MUST (1.0).
     """
-    return _KEYWORD_VALUES[option.keyword]
+    # _value_ is a plain attribute; Enum's value descriptor and hash are
+    # Python calls.
+    keyword = option.keyword
+    return Keyword.MUST._value_ if keyword is None else keyword._value_
 
 
 def _check_children(
@@ -231,9 +246,12 @@ class Paragraph:
     children: tuple["Paragraph", ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "options", tuple(self.options))
-        object.__setattr__(self, "comments", tuple(self.comments))
-        object.__setattr__(self, "children", tuple(self.children))
+        if type(self.options) is not tuple:
+            object.__setattr__(self, "options", tuple(self.options))
+        if type(self.comments) is not tuple:
+            object.__setattr__(self, "comments", tuple(self.comments))
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
         _check_line(self.title, "title")
         _check_weight(self.weight)
         for comment in self.comments:
@@ -255,6 +273,7 @@ class Policy:
     roots: tuple[Paragraph, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_str(self.name, "policy name")
         object.__setattr__(self, "roots", tuple(self.roots))
         _check_children(self.roots, (), "the policy root")
 
@@ -281,16 +300,10 @@ class ParagraphScore:
     match_status: MatchStatus
 
     def __post_init__(self) -> None:
-        # The JSON report writes a score as its repr, which is JSON for an
-        # int or a float and nothing else (not for True, None or a subclass).
-        for name in ("own_score", "child_aggregate", "combined_score"):
-            value = getattr(self, name)
-            if value is None and name == "child_aggregate":
-                continue
-            if type(value) not in _SCORE_TYPES:
-                raise ValueError(f"{name} must be an int or float, got {value!r}")
-            if not 0.0 <= value <= 100.0:
-                raise ValueError(f"{name} out of range [0, 100]: {value}")
+        _check_score(self.own_score, "own_score")
+        if self.child_aggregate is not None:
+            _check_score(self.child_aggregate, "child_aggregate")
+        _check_score(self.combined_score, "combined_score")
         _check_weight(self.weight)
 
 
@@ -314,7 +327,7 @@ def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
     Deeper rows are already folded into their ancestors' combined scores.
     With no top-level rows nothing was required, so both figures are 100.
     """
-    top = [row for row in rows if row.path.depth == 1]
+    top = [row for row in rows if len(row.path.segments) == 1]
     if not top:
         return 100.0, 100.0
     weighted = weighted_mean((row.combined_score, row.weight) for row in top)
@@ -331,14 +344,11 @@ class ComparisonDiagnostic:
     message: str
 
     def __post_init__(self) -> None:
-        # The JSON report writes code and message as strings and path as
-        # its dotted number or null.
-        if not isinstance(self.code, str):
-            raise ValueError(f"diagnostic code must be a str, got {self.code!r}")
+        # The JSON report writes path as its dotted number or null.
+        _check_str(self.code, "diagnostic code")
         if self.path is not None and not isinstance(self.path, NumberPath):
             raise ValueError(f"diagnostic path must be a NumberPath or None, got {self.path!r}")
-        if not isinstance(self.message, str):
-            raise ValueError(f"diagnostic message must be a str, got {self.message!r}")
+        _check_str(self.message, "diagnostic message")
 
 
 @dataclass(frozen=True)
@@ -358,11 +368,14 @@ class ComparisonReport:
     diagnostics: tuple[ComparisonDiagnostic, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_str(self.policy_a_name, "policy_a_name")
+        _check_str(self.policy_b_name, "policy_b_name")
         object.__setattr__(self, "paragraph_scores", tuple(self.paragraph_scores))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         # A plain attribute, not a field: equality, hashing, repr and
-        # asdict() see only the declared fields.
-        by_path = {score.path: score for score in self.paragraph_scores}
+        # asdict() see only the declared fields. Keyed by segment tuples,
+        # whose hash is C code, where NumberPath's generated one is Python.
+        by_path = {score.path.segments: score for score in self.paragraph_scores}
         if len(by_path) != len(self.paragraph_scores):
             raise ValueError("every aligned path may appear only once")
         object.__setattr__(self, "_by_path", by_path)
@@ -371,4 +384,4 @@ class ComparisonReport:
         object.__setattr__(self, "overall_unweighted", unweighted)
 
     def find(self, path: NumberPath) -> ParagraphScore | None:
-        return self._by_path.get(path)
+        return self._by_path.get(path.segments)

@@ -73,7 +73,7 @@ class ParseDiagnostic:
     message: str
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.severity.value.upper()} {self.code}: {self.message}"
+        return f"line {self.line}: {self.severity._value_.upper()} {self.code}: {self.message}"
 
 
 # Numbers are ASCII digits only; ``\s`` is any unicode whitespace, the set
@@ -83,7 +83,9 @@ class ParseDiagnostic:
 _HEADING_RE = re.compile(r"([0-9]+(?:\.[0-9]+)*)\s+(.+)")
 _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
+# Members by name, looked up without Enum's Python-level __getitem__.
 _KEYWORDS = {k.name: k for k in Keyword}
+_CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
 
 # The option fast path (see the module docstring). An unlabeled line must
 # not start with a character feed dispatches on (``/``, a digit, ``c`` or
@@ -171,11 +173,12 @@ class _Parser:
                 f"section number {number} contains a zero segment",
             )
             return
-        if len(segments) > MAX_DEPTH:
+        depth = len(segments)
+        if depth > MAX_DEPTH:
             self.error(
                 "DEPTH_LIMIT",
                 line_no,
-                f"section number has {len(segments)} segments, more than {MAX_DEPTH}",
+                f"section number has {depth} segments, more than {MAX_DEPTH}",
             )
             return
 
@@ -189,27 +192,26 @@ class _Parser:
                 self.error("BAD_WEIGHT", line_no, "paragraph weight must be positive")
                 weight = 1
 
-        if len(segments) > 4:
+        if depth > 4:
             self.warn(
                 "DEPTH_EXCEEDS_4",
                 line_no,
                 f"section {number} is nested deeper than the standard four levels",
             )
-        if len(segments) == 1 and title != title.upper():
+        if depth == 1 and title != title.upper():
             self.warn(
                 "MAIN_SECTION_NOT_CAPS",
                 line_no,
                 f"main section title {title!r} is not upper case",
             )
 
-        node = _Node(path=segments, title=title, weight=weight)
-        self.attach(line_no, node)
+        self.attach(line_no, _Node(segments, title, weight), depth)
 
-    def attach(self, line_no: int, node: _Node) -> None:
-        """Link a section into its parent. A section that cannot be linked
-        draws one error and is still opened, so its own children parse
-        without cascading errors."""
-        while len(self.stack[-1].path) >= len(node.path):
+    def attach(self, line_no: int, node: _Node, depth: int) -> None:
+        """Link a section of ``depth`` segments into its parent. A section
+        that cannot be linked draws one error and is still opened, so its own
+        children parse without cascading errors."""
+        while len(self.stack[-1].path) >= depth:
             self.stack.pop()
         parent = self.stack[-1]
         parent_path = node.path[:-1]
@@ -250,7 +252,8 @@ class _Parser:
                 "Connection line before the first section heading",
             )
             return
-        if len(tokens) != 2 or tokens[1].upper() not in ("AND", "OR"):
+        connective = _CONNECTIVES.get(tokens[1].upper()) if len(tokens) == 2 else None
+        if connective is None:
             self.error(
                 "BAD_CONNECTIVE",
                 line_no,
@@ -263,7 +266,7 @@ class _Parser:
                 line_no,
                 "paragraph already declares a connective; the last one wins",
             )
-        current.connective = Connective[tokens[1].upper()]
+        current.connective = connective
 
     def handle_option(self, line_no: int, line: str) -> None:
         current = self.stack[-1]
@@ -380,7 +383,7 @@ def _heading_line(paragraph: Paragraph) -> str:
 
 def _option_line(option: PolicyOption, label: str) -> str:
     if option.keyword is not None:
-        return f"{label}) {option.keyword.name} {option.phrase}"
+        return f"{label}) {option.keyword._name_} {option.phrase}"
     return f"{label}) {option.phrase}"
 
 
@@ -398,7 +401,7 @@ def _render_paragraph(paragraph: Paragraph, out: list[str]) -> None:
     for index, option in enumerate(paragraph.options):
         out.append(_option_line(option, _label(index)))
     if paragraph.connective is not Connective.NONE:
-        out.append(f"Connection {paragraph.connective.name}")
+        out.append(f"Connection {paragraph.connective._name_}")
     for child in paragraph.children:
         _render_paragraph(child, out)
 

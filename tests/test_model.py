@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from cpcompat.model import (
     MAX_DEPTH,
     ComparisonDiagnostic,
+    ComparisonMode,
+    ComparisonReport,
     Connective,
     Keyword,
     MatchStatus,
@@ -152,6 +154,12 @@ class TestPolicy:
         with pytest.raises(ValueError, match="children of the policy root must be strictly ordered"):
             Policy(name="P", roots=(paragraph_factory("2"), paragraph_factory("1")))
 
+    # A name that is not a str would reach the report, which writes it as a
+    # JSON string, and the merged draft's "A+B" name.
+    def test_name_not_a_str(self):
+        with pytest.raises(ValueError, match="policy name must be a str, got 5"):
+            Policy(name=5)
+
 
 class TestParagraphScore:
     def score(self, **changes) -> ParagraphScore:
@@ -187,6 +195,14 @@ class TestParagraphScore:
     def test_score_out_of_range(self, name):
         with pytest.raises(ValueError, match=f"{name} out of range"):
             self.score(**{name: 100.5})
+
+
+class TestComparisonReport:
+    @pytest.mark.parametrize("name", ["policy_a_name", "policy_b_name"])
+    def test_policy_name_not_a_str(self, name):
+        names = {"policy_a_name": "A", "policy_b_name": "B", name: 5}
+        with pytest.raises(ValueError, match=f"{name} must be a str, got 5"):
+            ComparisonReport(ComparisonMode.MERGE, paragraph_scores=(), **names)
 
 
 class TestComparisonDiagnostic:

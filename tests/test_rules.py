@@ -148,6 +148,10 @@ class TestRuleConstruction:
             (("==", 100.0), "'==' rules only exist"),
             (("==", 99.0, NumberPath.parse("1")), "'==' rules only exist"),
             ((">", 50.0, NumberPath.parse("1"), False), "take no basis"),
+            ((">", 50.0, "1.2"), "path must be a NumberPath or None"),
+            ((">", "50"), "threshold must be an int or float"),
+            ((">", True), "threshold must be an int or float"),
+            ((">", 50.0, None, "no"), "weighted must be a bool"),
         ],
     )
     def test_invalid_rules_are_refused(self, args, why):
