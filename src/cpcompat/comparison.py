@@ -33,7 +33,7 @@ from .model import (
     Paragraph,
     ParagraphScore,
     Policy,
-    normalize_phrase,
+    titles_differ,
     weighted_mean,
 )
 from .scoring import (
@@ -90,8 +90,7 @@ def _pairing_diagnostics(
         yield ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
         return
     path = paragraph_a.path
-    title_a, title_b = paragraph_a.title, paragraph_b.title
-    if title_a != title_b and normalize_phrase(title_a) != normalize_phrase(title_b):
+    if titles_differ(paragraph_a.title, paragraph_b.title):
         yield ComparisonDiagnostic(
             "TITLE_MISMATCH",
             path,

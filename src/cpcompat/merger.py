@@ -29,8 +29,8 @@ from .model import (
     Paragraph,
     Policy,
     PolicyOption,
-    normalize_phrase,
     option_keyword_value,
+    titles_differ,
 )
 from .scoring import match_options, resolve_connective
 
@@ -48,7 +48,7 @@ def _merge_options(
     """Union of two option lists plus review annotations."""
     options_a = paragraph_a.options
     options_b = paragraph_b.options
-    matches = {m.index_a: m.index_b for m in match_options(options_a, options_b)}
+    matches = dict(match_options(options_a, options_b))
     matched_b = set(matches.values())
 
     merged: list[PolicyOption] = []
@@ -92,9 +92,8 @@ def _merge_children(
 def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragraph:
     options, annotations = _merge_options(paragraph_a, paragraph_b)
 
-    title_a, title_b = paragraph_a.title, paragraph_b.title
-    if title_a != title_b and normalize_phrase(title_a) != normalize_phrase(title_b):
-        annotations.insert(0, f'// merged: title in B was "{title_b}"')
+    if titles_differ(paragraph_a.title, paragraph_b.title):
+        annotations.insert(0, f'// merged: title in B was "{paragraph_b.title}"')
 
     connective, conflict = resolve_connective(paragraph_a, paragraph_b)
     if conflict:

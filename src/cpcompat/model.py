@@ -47,7 +47,9 @@ class Keyword(Enum):
     NOT = 0.0
 
 
-_KEYWORD_NAMES = frozenset(Keyword.__members__)
+#: Keyword members by name, the one table the parser and PolicyOption read.
+#: A plain dict: Enum's ``__getitem__`` and ``__members__`` are Python calls.
+KEYWORDS = {keyword._name_: keyword for keyword in Keyword}
 
 
 def _check_weight(weight: int) -> None:
@@ -69,10 +71,12 @@ def _check_score(score: float, what: str) -> None:
         raise ValueError(f"{what} out of range [0, 100]: {score}")
 
 
-def _check_str(value: str, what: str) -> None:
-    """Require a str: the JSON report writes every text field as a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a str, got {value!r}")
+def _check_type(value: object, kind: type, what: str) -> None:
+    """Require an instance of ``kind``: the JSON report writes every text
+    field as a string, and the renderer and scoring read enum members and
+    paths by their attributes."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def _check_line(text: str, what: str) -> None:
@@ -94,6 +98,13 @@ def normalize_phrase(text: str) -> str:
     parser before a phrase ever reaches this function.
     """
     return " ".join(text.split()).lower()
+
+
+def titles_differ(title_a: str, title_b: str) -> bool:
+    """Whether two section titles differ after :func:`normalize_phrase`, the
+    test behind compare's TITLE_MISMATCH and merge's title flag."""
+    # Most paired titles are equal as written and need no normalizing.
+    return title_a != title_b and normalize_phrase(title_a) != normalize_phrase(title_b)
 
 
 class Connective(Enum):
@@ -126,7 +137,7 @@ class MatchStatus(Enum):
     BOTH_EMPTY = "both_empty"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class NumberPath:
     """Hierarchical section number such as 1.3.1.1."""
 
@@ -156,10 +167,6 @@ class NumberPath:
     def dotted(self) -> str:
         return ".".join(map(str, self.segments))
 
-    @property
-    def depth(self) -> int:
-        return len(self.segments)
-
     def __str__(self) -> str:
         return self.dotted
 
@@ -181,7 +188,9 @@ class PolicyOption:
 
     def __post_init__(self) -> None:
         _check_line(self.phrase, "option phrase")
-        if self.keyword is None and self.phrase.partition(" ")[0] in _KEYWORD_NAMES:
+        if self.keyword is not None:
+            _check_type(self.keyword, Keyword, "option keyword")
+        elif self.phrase.partition(" ")[0] in KEYWORDS:
             raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
 
 
@@ -219,16 +228,6 @@ def _check_children(
         previous_segment = segment
 
 
-def _preorder(paragraphs: tuple["Paragraph", ...]) -> Iterator["Paragraph"]:
-    """The paragraphs and all their descendants, preorder, with one frame
-    however deep the tree."""
-    pending = list(reversed(paragraphs))
-    while pending:
-        paragraph = pending.pop()
-        yield paragraph
-        pending.extend(reversed(paragraph.children))
-
-
 @dataclass(frozen=True, slots=True)
 class Paragraph:
     """One numbered section of a policy with its options and subparagraphs.
@@ -246,6 +245,8 @@ class Paragraph:
     children: tuple["Paragraph", ...] = ()
 
     def __post_init__(self) -> None:
+        _check_type(self.path, NumberPath, "paragraph path")
+        _check_type(self.connective, Connective, "paragraph connective")
         if type(self.options) is not tuple:
             object.__setattr__(self, "options", tuple(self.options))
         if type(self.comments) is not tuple:
@@ -260,10 +261,6 @@ class Paragraph:
             _check_line(comment, "comment")
         _check_children(self.children, self.path.segments, self.path)
 
-    def walk(self) -> Iterator["Paragraph"]:
-        """This paragraph and all descendants, preorder."""
-        return _preorder((self,))
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -273,13 +270,18 @@ class Policy:
     roots: tuple[Paragraph, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_str(self.name, "policy name")
+        _check_type(self.name, str, "policy name")
         object.__setattr__(self, "roots", tuple(self.roots))
         _check_children(self.roots, (), "the policy root")
 
     def walk(self) -> Iterator[Paragraph]:
-        """All paragraphs of the policy, preorder."""
-        return _preorder(self.roots)
+        """All paragraphs of the policy, preorder, with one frame however
+        deep the tree."""
+        pending = list(reversed(self.roots))
+        while pending:
+            paragraph = pending.pop()
+            yield paragraph
+            pending.extend(reversed(paragraph.children))
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,6 +302,8 @@ class ParagraphScore:
     match_status: MatchStatus
 
     def __post_init__(self) -> None:
+        _check_type(self.path, NumberPath, "score path")
+        _check_type(self.match_status, MatchStatus, "match_status")
         _check_score(self.own_score, "own_score")
         if self.child_aggregate is not None:
             _check_score(self.child_aggregate, "child_aggregate")
@@ -345,10 +349,10 @@ class ComparisonDiagnostic:
 
     def __post_init__(self) -> None:
         # The JSON report writes path as its dotted number or null.
-        _check_str(self.code, "diagnostic code")
+        _check_type(self.code, str, "diagnostic code")
         if self.path is not None and not isinstance(self.path, NumberPath):
             raise ValueError(f"diagnostic path must be a NumberPath or None, got {self.path!r}")
-        _check_str(self.message, "diagnostic message")
+        _check_type(self.message, str, "diagnostic message")
 
 
 @dataclass(frozen=True)
@@ -368,8 +372,9 @@ class ComparisonReport:
     diagnostics: tuple[ComparisonDiagnostic, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_str(self.policy_a_name, "policy_a_name")
-        _check_str(self.policy_b_name, "policy_b_name")
+        _check_type(self.mode, ComparisonMode, "report mode")
+        _check_type(self.policy_a_name, str, "policy_a_name")
+        _check_type(self.policy_b_name, str, "policy_b_name")
         object.__setattr__(self, "paragraph_scores", tuple(self.paragraph_scores))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         # A plain attribute, not a field: equality, hashing, repr and

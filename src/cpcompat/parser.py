@@ -41,9 +41,9 @@ import string
 from dataclasses import dataclass
 
 from .model import (
+    KEYWORDS,
     MAX_DEPTH,
     Connective,
-    Keyword,
     NumberPath,
     Paragraph,
     Policy,
@@ -84,14 +84,13 @@ _HEADING_RE = re.compile(r"([0-9]+(?:\.[0-9]+)*)\s+(.+)")
 _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 
 # Members by name, looked up without Enum's Python-level __getitem__.
-_KEYWORDS = {k.name: k for k in Keyword}
 _CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
 
 # The option fast path (see the module docstring). An unlabeled line must
 # not start with a character feed dispatches on (``/``, a digit, ``c`` or
 # ``C``), a dot (a heading-like number) or ASCII letters and ``)`` (a label
 # handle_option would warn about).
-_KEYWORD_ALTERNATIVES = "|".join(_KEYWORDS)
+_KEYWORD_ALTERNATIVES = "|".join(KEYWORDS)
 _OPTION_RE = re.compile(
     rf"(?:([a-z]+)\) |(?![/0-9.cC]|[A-Za-z]+\)))"
     rf"(?:({_KEYWORD_ALTERNATIVES}) |(?!(?:{_KEYWORD_ALTERNATIVES})(?: |$)))(\S.*)"
@@ -309,7 +308,7 @@ class _Parser:
             rest = tail.lstrip()
 
         head, _, tail = rest.partition(" ")
-        keyword = _KEYWORDS.get(head)
+        keyword = KEYWORDS.get(head)
         if keyword is not None:
             rest = tail.lstrip()
 
@@ -366,7 +365,7 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
             if current.path and label not in current.labels:
                 if label is not None:
                     current.labels.add(label)
-                current.options.append(PolicyOption(match[3], _KEYWORDS.get(match[2])))
+                current.options.append(PolicyOption(match[3], KEYWORDS.get(match[2])))
                 continue
         parser.feed(line_no, line)
     return parser.build(name), parser.diagnostics

@@ -19,7 +19,6 @@ reading.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .model import (
     ComparisonMode,
@@ -39,23 +38,12 @@ __all__ = [
 ]
 
 
-class ProvisionalMatch(NamedTuple):
-    """A phrase-equal option pair across two paragraphs.
-
-    ``keyword_factor`` is 1 minus the absolute strength difference of the
-    two keywords, so identical keywords give 1.0 and MUST vs NOT gives 0.0.
-    """
-
-    index_a: int
-    index_b: int
-    keyword_factor: float
-
-
 def match_options(
     options_a: Sequence[PolicyOption],
     options_b: Sequence[PolicyOption],
-) -> list[ProvisionalMatch]:
-    """Pair options with equal normalized phrases, one-to-one.
+) -> list[tuple[int, int]]:
+    """Pair options with equal normalized phrases, one-to-one, as
+    (index_a, index_b) pairs in A's order.
 
     Options are taken in list order on the A side; each draws the first
     not-yet-paired B option with the same normalized phrase. Within a
@@ -70,16 +58,11 @@ def match_options(
     for index_b in reversed(range(len(options_b))):
         unpaired.setdefault(normalize_phrase(options_b[index_b].phrase), []).append(index_b)
 
-    matches: list[ProvisionalMatch] = []
+    matches: list[tuple[int, int]] = []
     for index_a, option_a in enumerate(options_a):
         indices = unpaired.get(normalize_phrase(option_a.phrase))
-        if not indices:
-            continue
-        index_b = indices.pop()
-        factor = 1.0 - abs(
-            option_keyword_value(option_a) - option_keyword_value(options_b[index_b])
-        )
-        matches.append(ProvisionalMatch(index_a, index_b, factor))
+        if indices:
+            matches.append((index_a, indices.pop()))
     return matches
 
 
@@ -89,7 +72,12 @@ def score_option_lists(
     connective: Connective,
     mode: ComparisonMode,
 ) -> float:
-    """Score two option lists under the given connective and mode."""
+    """Score two option lists under the given connective and mode.
+
+    Each pair :func:`match_options` finds scores 100 times 1 minus the
+    absolute difference of the two keyword strengths, so identical
+    keywords give 100 and MUST vs NOT gives 0.
+    """
     if not options_a and not options_b:
         return 100.0
     if not options_a or not options_b:
@@ -97,7 +85,11 @@ def score_option_lists(
         # fully incompatible; an acquired policy is simply superseded.
         return 100.0 if mode is ComparisonMode.ACQUIRE else 0.0
 
-    terms = [100.0 * m.keyword_factor for m in match_options(options_a, options_b)]
+    value = option_keyword_value
+    terms = [
+        100.0 * (1.0 - abs(value(options_a[index_a]) - value(options_b[index_b])))
+        for index_a, index_b in match_options(options_a, options_b)
+    ]
 
     if connective is Connective.OR:
         return max(terms, default=0.0)

@@ -283,7 +283,7 @@ def test_criterion_6_end_to_end(tmp_path, worked_policy_a_text, worked_policy_b_
         assert policy is not None
         deep = find(policy, "1.3.1.1")
         assert deep is not None
-        assert deep.path.depth == 4
+        assert len(deep.path.segments) == 4
         assert find(policy, "1.2").connective is Connective.AND
 
         file_a = tmp_path / "a.txt"

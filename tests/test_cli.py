@@ -306,7 +306,7 @@ class TestSizeLimits:
         file.write_text(chain_text(MAX_DEPTH, option="MUST hold\n"), encoding="utf-8")
         original, _ = parse_policy(file.read_text(encoding="utf-8"))
         assert original is not None
-        assert max(p.path.depth for p in original.walk()) == MAX_DEPTH
+        assert max(len(p.path.segments) for p in original.walk()) == MAX_DEPTH
         reparsed, _ = parse_policy(render_policy(original))
         assert original.roots == reparsed.roots
         assert main(["validate", str(file)]) == 0

@@ -197,7 +197,7 @@ class TestOverallScores:
         a = policy_from("1 TOP\n1.1 SUB\na) MUST x\n")
         b = policy_from("1 TOP\n1.1 SUB\na) MUST y\n")
         report = compare(a, b, MERGE)
-        assert [row.path.depth for row in report.paragraph_scores] == [1, 2]
+        assert [len(row.path.segments) for row in report.paragraph_scores] == [1, 2]
         # own 100 vacuous, child aggregate 0: combined (100 + 0) / 2.
         assert report.overall_weighted == pytest.approx(50.0, abs=1e-9)
 

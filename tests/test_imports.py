@@ -1,0 +1,56 @@
+"""Every name a cpcompat module imports is used there or exported.
+
+An import left behind by a refactor keeps a dead dependency between
+modules and hides where a helper is really used.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cpcompat
+
+SOURCES = sorted(Path(cpcompat.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return [
+        f"line {line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    ]
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    assert _unused_imports(tree) == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse(
+        "from typing import NamedTuple\n"
+        "from .model import normalize_phrase, weighted_mean\n"
+        "import os.path\n"
+        "__all__ = ['weighted_mean']\n"
+    )
+    assert _unused_imports(tree) == ["line 1: NamedTuple", "line 2: normalize_phrase", "line 3: os"]

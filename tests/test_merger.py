@@ -214,7 +214,7 @@ class TestMergedPolicyQuality:
             ]
             one_sided = a is None or b is None
             adopted_root = one_sided and (
-                path.depth == 1 or NumberPath(path.segments[:-1]) in two_sided
+                len(path.segments) == 1 or NumberPath(path.segments[:-1]) in two_sided
             )
             expected = [f"// unmatched: from {'A' if b is None else 'B'}"] if adopted_root else []
             assert flags == expected, path

@@ -56,7 +56,7 @@ class TestNumberPath:
             NumberPath(segments)
 
     def test_depth_limit(self):
-        assert NumberPath((1,) * MAX_DEPTH).depth == MAX_DEPTH
+        assert len(NumberPath((1,) * MAX_DEPTH).segments) == MAX_DEPTH
         with pytest.raises(ValueError, match=f"more than {MAX_DEPTH} segments"):
             NumberPath((1,) * (MAX_DEPTH + 1))
 
@@ -91,8 +91,25 @@ class TestPolicyOption:
     def test_phrase_that_only_looks_like_a_keyword(self, phrase):
         assert PolicyOption(phrase=phrase).keyword is None
 
+    # Scoring and the renderer read a keyword's value and name.
+    @pytest.mark.parametrize("keyword", ["MUST", 1.0, Connective.AND])
+    def test_keyword_not_a_keyword(self, keyword):
+        with pytest.raises(ValueError, match="option keyword must be a Keyword, got"):
+            PolicyOption("keep logs", keyword)
+
 
 class TestParagraph:
+    @pytest.mark.parametrize("path", [(1,), "1", 1])
+    def test_path_not_a_number_path(self, path):
+        with pytest.raises(ValueError, match="paragraph path must be a NumberPath, got"):
+            Paragraph(path, "A")
+
+    # A string connective would be scored as AND, whatever it says.
+    @pytest.mark.parametrize("connective", ["OR", None, ComparisonMode.MERGE])
+    def test_connective_not_a_connective(self, connective):
+        with pytest.raises(ValueError, match="paragraph connective must be a Connective, got"):
+            Paragraph(NumberPath((1,)), "A", connective=connective)
+
     @pytest.mark.parametrize("title", ["", " T", "T ", "T\u00a0"])
     def test_title_not_stripped(self, title, paragraph_factory):
         with pytest.raises(ValueError, match="title must be non-empty and stripped"):
@@ -142,7 +159,7 @@ class TestParagraph:
     def test_nested_children_are_accepted(self, paragraph_factory):
         middle = paragraph_factory("1.3", children=(paragraph_factory("1.3.2"),))
         tree = paragraph_factory("1", children=(paragraph_factory("1.1"), middle))
-        assert [p.path.dotted for p in tree.walk()] == ["1", "1.1", "1.3", "1.3.2"]
+        assert [p.path.dotted for p in Policy("P", (tree,)).walk()] == ["1", "1.1", "1.3", "1.3.2"]
 
 
 class TestPolicy:
@@ -196,6 +213,14 @@ class TestParagraphScore:
         with pytest.raises(ValueError, match=f"{name} out of range"):
             self.score(**{name: 100.5})
 
+    def test_path_not_a_number_path(self):
+        with pytest.raises(ValueError, match="score path must be a NumberPath, got"):
+            self.score(path=(1,))
+
+    def test_match_status_not_a_match_status(self):
+        with pytest.raises(ValueError, match="match_status must be a MatchStatus, got 'matched'"):
+            self.score(match_status="matched")
+
 
 class TestComparisonReport:
     @pytest.mark.parametrize("name", ["policy_a_name", "policy_b_name"])
@@ -203,6 +228,11 @@ class TestComparisonReport:
         names = {"policy_a_name": "A", "policy_b_name": "B", name: 5}
         with pytest.raises(ValueError, match=f"{name} must be a str, got 5"):
             ComparisonReport(ComparisonMode.MERGE, paragraph_scores=(), **names)
+
+    # A string mode would be scored with merge semantics and break the JSON writer.
+    def test_mode_not_a_comparison_mode(self):
+        with pytest.raises(ValueError, match="report mode must be a ComparisonMode, got 'acquire'"):
+            ComparisonReport("acquire", "A", "B", ())
 
 
 class TestComparisonDiagnostic:

@@ -73,7 +73,7 @@ class TestGoldenDocument:
         policy, _ = parse_ok(sample_policy_text)
         deep = find(policy, "1.3.1.1")
         assert deep is not None
-        assert deep.path.depth == 4
+        assert len(deep.path.segments) == 4
         assert deep.title == "Root Authorities"
         assert [o.phrase for o in deep.options] == ["operate offline"]
 

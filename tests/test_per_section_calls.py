@@ -23,7 +23,7 @@ from cpcompat.model import NumberPath
 
 _DUNDERS = frozenset(
     function.__code__
-    for function in (NumberPath.__hash__, NumberPath.__eq__, NumberPath.__lt__, dataclasses.replace)
+    for function in (NumberPath.__hash__, NumberPath.__eq__, dataclasses.replace)
 )
 _ENUM_FILE = enum.unique.__code__.co_filename
 

@@ -64,56 +64,60 @@ OPTIONS_B = (
 
 
 class TestMatchOptions:
+    """Pairs as (index_a, index_b). A pair's keyword factor shows as the OR
+    score of the two options alone, which is 100 times the factor."""
+
+    @staticmethod
+    def pair_score(option_a: PolicyOption, option_b: PolicyOption) -> float:
+        return score_option_lists((option_a,), (option_b,), Connective.OR, MERGE)
+
     def test_worked_example_pairs(self):
-        matches = match_options(OPTIONS_A, OPTIONS_B)
-        assert [(m.index_a, m.index_b) for m in matches] == [(0, 0), (1, 1)]
-        assert matches[0].keyword_factor == pytest.approx(0.8, abs=1e-12)
-        assert matches[1].keyword_factor == pytest.approx(0.5, abs=1e-12)
+        assert match_options(OPTIONS_A, OPTIONS_B) == [(0, 0), (1, 1)]
+        assert self.pair_score(OPTIONS_A[0], OPTIONS_B[0]) == pytest.approx(80.0, abs=1e-10)
+        assert self.pair_score(OPTIONS_A[1], OPTIONS_B[1]) == pytest.approx(50.0, abs=1e-10)
 
     def test_identical_single_option(self):
         a = (opt("x", Keyword.MUST),)
-        matches = match_options(a, a)
-        assert len(matches) == 1
-        assert matches[0].keyword_factor == 1.0
+        assert match_options(a, a) == [(0, 0)]
+        assert self.pair_score(a[0], a[0]) == 100.0
 
     def test_duplicate_phrase_consumed_once(self):
         a = (opt("x", Keyword.MUST), opt("x", Keyword.MUST))
         b = (opt("x", Keyword.MUST),)
-        matches = match_options(a, b)
-        assert len(matches) == 1
-        assert (matches[0].index_a, matches[0].index_b) == (0, 0)
+        assert match_options(a, b) == [(0, 0)]
 
     def test_earliest_unconsumed_b_wins(self):
         a = (opt("x", Keyword.MUST),)
         b = (opt("x", Keyword.NOT), opt("x", Keyword.MUST))
-        matches = match_options(a, b)
-        assert [(m.index_a, m.index_b) for m in matches] == [(0, 0)]
-        assert matches[0].keyword_factor == pytest.approx(0.0, abs=1e-12)
+        assert match_options(a, b) == [(0, 0)]
+        assert self.pair_score(a[0], b[0]) == pytest.approx(0.0, abs=1e-10)
 
     def test_missing_keyword_counts_as_must(self):
-        matches = match_options((opt("x"),), (opt("x", Keyword.RECOMMENDED),))
-        assert matches[0].keyword_factor == pytest.approx(0.8, abs=1e-12)
+        a, b = (opt("x"),), (opt("x", Keyword.RECOMMENDED),)
+        assert match_options(a, b) == [(0, 0)]
+        assert self.pair_score(a[0], b[0]) == pytest.approx(80.0, abs=1e-10)
 
     def test_phrase_equality_is_normalized(self):
         matches = match_options(
             (opt("Document  Name", Keyword.MUST),),
             (opt("document name", Keyword.MUST),),
         )
-        assert len(matches) == 1
+        assert matches == [(0, 0)]
 
     def test_empty_lists(self):
         assert match_options((), ()) == []
         assert match_options(OPTIONS_A, ()) == []
 
+    # The factors are checked by the sweep of oracle_score against
+    # score_option_lists.
     @settings(max_examples=1000, deadline=None)
     @given(
         options_a=option_lists(max_size=8, phrases=SPELLED_PHRASES),
         options_b=option_lists(max_size=8, phrases=SPELLED_PHRASES),
     )
     def test_pairs_agree_with_oracle(self, options_a, options_b):
-        matches = match_options(options_a, options_b)
-        got = [(m.index_a, m.index_b, m.keyword_factor) for m in matches]
-        assert got == oracle_matches(options_a, options_b)
+        expected = [(index_a, index_b) for index_a, index_b, _ in oracle_matches(options_a, options_b)]
+        assert match_options(options_a, options_b) == expected
 
     # A quadratic scan takes over ten seconds on each of these, the linear
     # one tens of milliseconds; the bound only has to tell them apart.
@@ -141,9 +145,7 @@ class TestMatchOptions:
             shared + [f"only a {i}" for i in range(10_000)],
             [f"only b {i}" for i in range(10_000)] + shared[::-1],
         )
-        assert [(m.index_a, m.index_b) for m in matches] == [
-            (i, 19_999 - i) for i in range(10_000)
-        ]
+        assert matches == [(i, 19_999 - i) for i in range(10_000)]
         assert elapsed < 2.0, f"matching took {elapsed:.2f}s"
 
 
