@@ -12,21 +12,14 @@ the section numbers, never from indentation:
   ``[x) ][KEYWORD ]phrase`` with a label of ASCII letters and one of the
   requirement keywords MUST, RECOMMENDED, OPTIONAL, NOT (case-sensitive).
 
-Each stripped line is dispatched on its first character: only ``/`` can
-open a comment, only an ASCII digit a heading, and only ``c`` or ``C`` (the
-sole characters whose lower case starts with ``c``) a connection line; all
-other lines are options, which need no further test to be told apart.
-
-Most option lines skip the dispatch: one regular expression reads
-``[label) ][KEYWORD ]phrase`` with a lower-case label and a single space
-after the label and after the keyword, and a line it matches goes straight
-into the open section. The dispatch would read that line the same way, so
-the fast path changes no tree and no diagnostic. A line still goes through
-the dispatch when no section is open or its label is already used there,
-and when the expression does not match: an upper-case label, other
-whitespace after a label or keyword, a keyword with no phrase, a
-keyword-free phrase whose first token is a keyword, or an unlabeled line
-starting with ``/``, a digit, a dot, ``c`` or ``C``.
+Each stripped, non-blank line is dispatched once, on its first character:
+only ``/`` can open a comment, only an ASCII digit a heading, and only ``c``
+or ``C`` (the sole characters whose lower case starts with ``c``) a
+connection line; all other lines are options, which need no further test
+to be told apart. One reader, in ``parse_policy``'s line loop, reads every
+option line: the label is the text before the first ``)`` when that text
+is ASCII letters, the keyword is the text before the first plain space
+when that text is a keyword, and whitespace after either is skipped.
 
 ``parse_policy`` never raises on malformed input; it collects diagnostics
 and returns no policy when any of them is an error. ``render_policy``
@@ -86,17 +79,6 @@ _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 # Members by name, looked up without Enum's Python-level __getitem__.
 _CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
 
-# The option fast path (see the module docstring). An unlabeled line must
-# not start with a character feed dispatches on (``/``, a digit, ``c`` or
-# ``C``), a dot (a heading-like number) or ASCII letters and ``)`` (a label
-# handle_option would warn about).
-_KEYWORD_ALTERNATIVES = "|".join(KEYWORDS)
-_OPTION_RE = re.compile(
-    rf"(?:([a-z]+)\) |(?![/0-9.cC]|[A-Za-z]+\)))"
-    rf"(?:({_KEYWORD_ALTERNATIVES}) |(?!(?:{_KEYWORD_ALTERNATIVES})(?: |$)))(\S.*)"
-)
-
-
 class _Node:
     """Mutable paragraph under construction."""
 
@@ -126,20 +108,6 @@ class _Parser:
 
     def error(self, code: str, line: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(Severity.ERROR, code, line, message))
-
-    def feed(self, line_no: int, raw: str) -> None:
-        line = raw.strip()
-        if not line:
-            return
-        first = line[0]
-        if first == "/" and line[1:2] == "/":
-            self.handle_comment(line_no, line)
-        elif "0" <= first <= "9" and (heading := _HEADING_RE.match(line)):
-            self.handle_heading(line_no, heading)
-        elif first in "cC" and (tokens := line.split())[0].lower() == "connection":
-            self.handle_connection(line_no, tokens)
-        else:
-            self.handle_option(line_no, line)
 
     def handle_comment(self, line_no: int, line: str) -> None:
         current = self.stack[-1]
@@ -267,56 +235,6 @@ class _Parser:
             )
         current.connective = connective
 
-    def handle_option(self, line_no: int, line: str) -> None:
-        current = self.stack[-1]
-        if not current.path:
-            self.error(
-                "OPTION_BEFORE_SECTION",
-                line_no,
-                "option line before the first section heading",
-            )
-            return
-
-        first = line[0]
-        if first == "." or "0" <= first <= "9":
-            token = line.split(None, 1)[0]
-            if _DOTTED_NUMBER_RE.match(token) and "." in token and any(c.isdigit() for c in token):
-                self.warn(
-                    "HEADING_LIKE_OPTION",
-                    line_no,
-                    f"option starts with {token!r}, which looks like a section number",
-                )
-
-        rest = line
-        label, paren, tail = line.partition(")")
-        if paren and label.isascii() and label.isalpha():
-            if not label.islower():
-                self.warn(
-                    "BAD_OPTION_LABEL",
-                    line_no,
-                    f"option label {label!r} should be lower case",
-                )
-                label = label.lower()
-            if label in current.labels:
-                self.error(
-                    "DUPLICATE_OPTION_LABEL",
-                    line_no,
-                    f"option label {label!r} is already used in this paragraph",
-                )
-                return
-            current.labels.add(label)
-            rest = tail.lstrip()
-
-        head, _, tail = rest.partition(" ")
-        keyword = KEYWORDS.get(head)
-        if keyword is not None:
-            rest = tail.lstrip()
-
-        if not rest:
-            self.error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")
-            return
-        current.options.append(PolicyOption(phrase=rest, keyword=keyword))
-
     def build(self, name: str) -> Policy | None:
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
             return None
@@ -341,7 +259,7 @@ def _is_weight(token: str) -> bool:
 
 def _dotted(path: tuple[int, ...]) -> str:
     """Dotted spelling of a section number, for diagnostics only."""
-    return NumberPath(path).dotted
+    return ".".join(map(str, path))
 
 
 def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[ParseDiagnostic]]:
@@ -353,21 +271,70 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
     """
     parser = _Parser()
     stack = parser.stack
-    option_line = _OPTION_RE.fullmatch
+    keyword_of = KEYWORDS.get
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        # handle_option reads a matched line the same way when a section is
-        # open and its label, if any, is new there.
-        match = option_line(line)
-        if match is not None:
-            current = stack[-1]
-            label = match[1]
-            if current.path and label not in current.labels:
-                if label is not None:
-                    current.labels.add(label)
-                current.options.append(PolicyOption(match[3], KEYWORDS.get(match[2])))
+        if not line:
+            continue
+        first = line[0]
+        if first == "/" and line[1:2] == "/":
+            parser.handle_comment(line_no, line)
+            continue
+        if first in "0123456789" and (heading := _HEADING_RE.match(line)):
+            parser.handle_heading(line_no, heading)
+            continue
+        if first in "cC" and (tokens := line.split())[0].lower() == "connection":
+            parser.handle_connection(line_no, tokens)
+            continue
+
+        # An option line: [label) ][KEYWORD ]phrase.
+        current = stack[-1]
+        if not current.path:
+            parser.error(
+                "OPTION_BEFORE_SECTION",
+                line_no,
+                "option line before the first section heading",
+            )
+            continue
+
+        if first in ".0123456789":
+            token = line.split(None, 1)[0]
+            if _DOTTED_NUMBER_RE.match(token) and "." in token and any(c.isdigit() for c in token):
+                parser.warn(
+                    "HEADING_LIKE_OPTION",
+                    line_no,
+                    f"option starts with {token!r}, which looks like a section number",
+                )
+
+        rest = line
+        label, paren, tail = line.partition(")")
+        if paren and label.isascii() and label.isalpha():
+            if not label.islower():
+                parser.warn(
+                    "BAD_OPTION_LABEL",
+                    line_no,
+                    f"option label {label!r} should be lower case",
+                )
+                label = label.lower()
+            if label in current.labels:
+                parser.error(
+                    "DUPLICATE_OPTION_LABEL",
+                    line_no,
+                    f"option label {label!r} is already used in this paragraph",
+                )
                 continue
-        parser.feed(line_no, line)
+            current.labels.add(label)
+            rest = tail.lstrip()
+
+        head, _, tail = rest.partition(" ")
+        keyword = keyword_of(head)
+        if keyword is not None:
+            rest = tail.lstrip()
+
+        if not rest:
+            parser.error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")
+            continue
+        current.options.append(PolicyOption(rest, keyword))
     return parser.build(name), parser.diagnostics
 
 

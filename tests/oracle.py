@@ -9,10 +9,13 @@ never the scoring, comparison or merger modules, so the test suite can
 check the production implementation against them case by case.
 ``oracle_report_dict`` states the JSON report's layout as plain data for
 ``json.dumps``, which the report writer must match byte for byte.
+``oracle_option_line`` reads an option line with one regular expression
+written from FORMAT.md's option grammar, apart from the parser's reader.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -280,3 +283,18 @@ def oracle_report_dict(report: ComparisonReport) -> dict:
             for diagnostic in report.diagnostics
         ],
     }
+
+
+# FORMAT.md's ``[x) ][KEYWORD ]phrase``: a label is ASCII letters and ``)``,
+# followed by any whitespace or none; a keyword counts only when a plain
+# space or the end of the line follows it, and whitespace after it is
+# skipped; the phrase is the rest.
+_OPTION_LINE = re.compile(
+    r"(?:([A-Za-z]+)\)\s*)?(?:(MUST|RECOMMENDED|OPTIONAL|NOT)(?: \s*|\Z))?(.*)", re.DOTALL
+)
+
+
+def oracle_option_line(line: str) -> tuple[str | None, str | None, str]:
+    """The label as written, the keyword's name and the phrase of a stripped
+    option line; each of the first two is None when the line has none."""
+    return _OPTION_LINE.fullmatch(line).groups()

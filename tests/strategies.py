@@ -106,6 +106,18 @@ def document_options() -> st.SearchStrategy[PolicyOption]:
     )
 
 
+# _paragraphs and policy_pairs_same_outline draw these on every section;
+# built once, they are not built and unwrapped again on every draw.
+_WEIGHTS = st.integers(1, 4)
+_OPTION_COUNTS = st.integers(0, 4)
+_CHILD_SEGMENTS = st.lists(st.integers(1, 5), unique=True, max_size=2)
+_DOCUMENT_OPTIONS = document_options()
+_TITLES = _titles()
+_CONNECTIVES = connectives()
+_COMMENT_LISTS = st.lists(_comments(), max_size=2)
+_SCORING_OPTIONS = scoring_options()
+
+
 @st.composite
 def _paragraphs(
     draw,
@@ -113,14 +125,12 @@ def _paragraphs(
     depth_budget: int,
     unit_weights: bool,
 ) -> Paragraph:
-    weight = 1 if unit_weights else draw(st.integers(1, 4))
-    n_options = draw(st.integers(0, 4))
-    options = tuple(draw(document_options()) for _ in range(n_options))
+    weight = 1 if unit_weights else draw(_WEIGHTS)
+    n_options = draw(_OPTION_COUNTS)
+    options = tuple(draw(_DOCUMENT_OPTIONS) for _ in range(n_options))
     children: list[Paragraph] = []
     if depth_budget > 0:
-        segments = sorted(
-            draw(st.lists(st.integers(1, 5), unique=True, max_size=2))
-        )
+        segments = sorted(draw(_CHILD_SEGMENTS))
         for segment in segments:
             children.append(
                 draw(
@@ -133,11 +143,11 @@ def _paragraphs(
             )
     return Paragraph(
         path=NumberPath(prefix),
-        title=draw(_titles()),
+        title=draw(_TITLES),
         weight=weight,
         options=options,
-        connective=draw(connectives()),
-        comments=tuple(draw(st.lists(_comments(), max_size=2))),
+        connective=draw(_CONNECTIVES),
+        comments=tuple(draw(_COMMENT_LISTS)),
         children=tuple(children),
     )
 
@@ -181,10 +191,10 @@ def policy_pairs_same_outline(
     skeleton = draw(policies(unit_weights=unit_weights))
 
     def reclothe(paragraph: Paragraph) -> Paragraph:
-        n_options = draw(st.integers(0, 4))
-        options = tuple(draw(scoring_options()) for _ in range(n_options))
+        n_options = draw(_OPTION_COUNTS)
+        options = tuple(draw(_SCORING_OPTIONS) for _ in range(n_options))
         connective = (
-            paragraph.connective if same_connective else draw(connectives())
+            paragraph.connective if same_connective else draw(_CONNECTIVES)
         )
         return Paragraph(
             path=paragraph.path,
@@ -203,15 +213,15 @@ def policy_pairs_same_outline(
 
 # Line fragments chosen to sit on the edges of the parser's line dispatch:
 # unicode whitespace and digits, words that start with "c" but are not
-# "Connection", labels with and without a space, bare and tab-joined
-# keywords, comment and path slashes, and dotted numbers that are not
-# section numbers.
+# "Connection", labels with and without a space, a non-ASCII letter before
+# ")", bare and tab-joined keywords, comment and path slashes, and dotted
+# numbers that are not section numbers.
 _SOUP_ATOMS = (
     "1", "2", "1.1", "1.2", "1.1.1", "0.1", "1..2", ".5", "01", "3x",
     "TOP", "Scope", "x", "rotate keys", "2",
     "\u00a0", "\u2003", "\u001f", "\u0663", "\u0661.\u0662",
     "cache", "Cx", "C", "connections", "Connection", "connection", "AND", "OR", "XOR",
-    "a)", "A)", "b)", "a)MUST", "C)",
+    "a)", "A)", "b)", "a)MUST", "C)", "\u00e9)",
     "MUST", "RECOMMENDED", "OPTIONAL", "NOT", "MUST\tx",
     "//", "/etc",
 )

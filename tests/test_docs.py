@@ -3,11 +3,13 @@
 Each Python example is executed with the names it assumes already bound:
 ``text_a`` and ``text_b`` hold two policies, and ``report`` is their
 comparison, which has the sections 1 and 6.1 the examples name. The JSON
-report schema of CLI.md lists the keys the report writer writes.
+report schema of CLI.md lists the keys the report writer writes, and
+FORMAT.md's diagnostics tables list the codes the parser reports.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import textwrap
@@ -71,3 +73,25 @@ def test_report_schema_tables_list_the_written_keys():
     )
     data = json.loads(report_to_json(report))
     assert tables == [list(data), list(data["paragraphs"][0]), list(data["diagnostics"][0])]
+
+
+def test_diagnostics_tables_list_the_parser_codes():
+    """FORMAT.md's Errors table names the first argument of every
+    ``error(...)`` call in parser.py, and its Warnings table that of every
+    ``warn(...)`` call."""
+    tree = ast.parse((ROOT / "src" / "cpcompat" / "parser.py").read_text(encoding="utf-8"))
+    codes = {"error": set(), "warn": set()}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in codes
+        ):
+            codes[node.func.attr].add(ast.literal_eval(node.args[0]))
+    tables = {
+        heading: set(re.findall(r"^\| `(\w+)` +\|", text, re.MULTILINE))
+        for heading, text in (
+            part.split("\n", 1) for part in section("FORMAT.md", "Diagnostics").split("### ")[1:]
+        )
+    }
+    assert tables == {"Errors": codes["error"], "Warnings": codes["warn"]}

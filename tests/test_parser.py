@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from cpcompat.model import Connective, Keyword, NumberPath, Paragraph, Policy, PolicyOption
 from cpcompat.parser import (
     MAX_DEPTH,
     ParseDiagnostic,
     Severity,
-    _Parser,
     parse_policy,
     render_policy,
 )
 
 from conftest import find
-from strategies import chain_text, line_soups, policies
+from oracle import oracle_option_line
+from strategies import _soup_lines, chain_text, line_soups, policies
 
 
 def parse_ok(text: str, name: str = "P"):
@@ -317,10 +319,22 @@ def _diagnostic(severity, code, line, message):
 _EMPTY_PHRASE = _diagnostic("ERROR", "EMPTY_OPTION_PHRASE", 2, "option has no phrase text")
 
 
+def _is_option_line(line: str) -> bool:
+    """Whether FORMAT.md reads the stripped ``line`` as an option: it is not
+    blank, a comment, a heading or a connection line."""
+    return bool(line) and not (
+        line.startswith("//")
+        or re.match(r"[0-9]+(?:\.[0-9]+)*\s+\S", line)
+        or line.split()[0].lower() == "connection"
+    )
+
+
 class TestOptionLineEdges:
-    """Whole documents around the common ``label) [KEYWORD ]phrase`` line:
-    the tree and every diagnostic. Each case is one the option fast path
-    must read as handle_option does, most of them by handing the line back."""
+    """Whole documents around the ``[label) ][KEYWORD ]phrase`` line: the
+    tree and every diagnostic, on the edges of the option grammar (where a
+    keyword ends, which whitespace is skipped, what counts as a label) and
+    of its diagnostics, and every option line of the soups read against the
+    grammar's own regular expression."""
 
     @pytest.mark.parametrize(
         "text, policy, diagnostics",
@@ -407,13 +421,26 @@ class TestOptionLineEdges:
         assert parse_policy(text, name="P") == (policy, diagnostics)
 
     @settings(max_examples=1000, deadline=None)
-    @given(text=line_soups())
-    def test_fast_path_reads_lines_as_the_line_dispatch_does(self, text):
-        # _Parser.feed alone is the full dispatch, with no fast path in front.
-        parser = _Parser()
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            parser.feed(line_no, raw)
-        assert parse_policy(text, name="soup") == (parser.build("soup"), parser.diagnostics)
+    @given(line=_soup_lines())
+    def test_option_lines_read_as_the_grammar_says(self, line):
+        stripped = line.strip()
+        assume(_is_option_line(stripped))
+        label, keyword, phrase = oracle_option_line(stripped)
+        expected = []
+        token = stripped.split()[0]
+        # A first token of digits and dots, with at least one of each.
+        if re.fullmatch(r"[0-9.]*[0-9][0-9.]*", token) and "." in token:
+            message = f"option starts with {token!r}, which looks like a section number"
+            expected.append(_diagnostic("WARNING", "HEADING_LIKE_OPTION", 2, message))
+        if label is not None and label != label.lower():
+            message = f"option label {label!r} should be lower case"
+            expected.append(_diagnostic("WARNING", "BAD_OPTION_LABEL", 2, message))
+        if phrase:
+            policy = _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
+        else:
+            policy = None
+            expected.append(_EMPTY_PHRASE)
+        assert parse_policy(f"1 INTRO\n{line}\n", name="P") == (policy, expected)
 
 
 class TestParsingNeverRaises:

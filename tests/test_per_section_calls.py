@@ -6,6 +6,11 @@ their ``_value_`` and ``_name_`` attributes or tables keyed by string, keys
 path lookups by segment tuples and builds merged sections with the
 Paragraph constructor, so the number of such calls in one ``compare`` or
 ``merge`` does not grow with the number of sections.
+
+The parser reads an option line inside its line loop, with no call of its
+own: the Python-level calls per option line are those of building the
+PolicyOption, so the number of calls into parser.py does not grow with the
+number of option lines.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ import sys
 import pytest
 
 from cpcompat.cli import main
-from cpcompat.model import NumberPath
+from cpcompat.model import Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat.parser import parse_policy, render_policy
 
 _DUNDERS = frozenset(
     function.__code__
     for function in (NumberPath.__hash__, NumberPath.__eq__, dataclasses.replace)
 )
 _ENUM_FILE = enum.unique.__code__.co_filename
+_PARSER_FILE = parse_policy.__code__.co_filename
 
 
 def _policy_text(top_sections: int, side: str) -> str:
@@ -84,3 +91,38 @@ def test_calls_do_not_grow_with_sections(command, tmp_path):
     _counted_calls(argvs[0])
     small, large = (_counted_calls(argv) for argv in argvs)
     assert small == large, f"(dunder, enum.py) calls: {small} at 20 sections, {large} at 200"
+
+
+def _option_section(form: str, count: int) -> str:
+    """Section 1 holding ``count`` option lines of one form: labeled with a
+    keyword (as the renderer writes them), unlabeled with a keyword, or bare."""
+    phrases = [f"keep record {index}" for index in range(count)]
+    if form == "labeled":
+        options = tuple(PolicyOption(phrase, Keyword.MUST) for phrase in phrases)
+        return render_policy(Policy("P", (Paragraph(NumberPath((1,)), "INTRO", options=options),)))
+    keyword = "MUST " if form == "keyword" else ""
+    return "1 INTRO\n" + "".join(f"{keyword}{phrase}\n" for phrase in phrases)
+
+
+def _parser_calls(text: str) -> int:
+    """Parse ``text`` and count the calls of functions defined in parser.py."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == _PARSER_FILE:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        policy, diagnostics = parse_policy(text)
+    finally:
+        sys.setprofile(None)
+    assert policy is not None and not diagnostics
+    return count
+
+
+@pytest.mark.parametrize("form", ["labeled", "keyword", "bare"])
+def test_parser_calls_do_not_grow_with_option_lines(form):
+    small, large = (_parser_calls(_option_section(form, count)) for count in (100, 1100))
+    assert small == large, f"parser.py calls: {small} at 100 option lines, {large} at 1,100"
