@@ -82,12 +82,9 @@ def test_diagnostics_tables_list_the_parser_codes():
     tree = ast.parse((ROOT / "src" / "cpcompat" / "parser.py").read_text(encoding="utf-8"))
     codes = {"error": set(), "warn": set()}
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in codes
-        ):
-            codes[node.func.attr].add(ast.literal_eval(node.args[0]))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in codes:
+            codes[node.func.id].add(ast.literal_eval(node.args[0]))
+    assert codes["error"] and codes["warn"]
     tables = {
         heading: set(re.findall(r"^\| `(\w+)` +\|", text, re.MULTILINE))
         for heading, text in (
