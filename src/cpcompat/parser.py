@@ -81,6 +81,9 @@ _DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
 # Members by name, looked up without Enum's Python-level __getitem__.
 _CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
 
+# RFC 2119 terms that are not among the format's four keywords.
+_OTHER_RFC2119_TERMS = frozenset({"SHALL", "SHOULD", "MAY", "REQUIRED"})
+
 class _Node:
     """Mutable paragraph under construction."""
 
@@ -306,10 +309,30 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
             current.labels.add(label)
             rest = tail.lstrip()
 
+        # RFC 8174: only the upper-case keywords carry their special
+        # meaning, so a look-alike stays phrase text and draws a warning.
         head, _, tail = rest.partition(" ")
         keyword = keyword_of(head)
         if keyword is not None:
             rest = tail.lstrip()
+            if head == "MUST" and rest.partition(" ")[0] == "NOT":
+                warn(
+                    "KEYWORD_LOOKALIKE",
+                    line_no,
+                    "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'",
+                )
+        elif head in _OTHER_RFC2119_TERMS or head.removesuffix(":").upper() in KEYWORDS:
+            warn(
+                "KEYWORD_LOOKALIKE",
+                line_no,
+                f"option starts with {head!r}, read as phrase text, not as a keyword",
+            )
+        elif head[:1] in "cC" and head.lower().startswith("connection:"):
+            warn(
+                "CONNECTION_LOOKALIKE",
+                line_no,
+                f"option starts with {head!r}, read as phrase text, not as a Connection line",
+            )
 
         if not rest:
             error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")

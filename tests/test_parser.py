@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpcompat.model import Connective, Keyword, NumberPath, Paragraph, Policy, PolicyOption
 from cpcompat.parser import (
@@ -265,7 +266,7 @@ class TestLineDispatch:
             ("MUST", ["EMPTY_OPTION_PHRASE"], None),
             ("MUST\tx", [], _option(None, "MUST\tx")),
             ("MUST  x", [], _option(Keyword.MUST, "x")),
-            ("must x", [], _option(None, "must x")),
+            ("must x", ["KEYWORD_LOOKALIKE"], _option(None, "must x")),
             ("\u00e9) x", [], _option(None, "\u00e9) x")),
             # Digits and dots: headings, heading-like options, plain options.
             ("2 NEXT", [], ([], Connective.NONE, (), 2)),
@@ -317,6 +318,58 @@ def _diagnostic(severity, code, line, message):
 
 
 _EMPTY_PHRASE = _diagnostic("ERROR", "EMPTY_OPTION_PHRASE", 2, "option has no phrase text")
+
+
+def _lookalike_warnings(keyword, phrase):
+    """The warning FORMAT.md gives an option read as ``keyword`` (a name or
+    None) and ``phrase`` when it starts with an RFC 2119 look-alike: a list
+    of none or one."""
+    first = phrase.split(" ", 1)[0]
+    if keyword == "MUST" and first == "NOT":
+        message = "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'"
+        return [_diagnostic("WARNING", "KEYWORD_LOOKALIKE", 2, message)]
+    if keyword is None and (
+        first in ("SHALL", "SHOULD", "MAY", "REQUIRED")
+        or re.fullmatch(r"(MUST|RECOMMENDED|OPTIONAL|NOT):?", first.upper())
+    ):
+        message = f"option starts with {first!r}, read as phrase text, not as a keyword"
+        return [_diagnostic("WARNING", "KEYWORD_LOOKALIKE", 2, message)]
+    if keyword is None and first.lower().startswith("connection:"):
+        message = f"option starts with {first!r}, read as phrase text, not as a Connection line"
+        return [_diagnostic("WARNING", "CONNECTION_LOOKALIKE", 2, message)]
+    return []
+
+
+def _cases(word: str) -> st.SearchStrategy[str]:
+    """``word`` with each of its letters in either case."""
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if up else c.lower() for c, up in zip(word, upper))
+    )
+
+
+_KEYWORD_NAMES = tuple(Keyword.__members__)
+
+# (first token of the option, the warning it draws): the other RFC 2119
+# terms, a keyword in another case or with a trailing colon, MUST NOT, and a
+# colon after "connection".
+_LOOKALIKE_HEADS = st.one_of(
+    st.tuples(st.sampled_from(("SHALL", "SHOULD", "MAY", "REQUIRED")), st.just("KEYWORD_LOOKALIKE")),
+    st.tuples(
+        st.sampled_from(_KEYWORD_NAMES).flatmap(lambda k: _cases(k).filter(lambda w: w != k)),
+        st.just("KEYWORD_LOOKALIKE"),
+    ),
+    st.tuples(
+        st.sampled_from(_KEYWORD_NAMES).flatmap(_cases).map(lambda w: w + ":"),
+        st.just("KEYWORD_LOOKALIKE"),
+    ),
+    st.tuples(st.sampled_from(("MUST NOT", "MUST  NOT")), st.just("KEYWORD_LOOKALIKE")),
+    st.tuples(_cases("connection").map(lambda w: w + ":"), st.just("CONNECTION_LOOKALIKE")),
+)
+_LOOKALIKE_LINES = st.tuples(
+    st.sampled_from(("", "a) ", "b)", "C) ")),
+    _LOOKALIKE_HEADS,
+    st.sampled_from(("", " keep logs", " AND")),
+)
 
 
 def _is_option_line(line: str) -> bool:
@@ -435,12 +488,24 @@ class TestOptionLineEdges:
         if label is not None and label != label.lower():
             message = f"option label {label!r} should be lower case"
             expected.append(_diagnostic("WARNING", "BAD_OPTION_LABEL", 2, message))
+        expected += _lookalike_warnings(keyword, phrase)
         if phrase:
             policy = _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
         else:
             policy = None
             expected.append(_EMPTY_PHRASE)
         assert parse_policy(f"1 INTRO\n{line}\n", name="P") == (policy, expected)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(parts=_LOOKALIKE_LINES)
+    def test_lookalike_lines_warn_and_read_as_the_grammar_says(self, parts):
+        label_text, (head, code), tail = parts
+        line = label_text + head + tail
+        label, keyword, phrase = oracle_option_line(line)
+        policy, diagnostics = parse_policy(f"1 INTRO\n{line}\n", name="P")
+        assert policy == _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
+        assert [d.code for d in diagnostics if d.code != "BAD_OPTION_LABEL"] == [code]
+        assert diagnostics[-1:] == _lookalike_warnings(keyword, phrase)
 
 
 class TestParsingNeverRaises:
