@@ -10,11 +10,11 @@ Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
 summary go to stderr.
 
-Exit codes: 0 success (and, with rules, acceptance); 1 file I/O problem;
-2 parse errors, including input that is not UTF-8; 3 rules rejected the
-combination; 4 the rules file itself is unusable; 6 an unexpected
-exception, reported as one stderr line with no traceback. Code 5 is
-retired: every merged policy can be written in the text format.
+Exit codes: 0 success (and, with rules, acceptance); 1 file or stdout
+I/O problem; 2 parse errors, including input that is not UTF-8; 3 rules
+rejected the combination; 4 the rules file itself is unusable; 6 an
+unexpected exception, reported as one stderr line with no traceback.
+Code 5 is retired: every merged policy can be written in the text format.
 
 ``main`` pauses the cyclic garbage collector for the length of one
 command. Nothing cpcompat builds can form a reference cycle: policies and
@@ -113,7 +113,17 @@ def _announce(verdict: Verdict) -> None:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _say(f"<stdout>: {exc}")
+            # The interpreter flushes stdout again at exit. Point it at the
+            # null device, so that flush neither fails nor reports it.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _Exit(EXIT_IO) from None
         return
     try:
         Path(out).write_text(text, encoding="utf-8")

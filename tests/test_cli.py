@@ -266,6 +266,29 @@ class TestMerge:
         assert result.returncode == 0, result.stderr
         assert result.stdout == out.read_bytes()
 
+    @pytest.mark.parametrize("command", ["compare", "merge"])
+    def test_closed_stdout_exits_1(self, policy_files, command):
+        # Block-buffered stdout, as by default on a pipe, so the
+        # interpreter's own flush at exit meets the closed pipe too.
+        environment = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cpcompat", command, *map(str, policy_files)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=environment,
+            )
+        finally:
+            os.close(write_end)
+        # One line about stdout, and nothing after it from the exit flush.
+        lines = result.stderr.splitlines()
+        assert result.returncode == 1
+        assert [line for line in lines if line.startswith("<stdout>: ")] == [lines[-1]]
+        assert "Broken pipe" in lines[-1]
+
     def test_rejection_leaves_no_output_file(self, policy_files, tmp_path):
         file_a, file_b = policy_files
         rules = tmp_path / "rules.txt"
