@@ -103,7 +103,10 @@ class AcceptanceRule:
 class RuleFailure:
     rule: AcceptanceRule
     actual: float
-    message: str
+
+    @property
+    def message(self) -> str:
+        return f"score {self.actual:.4f} does not satisfy '{self.rule.describe()}'"
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,5 @@ def evaluate(report: ComparisonReport, rules: Sequence[AcceptanceRule]) -> Verdi
     for rule in rules:
         actual = _observed_score(report, rule)
         if not _passes(rule, actual):
-            failures.append(
-                RuleFailure(
-                    rule=rule,
-                    actual=actual,
-                    message=f"score {actual:.4f} does not satisfy '{rule.describe()}'",
-                )
-            )
+            failures.append(RuleFailure(rule, actual))
     return Verdict(tuple(failures))
