@@ -84,6 +84,7 @@ _CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
 # RFC 2119 terms that are not among the format's four keywords.
 _OTHER_RFC2119_TERMS = frozenset({"SHALL", "SHOULD", "MAY", "REQUIRED"})
 
+
 class _Node:
     """Mutable paragraph under construction."""
 
@@ -315,7 +316,7 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
         keyword = keyword_of(head)
         if keyword is not None:
             rest = tail.lstrip()
-            if head == "MUST" and rest.partition(" ")[0] == "NOT":
+            if head == "MUST" and rest[:4] in ("NOT", "NOT "):
                 warn(
                     "KEYWORD_LOOKALIKE",
                     line_no,
