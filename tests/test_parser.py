@@ -501,7 +501,7 @@ class TestOptionLineEdges:
     def test_lookalike_lines_warn_and_read_as_the_grammar_says(self, parts):
         label_text, (head, code), tail = parts
         line = label_text + head + tail
-        label, keyword, phrase = oracle_option_line(line)
+        _, keyword, phrase = oracle_option_line(line)
         policy, diagnostics = parse_policy(f"1 INTRO\n{line}\n", name="P")
         assert policy == _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
         assert [d.code for d in diagnostics if d.code != "BAD_OPTION_LABEL"] == [code]
