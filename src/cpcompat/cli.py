@@ -6,6 +6,9 @@ Three commands cover the library's workflow:
 * ``cpcompat compare A B`` scores two policies and emits a JSON report.
 * ``cpcompat merge A B`` writes the unified policy for an accepted pair.
 
+``main`` is the one entry point. Argparse hands each command's parsed
+arguments straight to its body, ``_validate``, ``_compare`` or ``_merge``.
+
 Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
 summary go to stderr.
@@ -37,7 +40,7 @@ from .merger import MergeRejectedError, merge
 from .model import ComparisonMode, ComparisonReport, Policy
 from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
 
-__all__ = ["main", "cmd_validate", "cmd_compare", "cmd_merge"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -50,8 +53,7 @@ EXIT_INTERNAL = 6
 class _Exit(SystemExit):
     """Ends a command with exit code ``code``; the reason is already on stderr.
 
-    ``main`` returns the code. A SystemExit, so a caller of a ``cmd_``
-    function that does not catch it still exits with the right code.
+    ``main`` returns the code. A SystemExit, for its ``code`` attribute.
     """
 
 
@@ -132,42 +134,33 @@ def _write_or_print(text: str, out: str | None) -> None:
         raise _Exit(EXIT_IO) from None
 
 
-def cmd_validate(file: str) -> int:
-    policy, diagnostics = _load_policy(file)
+def _validate(arguments: argparse.Namespace) -> int:
+    policy, diagnostics = _load_policy(arguments.file)
     if policy is None:
         return EXIT_PARSE
     warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
     paragraphs = sum(1 for _ in policy.walk())
-    _say(f"{file}: valid, {paragraphs} paragraphs, {warnings} warnings")
+    _say(f"{arguments.file}: valid, {paragraphs} paragraphs, {warnings} warnings")
     return EXIT_OK
 
 
 def _compared(
-    file_a: str,
-    file_b: str,
-    mode: ComparisonMode,
-    rules: str | None,
+    arguments: argparse.Namespace,
 ) -> tuple[Policy, Policy, ComparisonReport, Verdict | None]:
     """Shared front half of compare and merge: both policies, the report
     and, with rules, the verdict."""
-    policy_a, _ = _load_policy(file_a)
-    policy_b, _ = _load_policy(file_b)
+    policy_a, _ = _load_policy(arguments.file_a)
+    policy_b, _ = _load_policy(arguments.file_b)
     if policy_a is None or policy_b is None:
         raise _Exit(EXIT_PARSE)
-    report = compare(policy_a, policy_b, mode)
-    verdict = None if rules is None else _verdict(report, rules)
+    report = compare(policy_a, policy_b, ComparisonMode(arguments.mode))
+    verdict = None if arguments.rules is None else _verdict(report, arguments.rules)
     return policy_a, policy_b, report, verdict
 
 
-def cmd_compare(
-    file_a: str,
-    file_b: str,
-    mode: ComparisonMode,
-    rules: str | None = None,
-    report_out: str | None = None,
-) -> int:
-    _, _, report, verdict = _compared(file_a, file_b, mode, rules)
-    _write_or_print(report_to_json(report) + "\n", report_out)
+def _compare(arguments: argparse.Namespace) -> int:
+    _, _, report, verdict = _compared(arguments)
+    _write_or_print(report_to_json(report) + "\n", arguments.report)
     _summarize(report)
     if verdict is None:
         return EXIT_OK
@@ -175,14 +168,8 @@ def cmd_compare(
     return EXIT_OK if verdict.accepted else EXIT_REJECTED
 
 
-def cmd_merge(
-    file_a: str,
-    file_b: str,
-    mode: ComparisonMode,
-    rules: str | None = None,
-    out: str | None = None,
-) -> int:
-    policy_a, policy_b, report, verdict = _compared(file_a, file_b, mode, rules)
+def _merge(arguments: argparse.Namespace) -> int:
+    policy_a, policy_b, report, verdict = _compared(arguments)
     if verdict is None:
         verdict = evaluate(report, [])
     _summarize(report)
@@ -192,7 +179,7 @@ def cmd_merge(
     except MergeRejectedError:
         _say("no unified policy was written")
         return EXIT_REJECTED
-    _write_or_print(render_policy(merged), out)
+    _write_or_print(render_policy(merged), arguments.out)
     return EXIT_OK
 
 
@@ -205,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
 
     validate = commands.add_parser("validate", help="check that a policy file parses")
     validate.add_argument("file", help="policy text file")
+    validate.set_defaults(run=_validate)
 
     def add_pair_arguments(command: argparse.ArgumentParser) -> None:
         command.add_argument("file_a", help="the comparing party's policy")
@@ -220,33 +208,18 @@ def main(argv: list[str] | None = None) -> int:
     comparison = commands.add_parser("compare", help="score two policies")
     add_pair_arguments(comparison)
     comparison.add_argument("--report", help="write the JSON report here instead of stdout")
+    comparison.set_defaults(run=_compare)
 
     merger = commands.add_parser("merge", help="emit the unified policy for an accepted pair")
     add_pair_arguments(merger)
     merger.add_argument("--out", help="write the merged policy here instead of stdout")
+    merger.set_defaults(run=_merge)
 
     arguments = parser.parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if arguments.command == "validate":
-            return cmd_validate(arguments.file)
-        mode = ComparisonMode(arguments.mode)
-        if arguments.command == "compare":
-            return cmd_compare(
-                arguments.file_a,
-                arguments.file_b,
-                mode,
-                rules=arguments.rules,
-                report_out=arguments.report,
-            )
-        return cmd_merge(
-            arguments.file_a,
-            arguments.file_b,
-            mode,
-            rules=arguments.rules,
-            out=arguments.out,
-        )
+        return arguments.run(arguments)
     except _Exit as stop:
         return stop.code
     except Exception as exc:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpcompat.acceptance import AcceptanceRule, evaluate
-from cpcompat.cli import cmd_compare
+from cpcompat.cli import main
 from cpcompat.comparison import compare
 from cpcompat.model import (
     ComparisonMode,
@@ -294,10 +294,10 @@ def test_criterion_6_end_to_end(tmp_path, worked_policy_a_text, worked_policy_b_
         file_b.write_text(worked_policy_b_text, encoding="utf-8")
         rules.write_text("overall > 90\n", encoding="utf-8")
 
-        code = cmd_compare(
-            str(file_a), str(file_b), MERGE,
-            rules=str(rules), report_out=str(report_file),
-        )
+        code = main([
+            "compare", str(file_a), str(file_b), "--mode", "merge",
+            "--rules", str(rules), "--report", str(report_file),
+        ])
         report = json.loads(report_file.read_text(encoding="utf-8"))
         assert report["overall_weighted"] == 32.5
         assert report["mode"] == "merge"
