@@ -11,7 +11,8 @@ arguments straight to its body, ``_validate``, ``_compare`` or ``_merge``.
 
 Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
-summary go to stderr.
+summary go to stderr. A failed write to stderr is dropped and does not
+change the exit code.
 
 Exit codes: 0 success (and, with rules, acceptance); 1 file or stdout
 I/O problem; 2 parse errors, including input that is not UTF-8; 3 rules
@@ -57,9 +58,25 @@ class _Exit(SystemExit):
     """
 
 
+def _to_null_device(stream) -> None:
+    """Point ``stream``'s descriptor at the null device after a write to it
+    failed, so the interpreter's flush at exit neither fails nor reports it."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _say(*lines: str) -> None:
-    """Write lines to stderr, each ended by a newline, in one write."""
-    sys.stderr.write("".join([line + "\n" for line in lines]))
+    """Write lines to stderr, each ended by a newline, in one write.
+
+    Stderr is for a person, so lines that cannot be written are dropped
+    and the command keeps its own exit code.
+    """
+    try:
+        sys.stderr.write("".join([line + "\n" for line in lines]))
+        sys.stderr.flush()
+    except OSError:
+        _to_null_device(sys.stderr)
 
 
 def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
@@ -120,11 +137,7 @@ def _write_or_print(text: str, out: str | None) -> None:
             sys.stdout.flush()
         except OSError as exc:
             _say(f"<stdout>: {exc}")
-            # The interpreter flushes stdout again at exit. Point it at the
-            # null device, so that flush neither fails nor reports it.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_null_device(sys.stdout)
             raise _Exit(EXIT_IO) from None
         return
     try:

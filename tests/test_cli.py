@@ -35,6 +35,25 @@ def run_module(*arguments: str, text: bool = True) -> subprocess.CompletedProces
     )
 
 
+def run_on_closed_pipe(*arguments: str, closed: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """Runs the module with the streams named in ``closed`` on one pipe whose
+    read end is closed, and captures the others.
+
+    Stdout and stderr are block-buffered, as by default on a pipe, so the
+    interpreter's own flush at exit meets the closed pipe too.
+    """
+    environment = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {name: write_end if name in closed else subprocess.PIPE for name in ("stdout", "stderr")}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "cpcompat", *arguments], text=True, env=environment, **streams
+        )
+    finally:
+        os.close(write_end)
+
+
 @pytest.fixture
 def policy_files(tmp_path, worked_policy_a_text, worked_policy_b_text):
     file_a = tmp_path / "a.txt"
@@ -268,26 +287,25 @@ class TestMerge:
 
     @pytest.mark.parametrize("command", ["compare", "merge"])
     def test_closed_stdout_exits_1(self, policy_files, command):
-        # Block-buffered stdout, as by default on a pipe, so the
-        # interpreter's own flush at exit meets the closed pipe too.
-        environment = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "cpcompat", command, *map(str, policy_files)],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=environment,
-            )
-        finally:
-            os.close(write_end)
+        result = run_on_closed_pipe(command, *map(str, policy_files), closed=("stdout",))
         # One line about stdout, and nothing after it from the exit flush.
         lines = result.stderr.splitlines()
         assert result.returncode == 1
         assert [line for line in lines if line.startswith("<stdout>: ")] == [lines[-1]]
         assert "Broken pipe" in lines[-1]
+
+    @pytest.mark.parametrize("command", ["validate", "compare", "merge"])
+    def test_closed_stderr_keeps_the_exit_code(self, policy_files, command):
+        files = map(str, policy_files[:1] if command == "validate" else policy_files)
+        result = run_on_closed_pipe(command, *files, closed=("stderr",))
+        assert result.returncode == 0
+        if command != "validate":
+            assert result.stdout
+
+    @pytest.mark.parametrize("command", ["compare", "merge"])
+    def test_closed_stdout_and_stderr_exit_1(self, policy_files, command):
+        result = run_on_closed_pipe(command, *map(str, policy_files), closed=("stdout", "stderr"))
+        assert result.returncode == 1
 
     def test_rejection_leaves_no_output_file(self, policy_files, tmp_path):
         file_a, file_b = policy_files
