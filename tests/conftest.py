@@ -19,6 +19,7 @@ from cpcompat.model import (
     Policy,
     PolicyOption,
 )
+from cpcompat.parser import parse_policy
 
 # A small but structurally complete policy document: nested sections down to
 # depth 4, labeled options with keywords, a Connection line, and comments.
@@ -104,6 +105,13 @@ def find(policy: Policy, dotted: str) -> Paragraph | None:
     """The paragraph of ``policy`` numbered ``dotted``, or None."""
     path = NumberPath.parse(dotted)
     return next((p for p in policy.walk() if p.path == path), None)
+
+
+def policy_from(text: str, name: str = "P") -> Policy:
+    """The policy ``text`` parses to; fails the test if it does not parse."""
+    policy, diagnostics = parse_policy(text, name=name)
+    assert policy is not None, diagnostics
+    return policy
 
 
 def make_paragraph(

@@ -19,19 +19,13 @@ from cpcompat.model import (
     NumberPath,
     ParagraphScore,
 )
-from cpcompat.parser import parse_policy
 
+from conftest import policy_from
 from oracle import oracle_report_dict
 from strategies import api_reports, hostile_policies, modes, policies, policy_pairs_same_outline
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
-
-
-def policy_from(text: str, name: str = "P"):
-    policy, diagnostics = parse_policy(text, name=name)
-    assert policy is not None, diagnostics
-    return policy
 
 
 class TestAlign:

@@ -1,4 +1,5 @@
-"""Every name a cpcompat module imports is used there or exported.
+"""Every name a cpcompat module imports is used there or exported, and
+every module parses as the oldest Python that pyproject.toml allows.
 
 An import left behind by a refactor keeps a dead dependency between
 modules and hides where a helper is really used.
@@ -44,6 +45,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used_or_exported(source):
     tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_source_parses_as_python_3_10(source):
+    # requires-python is ">=3.10". This checks syntax only, such as
+    # ``except*``, and as far as ast's feature_version goes; it cannot tell
+    # whether a standard library name or argument used here exists in 3.10.
+    ast.parse(source.read_text(encoding="utf-8"), filename=str(source), feature_version=(3, 10))
 
 
 def test_an_unused_import_is_found():

@@ -11,17 +11,11 @@ from cpcompat.merger import MergeRejectedError, merge
 from cpcompat.model import ComparisonMode, Connective, Keyword, NumberPath
 from cpcompat.parser import parse_policy, render_policy
 
-from conftest import find
+from conftest import find, policy_from
 from strategies import policies
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
-
-
-def policy_from(text: str, name: str = "P"):
-    policy, diagnostics = parse_policy(text, name=name)
-    assert policy is not None, diagnostics
-    return policy
 
 
 def merge_pair(a, b, mode=MERGE, rules_text=""):

@@ -21,17 +21,11 @@ from cpcompat.acceptance import (
 from cpcompat.cli import main
 from cpcompat.comparison import compare
 from cpcompat.model import MAX_DEPTH, ComparisonMode, NumberPath
-from cpcompat.parser import parse_policy
 
+from conftest import policy_from
 from strategies import policies
 
 MERGE = ComparisonMode.MERGE
-
-
-def policy_from(text: str, name: str = "P"):
-    policy, diagnostics = parse_policy(text, name=name)
-    assert policy is not None, diagnostics
-    return policy
 
 
 @pytest.fixture

@@ -9,39 +9,27 @@ catch that in the unit suite.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-import cpcompat.cli
 import cpcompat.comparison
 import cpcompat.merger
-import cpcompat.scoring
 from cpcompat.acceptance import evaluate
-from cpcompat.model import ComparisonMode, ComparisonReport
+from cpcompat.model import ComparisonMode
 from cpcompat.parser import parse_policy
 
-BOUNDARIES = [
-    (cpcompat.cli, "main"),
-    (cpcompat.cli, "parse_policy"),
-    (cpcompat.cli, "render_policy"),
-    (cpcompat.cli, "compare"),
-    (cpcompat.cli, "report_to_json"),
-    (cpcompat.cli, "parse_rules"),
-    (cpcompat.cli, "evaluate"),
-    (cpcompat.cli, "merge"),
-    (cpcompat.comparison, "score_paragraph_options"),
-    (cpcompat.comparison, "score_option_lists"),
-    (cpcompat.scoring, "match_options"),
-    (cpcompat.merger, "match_options"),
-    (ComparisonReport, "find"),
-]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from spans import BOUNDARIES, boundary_name  # noqa: E402
 
 
 @pytest.mark.parametrize(
     "owner, attribute",
-    BOUNDARIES,
-    ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in BOUNDARIES],
+    [(owner, attribute) for owner, attribute, _ in BOUNDARIES],
+    ids=[boundary_name(owner, attribute) for owner, attribute, _ in BOUNDARIES],
 )
 def test_boundary_is_an_attribute_of_its_owner(owner, attribute):
     # The tracer looks the name up in the owner's own namespace, so a name
