@@ -34,6 +34,7 @@ import gc
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from .acceptance import RuleError, Verdict, evaluate, parse_rules
 from .comparison import compare, report_to_json
@@ -58,7 +59,7 @@ class _Exit(SystemExit):
     """
 
 
-def _to_null_device(stream) -> None:
+def _to_null_device(stream: TextIO) -> None:
     """Point ``stream``'s descriptor at the null device after a write to it
     failed, so the interpreter's flush at exit neither fails nor reports it."""
     devnull = os.open(os.devnull, os.O_WRONLY)
