@@ -11,13 +11,18 @@ arguments straight to its body, ``_validate``, ``_compare`` or ``_merge``.
 
 Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
-summary go to stderr. A failed write to stderr is dropped and does not
-change the exit code.
+summary go to stderr. By default stderr stays short: one line per
+diagnostic code, with a count of the rest, and the overall scores.
+``--verbose`` lists every diagnostic and adds the per-section table,
+which the report also holds; nothing else changes. A failed write to
+stderr is dropped and does not change the exit code, and so is a failed
+write of argparse's help or usage text.
 
-Exit codes: 0 success (and, with rules, acceptance); 1 file or stdout
-I/O problem; 2 parse errors, including input that is not UTF-8; 3 rules
-rejected the combination; 4 the rules file itself is unusable; 6 an
-unexpected exception, reported as one stderr line with no traceback.
+Exit codes: 0 success (and, with rules, acceptance), or help; 1 file or
+stdout I/O problem; 2 parse errors, including input that is not UTF-8,
+and usage errors; 3 rules rejected the combination; 4 the rules file
+itself is unusable; 6 an unexpected exception, reported as one stderr
+line with no traceback.
 Code 5 is retired: every merged policy can be written in the text format.
 
 ``main`` pauses the cyclic garbage collector for the length of one
@@ -33,6 +38,7 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TextIO
 
@@ -80,8 +86,9 @@ def _say(*lines: str) -> None:
         _to_null_device(sys.stderr)
 
 
-def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
-    """Read and parse one policy file, reporting diagnostics to stderr.
+def _load_policy(path: str, verbose: bool) -> tuple[Policy | None, list[ParseDiagnostic]]:
+    """Read and parse one policy file, reporting diagnostics to stderr:
+    each of them with ``verbose``, else one line per code.
 
     The policy is None when the file is not UTF-8 or does not parse; an
     unreadable file ends the command with exit code 1.
@@ -98,8 +105,24 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
     # become U+FFFD, so the name can be written as UTF-8 like the report.
     name = os.fsencode(Path(path).stem).decode(sys.getfilesystemencoding(), "replace")
     policy, diagnostics = parse_policy(text, name=name)
-    _say(*[f"{path}: {diagnostic}" for diagnostic in diagnostics])
+    if verbose:
+        _say(*[f"{path}: {diagnostic}" for diagnostic in diagnostics])
+    else:
+        _say(*_by_code(path, diagnostics))
     return policy, diagnostics
+
+
+def _by_code(path: str, diagnostics: list[ParseDiagnostic]) -> list[str]:
+    """One line per diagnostic code, in the order the codes first appear:
+    the code's first diagnostic, then how many more of that code follow."""
+    counts = Counter([diagnostic.code for diagnostic in diagnostics])
+    first: dict[str, ParseDiagnostic] = {}
+    for diagnostic in diagnostics:
+        first.setdefault(diagnostic.code, diagnostic)
+    return [
+        f"{path}: {diagnostic}" + (f" (and {counts[code] - 1} more)" if counts[code] > 1 else "")
+        for code, diagnostic in first.items()
+    ]
 
 
 def _verdict(report: ComparisonReport, rules: str) -> Verdict:
@@ -110,9 +133,11 @@ def _verdict(report: ComparisonReport, rules: str) -> Verdict:
         raise _Exit(EXIT_RULES) from None
 
 
-def _summarize(report: ComparisonReport) -> None:
+def _summarize(report: ComparisonReport, verbose: bool) -> None:
+    """The header, the per-section table with ``verbose``, and both overall
+    scores, on stderr."""
     lines = [f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode._value_} semantics)"]
-    if report.paragraph_scores:
+    if verbose and report.paragraph_scores:
         lines.append(f"  {'section':<12} {'score':>8}  {'weight':>6}  status")
         lines.extend(
             f"  {row.path.dotted:<12} {row.combined_score:>8.2f}  "
@@ -149,7 +174,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _validate(arguments: argparse.Namespace) -> int:
-    policy, diagnostics = _load_policy(arguments.file)
+    policy, diagnostics = _load_policy(arguments.file, arguments.verbose)
     if policy is None:
         return EXIT_PARSE
     warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
@@ -163,8 +188,8 @@ def _compared(
 ) -> tuple[Policy, Policy, ComparisonReport, Verdict | None]:
     """Shared front half of compare and merge: both policies, the report
     and, with rules, the verdict."""
-    policy_a, _ = _load_policy(arguments.file_a)
-    policy_b, _ = _load_policy(arguments.file_b)
+    policy_a, _ = _load_policy(arguments.file_a, arguments.verbose)
+    policy_b, _ = _load_policy(arguments.file_b, arguments.verbose)
     if policy_a is None or policy_b is None:
         raise _Exit(EXIT_PARSE)
     report = compare(policy_a, policy_b, ComparisonMode(arguments.mode))
@@ -175,7 +200,7 @@ def _compared(
 def _compare(arguments: argparse.Namespace) -> int:
     _, _, report, verdict = _compared(arguments)
     _write_or_print(report_to_json(report) + "\n", arguments.report)
-    _summarize(report)
+    _summarize(report, arguments.verbose)
     if verdict is None:
         return EXIT_OK
     _announce(verdict)
@@ -186,7 +211,7 @@ def _merge(arguments: argparse.Namespace) -> int:
     policy_a, policy_b, report, verdict = _compared(arguments)
     if verdict is None:
         verdict = evaluate(report, [])
-    _summarize(report)
+    _summarize(report, arguments.verbose)
     _announce(verdict)
     try:
         merged = merge(policy_a, policy_b, report, verdict)
@@ -206,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
 
     validate = commands.add_parser("validate", help="check that a policy file parses")
     validate.add_argument("file", help="policy text file")
+    validate.add_argument("--verbose", action="store_true", help="list every diagnostic")
     validate.set_defaults(run=_validate)
 
     def add_pair_arguments(command: argparse.ArgumentParser) -> None:
@@ -218,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
             help="merger of equals or acquisition (default: merge)",
         )
         command.add_argument("--rules", help="acceptance rules file")
+        command.add_argument(
+            "--verbose",
+            action="store_true",
+            help="list every diagnostic, and the score of every section",
+        )
 
     comparison = commands.add_parser("compare", help="score two policies")
     add_pair_arguments(comparison)
@@ -229,7 +260,17 @@ def main(argv: list[str] | None = None) -> int:
     merger.add_argument("--out", help="write the merged policy here instead of stdout")
     merger.set_defaults(run=_merge)
 
-    arguments = parser.parse_args(argv)
+    try:
+        arguments = parser.parse_args(argv)
+    except SystemExit as stop:
+        # Argparse has written help or a usage error. Flush it here, so that
+        # a closed pipe drops it as _say would, with argparse's own code.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                _to_null_device(stream)
+        return stop.code
     collecting = gc.isenabled()
     gc.disable()
     try:

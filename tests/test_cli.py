@@ -121,6 +121,39 @@ class TestValidate:
         assert main(["validate", str(file)]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_one_line_per_diagnostic_code_unless_verbose(self, tmp_path, capsys):
+        file = tmp_path / "warn.txt"
+        file.write_text(
+            "1 top\n2 next\n3 LAST\n3.1 A\n3.1.1 B\n3.1.1.1 C\n3.1.1.1.1 D\n3.1.1.1.2 E\n4 end\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(file)]) == 0
+        default = capsys.readouterr().err
+        assert main(["validate", str(file), "--verbose"]) == 0
+        verbose = capsys.readouterr().err
+        lines = verbose.splitlines()
+        assert [line.split(": ")[1:3] for line in lines[:-1]] == [
+            ["line 1", "WARNING MAIN_SECTION_NOT_CAPS"],
+            ["line 2", "WARNING MAIN_SECTION_NOT_CAPS"],
+            ["line 7", "WARNING DEPTH_EXCEEDS_4"],
+            ["line 8", "WARNING DEPTH_EXCEEDS_4"],
+            ["line 9", "WARNING MAIN_SECTION_NOT_CAPS"],
+        ]
+        assert default.splitlines() == [
+            lines[0] + " (and 2 more)",
+            lines[2] + " (and 1 more)",
+            lines[-1],
+        ]
+        assert lines[-1] == f"{file}: valid, 9 paragraphs, 5 warnings"
+
+    def test_errors_are_one_line_per_code_too(self, tmp_path, capsys):
+        file = tmp_path / "bad.txt"
+        file.write_text("1 TOP\n1 TOP\n2 NEXT\n2 NEXT\n", encoding="utf-8")
+        assert main(["validate", str(file)]) == 2
+        assert capsys.readouterr().err == (
+            f"{file}: line 2: ERROR DUPLICATE_SECTION: section 1 already defined (and 1 more)\n"
+        )
+
     def test_byte_order_mark_is_ignored(self, tmp_path, sample_policy_text, capsys):
         file = tmp_path / "bom.txt"
         file.write_text(sample_policy_text, encoding="utf-8-sig")
@@ -141,11 +174,22 @@ class TestCompare:
         assert data["policy_b_name"] == "b"
 
     def test_human_summary_on_stderr(self, policy_files, capsys):
+        # The overall scores by default; the per-section table too with
+        # --verbose, and nothing else changes.
         file_a, file_b = policy_files
-        main(["compare", str(file_a), str(file_b)])
-        err = capsys.readouterr().err
-        assert "32.50" in err
-        assert "1 " in err or "1\t" in err
+        overall = ["overall weighted:   32.50", "overall unweighted: 32.50"]
+        assert main(["compare", str(file_a), str(file_b)]) == 0
+        default = capsys.readouterr()
+        assert default.err.splitlines() == ["a vs b (merge semantics)", *overall]
+        assert main(["compare", str(file_a), str(file_b), "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.err.splitlines() == [
+            "a vs b (merge semantics)",
+            "  section         score  weight  status",
+            "  1               32.50       1  matched",
+            *overall,
+        ]
+        assert verbose.out == default.out
 
     def test_acquire_mode(self, policy_files, capsys):
         file_a, file_b = policy_files
@@ -552,10 +596,30 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
 
-    def test_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+    def test_usage_error(self, capsys):
+        assert main(["frobnicate"]) == 2
+        assert capsys.readouterr().err.startswith("usage: cpcompat")
 
     def test_no_arguments_shows_usage(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
+        assert main([]) == 2
+        assert capsys.readouterr().err.startswith("usage: cpcompat")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: cpcompat")
+
+    @pytest.mark.parametrize(
+        "argv, closed, expected",
+        [
+            (["--help"], "stdout", 0),
+            (["compare", "--help"], "stdout", 0),
+            (["bogus"], "stderr", 2),
+            ([], "stderr", 2),
+        ],
+        ids=["help", "compare-help", "bogus", "no-arguments"],
+    )
+    def test_argparse_output_on_a_closed_pipe_keeps_its_code(self, argv, closed, expected):
+        result = run_on_closed_pipe(*argv, closed=(closed,))
+        assert result.returncode == expected
+        assert "Exception ignored" not in (result.stderr or "")

@@ -4,7 +4,10 @@ Each Python example is executed with the names it assumes already bound:
 ``text_a`` and ``text_b`` hold two policies, and ``report`` is their
 comparison, which has the sections 1 and 6.1 the examples name. The JSON
 report schema of CLI.md lists the keys the report writer writes, and
-FORMAT.md's diagnostics tables list the codes the parser reports.
+FORMAT.md's diagnostics tables list the codes the parser reports. CLI.md's
+synopsis of each command names the options of its ``--help``, and the
+shell transcripts of README's quick start and CLI.md's ``compare`` show
+what ``main`` writes to stderr for README's two policies.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import ast
 import json
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
@@ -19,6 +23,7 @@ import pytest
 
 import cpcompat
 from cpcompat import ComparisonMode, compare, parse_policy, report_to_json
+from cpcompat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,3 +97,49 @@ def test_diagnostics_tables_list_the_parser_codes():
         )
     }
     assert tables == {"Errors": codes["error"], "Warnings": codes["warn"]}
+
+
+@pytest.mark.parametrize("command", ["validate", "compare", "merge"])
+def test_synopsis_names_the_options_of_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    synopsis = re.search(r"```\n(.*?)```", section("CLI.md", f"cpcompat {command}"), re.DOTALL)
+    options = re.findall(r"--[\w-]+", usage)
+    assert options and set(re.findall(r"--[\w-]+", synopsis.group(1))) == set(options)
+
+
+def quick_start_blocks() -> list[str]:
+    """README's quick start: both policies, the compare command, its stderr, ..."""
+    return re.findall(r"```\w*\n(.*?)```", section("README.md", "Quick start"), re.DOTALL)
+
+
+TRANSCRIPTS = {
+    "README.md Quick start": lambda: "".join(quick_start_blocks()[2:4]),
+    "CLI.md cpcompat compare": lambda: re.findall(
+        r"```\n(.*?)```", section("CLI.md", "cpcompat compare"), re.DOTALL
+    )[1],
+}
+
+
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_transcript_shows_what_main_writes_to_stderr(name, tmp_path, monkeypatch, capsys):
+    """Replays a transcript over README's two policies, ours.txt and
+    theirs.txt: ``$ cat FILE`` writes the lines after it to FILE, the lines
+    after ``$ cpcompat ...`` are what main writes to stderr, and those after
+    ``$ echo $?`` its exit code."""
+    monkeypatch.chdir(tmp_path)
+    ours, theirs = quick_start_blocks()[:2]
+    Path("ours.txt").write_text(ours, encoding="utf-8")
+    Path("theirs.txt").write_text(theirs, encoding="utf-8")
+    steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", TRANSCRIPTS[name](), re.MULTILINE)
+    assert any(command.startswith("cpcompat ") for command, _ in steps)
+    code = None
+    for command, output in steps:
+        words = shlex.split(command)
+        if words[0] == "cat":
+            Path(words[1]).write_text(output, encoding="utf-8")
+        elif words[0] == "cpcompat":
+            code = main(words[1:])
+            assert capsys.readouterr().err == output, command
+        else:
+            assert (command, output) == ("echo $?", f"{code}\n")
