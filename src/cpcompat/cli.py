@@ -11,12 +11,11 @@ arguments straight to its body, ``_validate``, ``_compare`` or ``_merge``.
 
 Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
-summary go to stderr. By default stderr stays short: one line per
-diagnostic code, with a count of the rest, and the overall scores.
-``--verbose`` lists every diagnostic and adds the per-section table,
-which the report also holds; nothing else changes. A failed write to
-stderr is dropped and does not change the exit code, and so is a failed
-write of argparse's help or usage text.
+summary go to stderr. ``validate`` lists every diagnostic; ``compare``
+and ``merge`` write one line per diagnostic code, with a count of the
+rest, and the overall scores: the score of each section is in the
+report. A failed write to stderr is dropped and does not change the exit
+code, and so is a failed write of argparse's help or usage text.
 
 Exit codes: 0 success (and, with rules, acceptance), or help; 1 file or
 stdout I/O problem; 2 parse errors, including input that is not UTF-8,
@@ -38,7 +37,6 @@ import argparse
 import gc
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import TextIO
 
@@ -86,9 +84,8 @@ def _say(*lines: str) -> None:
         _to_null_device(sys.stderr)
 
 
-def _load_policy(path: str, verbose: bool) -> tuple[Policy | None, list[ParseDiagnostic]]:
-    """Read and parse one policy file, reporting diagnostics to stderr:
-    each of them with ``verbose``, else one line per code.
+def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
+    """Read and parse one policy file; the caller reports the diagnostics.
 
     The policy is None when the file is not UTF-8 or does not parse; an
     unreadable file ends the command with exit code 1.
@@ -104,24 +101,18 @@ def _load_policy(path: str, verbose: bool) -> tuple[Policy | None, list[ParseDia
     # A file name is bytes; those the file system encoding cannot decode
     # become U+FFFD, so the name can be written as UTF-8 like the report.
     name = os.fsencode(Path(path).stem).decode(sys.getfilesystemencoding(), "replace")
-    policy, diagnostics = parse_policy(text, name=name)
-    if verbose:
-        _say(*[f"{path}: {diagnostic}" for diagnostic in diagnostics])
-    else:
-        _say(*_by_code(path, diagnostics))
-    return policy, diagnostics
+    return parse_policy(text, name=name)
 
 
 def _by_code(path: str, diagnostics: list[ParseDiagnostic]) -> list[str]:
     """One line per diagnostic code, in the order the codes first appear:
     the code's first diagnostic, then how many more of that code follow."""
-    counts = Counter([diagnostic.code for diagnostic in diagnostics])
-    first: dict[str, ParseDiagnostic] = {}
+    groups: dict[str, list[ParseDiagnostic]] = {}
     for diagnostic in diagnostics:
-        first.setdefault(diagnostic.code, diagnostic)
+        groups.setdefault(diagnostic.code, []).append(diagnostic)
     return [
-        f"{path}: {diagnostic}" + (f" (and {counts[code] - 1} more)" if counts[code] > 1 else "")
-        for code, diagnostic in first.items()
+        f"{path}: {group[0]}" + (f" (and {len(group) - 1} more)" if len(group) > 1 else "")
+        for group in groups.values()
     ]
 
 
@@ -133,20 +124,12 @@ def _verdict(report: ComparisonReport, rules: str) -> Verdict:
         raise _Exit(EXIT_RULES) from None
 
 
-def _summarize(report: ComparisonReport, verbose: bool) -> None:
-    """The header, the per-section table with ``verbose``, and both overall
-    scores, on stderr."""
-    lines = [f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode._value_} semantics)"]
-    if verbose and report.paragraph_scores:
-        lines.append(f"  {'section':<12} {'score':>8}  {'weight':>6}  status")
-        lines.extend(
-            f"  {row.path.dotted:<12} {row.combined_score:>8.2f}  "
-            f"{row.weight:>6}  {row.match_status._value_}"
-            for row in report.paragraph_scores
-        )
-    lines.append(f"overall weighted:   {report.overall_weighted:.2f}")
-    lines.append(f"overall unweighted: {report.overall_unweighted:.2f}")
-    _say(*lines)
+def _summarize(report: ComparisonReport) -> None:
+    _say(
+        f"{report.policy_a_name} vs {report.policy_b_name} ({report.mode._value_} semantics)",
+        f"overall weighted:   {report.overall_weighted:.2f}",
+        f"overall unweighted: {report.overall_unweighted:.2f}",
+    )
 
 
 def _announce(verdict: Verdict) -> None:
@@ -174,7 +157,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _validate(arguments: argparse.Namespace) -> int:
-    policy, diagnostics = _load_policy(arguments.file, arguments.verbose)
+    policy, diagnostics = _load_policy(arguments.file)
+    _say(*[f"{arguments.file}: {diagnostic}" for diagnostic in diagnostics])
     if policy is None:
         return EXIT_PARSE
     warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
@@ -187,9 +171,12 @@ def _compared(
     arguments: argparse.Namespace,
 ) -> tuple[Policy, Policy, ComparisonReport, Verdict | None]:
     """Shared front half of compare and merge: both policies, the report
-    and, with rules, the verdict."""
-    policy_a, _ = _load_policy(arguments.file_a, arguments.verbose)
-    policy_b, _ = _load_policy(arguments.file_b, arguments.verbose)
+    and, with rules, the verdict. Each file's diagnostics are folded to
+    one line per code."""
+    policy_a, diagnostics = _load_policy(arguments.file_a)
+    _say(*_by_code(arguments.file_a, diagnostics))
+    policy_b, diagnostics = _load_policy(arguments.file_b)
+    _say(*_by_code(arguments.file_b, diagnostics))
     if policy_a is None or policy_b is None:
         raise _Exit(EXIT_PARSE)
     report = compare(policy_a, policy_b, ComparisonMode(arguments.mode))
@@ -200,7 +187,7 @@ def _compared(
 def _compare(arguments: argparse.Namespace) -> int:
     _, _, report, verdict = _compared(arguments)
     _write_or_print(report_to_json(report) + "\n", arguments.report)
-    _summarize(report, arguments.verbose)
+    _summarize(report)
     if verdict is None:
         return EXIT_OK
     _announce(verdict)
@@ -211,7 +198,7 @@ def _merge(arguments: argparse.Namespace) -> int:
     policy_a, policy_b, report, verdict = _compared(arguments)
     if verdict is None:
         verdict = evaluate(report, [])
-    _summarize(report, arguments.verbose)
+    _summarize(report)
     _announce(verdict)
     try:
         merged = merge(policy_a, policy_b, report, verdict)
@@ -231,7 +218,6 @@ def main(argv: list[str] | None = None) -> int:
 
     validate = commands.add_parser("validate", help="check that a policy file parses")
     validate.add_argument("file", help="policy text file")
-    validate.add_argument("--verbose", action="store_true", help="list every diagnostic")
     validate.set_defaults(run=_validate)
 
     def add_pair_arguments(command: argparse.ArgumentParser) -> None:
@@ -244,11 +230,6 @@ def main(argv: list[str] | None = None) -> int:
             help="merger of equals or acquisition (default: merge)",
         )
         command.add_argument("--rules", help="acceptance rules file")
-        command.add_argument(
-            "--verbose",
-            action="store_true",
-            help="list every diagnostic, and the score of every section",
-        )
 
     comparison = commands.add_parser("compare", help="score two policies")
     add_pair_arguments(comparison)

@@ -55,6 +55,18 @@ def run_on_closed_pipe(*arguments: str, closed: tuple[str, ...]) -> subprocess.C
 
 
 @pytest.fixture
+def warned_file(tmp_path):
+    """A policy with three MAIN_SECTION_NOT_CAPS and two DEPTH_EXCEEDS_4
+    warnings, interleaved."""
+    file = tmp_path / "warn.txt"
+    file.write_text(
+        "1 top\n2 next\n3 LAST\n3.1 A\n3.1.1 B\n3.1.1.1 C\n3.1.1.1.1 D\n3.1.1.1.2 E\n4 end\n",
+        encoding="utf-8",
+    )
+    return file
+
+
+@pytest.fixture
 def policy_files(tmp_path, worked_policy_a_text, worked_policy_b_text):
     file_a = tmp_path / "a.txt"
     file_b = tmp_path / "b.txt"
@@ -121,17 +133,9 @@ class TestValidate:
         assert main(["validate", str(file)]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
-    def test_one_line_per_diagnostic_code_unless_verbose(self, tmp_path, capsys):
-        file = tmp_path / "warn.txt"
-        file.write_text(
-            "1 top\n2 next\n3 LAST\n3.1 A\n3.1.1 B\n3.1.1.1 C\n3.1.1.1.1 D\n3.1.1.1.2 E\n4 end\n",
-            encoding="utf-8",
-        )
-        assert main(["validate", str(file)]) == 0
-        default = capsys.readouterr().err
-        assert main(["validate", str(file), "--verbose"]) == 0
-        verbose = capsys.readouterr().err
-        lines = verbose.splitlines()
+    def test_lists_every_diagnostic(self, warned_file, capsys):
+        assert main(["validate", str(warned_file)]) == 0
+        lines = capsys.readouterr().err.splitlines()
         assert [line.split(": ")[1:3] for line in lines[:-1]] == [
             ["line 1", "WARNING MAIN_SECTION_NOT_CAPS"],
             ["line 2", "WARNING MAIN_SECTION_NOT_CAPS"],
@@ -139,20 +143,7 @@ class TestValidate:
             ["line 8", "WARNING DEPTH_EXCEEDS_4"],
             ["line 9", "WARNING MAIN_SECTION_NOT_CAPS"],
         ]
-        assert default.splitlines() == [
-            lines[0] + " (and 2 more)",
-            lines[2] + " (and 1 more)",
-            lines[-1],
-        ]
-        assert lines[-1] == f"{file}: valid, 9 paragraphs, 5 warnings"
-
-    def test_errors_are_one_line_per_code_too(self, tmp_path, capsys):
-        file = tmp_path / "bad.txt"
-        file.write_text("1 TOP\n1 TOP\n2 NEXT\n2 NEXT\n", encoding="utf-8")
-        assert main(["validate", str(file)]) == 2
-        assert capsys.readouterr().err == (
-            f"{file}: line 2: ERROR DUPLICATE_SECTION: section 1 already defined (and 1 more)\n"
-        )
+        assert lines[-1] == f"{warned_file}: valid, 9 paragraphs, 5 warnings"
 
     def test_byte_order_mark_is_ignored(self, tmp_path, sample_policy_text, capsys):
         file = tmp_path / "bom.txt"
@@ -174,22 +165,30 @@ class TestCompare:
         assert data["policy_b_name"] == "b"
 
     def test_human_summary_on_stderr(self, policy_files, capsys):
-        # The overall scores by default; the per-section table too with
-        # --verbose, and nothing else changes.
+        # The header and both overall scores; each section's score is in
+        # the report only.
         file_a, file_b = policy_files
-        overall = ["overall weighted:   32.50", "overall unweighted: 32.50"]
         assert main(["compare", str(file_a), str(file_b)]) == 0
-        default = capsys.readouterr()
-        assert default.err.splitlines() == ["a vs b (merge semantics)", *overall]
-        assert main(["compare", str(file_a), str(file_b), "--verbose"]) == 0
-        verbose = capsys.readouterr()
-        assert verbose.err.splitlines() == [
+        assert capsys.readouterr().err.splitlines() == [
             "a vs b (merge semantics)",
-            "  section         score  weight  status",
-            "  1               32.50       1  matched",
-            *overall,
+            "overall weighted:   32.50",
+            "overall unweighted: 32.50",
         ]
-        assert verbose.out == default.out
+
+    def test_one_line_per_diagnostic_code(self, warned_file, capsys):
+        assert main(["validate", str(warned_file)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert main(["compare", str(warned_file), str(warned_file)]) == 0
+        folded = [lines[0] + " (and 2 more)", lines[2] + " (and 1 more)"]
+        assert capsys.readouterr().err.splitlines()[:4] == folded * 2
+
+    def test_errors_are_one_line_per_code_too(self, tmp_path, policy_files, capsys):
+        file = tmp_path / "bad.txt"
+        file.write_text("1 TOP\n1 TOP\n2 NEXT\n2 NEXT\n", encoding="utf-8")
+        assert main(["compare", str(file), str(policy_files[1])]) == 2
+        assert capsys.readouterr().err == (
+            f"{file}: line 2: ERROR DUPLICATE_SECTION: section 1 already defined (and 1 more)\n"
+        )
 
     def test_acquire_mode(self, policy_files, capsys):
         file_a, file_b = policy_files

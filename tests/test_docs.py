@@ -104,20 +104,35 @@ def test_synopsis_names_the_options_of_help(command, capsys):
     assert main([command, "--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n", 1)[0]
     synopsis = re.search(r"```\n(.*?)```", section("CLI.md", f"cpcompat {command}"), re.DOTALL)
-    options = re.findall(r"--[\w-]+", usage)
-    assert options and set(re.findall(r"--[\w-]+", synopsis.group(1))) == set(options)
+    assert usage.startswith(f"usage: cpcompat {command} ")
+    assert set(re.findall(r"--[\w-]+", synopsis.group(1))) == set(re.findall(r"--[\w-]+", usage))
 
 
-def quick_start_blocks() -> list[str]:
-    """README's quick start: both policies, the compare command, its stderr, ..."""
-    return re.findall(r"```\w*\n(.*?)```", section("README.md", "Quick start"), re.DOTALL)
+def code_blocks(document: str, heading: str) -> list[str]:
+    return re.findall(r"```\w*\n(.*?)```", section(document, heading), re.DOTALL)
+
+
+def transcript(document: str, heading: str) -> str:
+    """The section's first block of ``$ `` commands, followed by the block
+    after it unless that one starts with a command too: README shows a
+    command's output in a block of its own."""
+    blocks = code_blocks(document, heading)
+    index = next(i for i, block in enumerate(blocks) if block.startswith("$ "))
+    following = [block for block in blocks[index + 1 : index + 2] if not block.startswith("$ ")]
+    return "".join([blocks[index], *following])
+
+
+def readme_policies() -> list[str]:
+    """README's two policies, ours and theirs, in the quick start."""
+    blocks = code_blocks("README.md", "Quick start")
+    policies = [block for block in blocks if block.startswith("1 ")]
+    assert len(policies) == 2
+    return policies
 
 
 TRANSCRIPTS = {
-    "README.md Quick start": lambda: "".join(quick_start_blocks()[2:4]),
-    "CLI.md cpcompat compare": lambda: re.findall(
-        r"```\n(.*?)```", section("CLI.md", "cpcompat compare"), re.DOTALL
-    )[1],
+    "README.md Quick start": ("README.md", "Quick start"),
+    "CLI.md cpcompat compare": ("CLI.md", "cpcompat compare"),
 }
 
 
@@ -128,10 +143,11 @@ def test_transcript_shows_what_main_writes_to_stderr(name, tmp_path, monkeypatch
     after ``$ cpcompat ...`` are what main writes to stderr, and those after
     ``$ echo $?`` its exit code."""
     monkeypatch.chdir(tmp_path)
-    ours, theirs = quick_start_blocks()[:2]
+    ours, theirs = readme_policies()
     Path("ours.txt").write_text(ours, encoding="utf-8")
     Path("theirs.txt").write_text(theirs, encoding="utf-8")
-    steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", TRANSCRIPTS[name](), re.MULTILINE)
+    shown = transcript(*TRANSCRIPTS[name])
+    steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", shown, re.MULTILINE)
     assert any(command.startswith("cpcompat ") for command, _ in steps)
     code = None
     for command, output in steps:
