@@ -101,6 +101,9 @@ class AcceptanceRule:
 
 @dataclass(frozen=True)
 class RuleFailure:
+    """A rule that the report did not satisfy, with the score it read
+    (``actual``); ``message`` says both in one line."""
+
     rule: AcceptanceRule
     actual: float
 
@@ -111,6 +114,10 @@ class RuleFailure:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of evaluating rules against a report: one failure per
+    unsatisfied rule, in the order of the rules. ``accepted`` holds when
+    there are none, and only an accepted verdict unlocks a merge."""
+
     failures: tuple[RuleFailure, ...]
 
     @property

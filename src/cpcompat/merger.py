@@ -100,7 +100,10 @@ def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragra
         annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective._name_}")
 
     comments = list(paragraph_a.comments)
-    comments.extend(c for c in paragraph_b.comments if c not in paragraph_a.comments)
+    # A set, so the union is linear in the comment counts; B keeps its
+    # order and its own repeats.
+    comments_a = set(comments)
+    comments.extend(c for c in paragraph_b.comments if c not in comments_a)
     comments.extend(annotations)
 
     return Paragraph(

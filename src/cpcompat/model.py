@@ -5,12 +5,23 @@ the RFC 3647 framework: main sections, nested subsections, and per-paragraph
 requirement options that may carry an RFC 2119 keyword.  Everything in this
 module is immutable after construction, so parsed policies and comparison
 reports can be shared freely across threads.
+
+The value classes built by the thousand per parse or compare
+(``NumberPath``, ``PolicyOption``, ``Paragraph``, ``ParagraphScore``,
+``ComparisonDiagnostic`` and the parser's ``ParseDiagnostic``) are slotted
+and write their own ``__init__``: it checks its arguments and stores each
+through its field's slot descriptor (:func:`slot_setters`), where the
+generated one of a frozen dataclass goes through ``object.__setattr__``
+and a ``__post_init__`` call for every object. ``dataclass`` still writes
+their repr, equality, hashing, pickling and frozen ``__setattr__``, and
+``dataclasses.replace`` calls the same ``__init__``, so it makes every
+check too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -137,25 +148,34 @@ class MatchStatus(Enum):
     BOTH_EMPTY = "both_empty"
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order, for
+    a hand-written ``__init__`` to store its checked arguments with. Call it
+    on the class that ``@dataclass(slots=True)`` returns, which is a new
+    class, after the class statement."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NumberPath:
     """Hierarchical section number such as 1.3.1.1."""
 
     segments: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.segments) is not tuple:
-            object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+    def __init__(self, segments: tuple[int, ...]) -> None:
+        if type(segments) is not tuple:
+            segments = tuple(segments)
+        if not segments:
             raise ValueError("number path needs at least one segment")
         # Only an int is written as digits; a bool or float would render as
         # a heading the parser reads back differently.
-        if {*map(type, self.segments)} != _INT_ONLY:
-            raise ValueError(f"number path segments must be int, got {self.segments!r}")
-        if min(self.segments) < 1:
-            raise ValueError(f"number path segments must be >= 1, got {self.segments}")
-        if len(self.segments) > MAX_DEPTH:
+        if {*map(type, segments)} != _INT_ONLY:
+            raise ValueError(f"number path segments must be int, got {segments!r}")
+        if min(segments) < 1:
+            raise ValueError(f"number path segments must be >= 1, got {segments}")
+        if len(segments) > MAX_DEPTH:
             raise ValueError(f"number path has more than {MAX_DEPTH} segments")
+        _set_segments(self, segments)
 
     @classmethod
     def parse(cls, dotted: str) -> "NumberPath":
@@ -171,7 +191,10 @@ class NumberPath:
         return self.dotted
 
 
-@dataclass(frozen=True, slots=True)
+(_set_segments,) = slot_setters(NumberPath)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PolicyOption:
     """One option line of a paragraph.
 
@@ -186,12 +209,17 @@ class PolicyOption:
     phrase: str
     keyword: Keyword | None = None
 
-    def __post_init__(self) -> None:
-        _check_line(self.phrase, "option phrase")
-        if self.keyword is not None:
-            _check_type(self.keyword, Keyword, "option keyword")
-        elif self.phrase.partition(" ")[0] in KEYWORDS:
-            raise ValueError(f"option phrase without a keyword starts with one: {self.phrase!r}")
+    def __init__(self, phrase: str, keyword: Keyword | None = None) -> None:
+        _check_line(phrase, "option phrase")
+        if keyword is not None:
+            _check_type(keyword, Keyword, "option keyword")
+        elif phrase.partition(" ")[0] in KEYWORDS:
+            raise ValueError(f"option phrase without a keyword starts with one: {phrase!r}")
+        _set_phrase(self, phrase)
+        _set_keyword(self, keyword)
+
+
+_set_phrase, _set_keyword = slot_setters(PolicyOption)
 
 
 def option_keyword_value(option: PolicyOption) -> float:
@@ -228,7 +256,7 @@ def _check_children(
         previous_segment = segment
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Paragraph:
     """One numbered section of a policy with its options and subparagraphs.
 
@@ -244,22 +272,35 @@ class Paragraph:
     comments: tuple[str, ...] = ()
     children: tuple["Paragraph", ...] = ()
 
-    def __post_init__(self) -> None:
-        _check_type(self.path, NumberPath, "paragraph path")
-        _check_type(self.connective, Connective, "paragraph connective")
-        if type(self.options) is not tuple:
-            object.__setattr__(self, "options", tuple(self.options))
-        if type(self.comments) is not tuple:
-            object.__setattr__(self, "comments", tuple(self.comments))
-        if type(self.children) is not tuple:
-            object.__setattr__(self, "children", tuple(self.children))
-        _check_line(self.title, "title")
-        _check_weight(self.weight)
-        for comment in self.comments:
+    def __init__(self, path: NumberPath, title: str, weight: int = 1,
+                 options: tuple[PolicyOption, ...] = (), connective: Connective = Connective.NONE,
+                 comments: tuple[str, ...] = (), children: tuple["Paragraph", ...] = ()) -> None:
+        _check_type(path, NumberPath, "paragraph path")
+        _check_type(connective, Connective, "paragraph connective")
+        if type(options) is not tuple:
+            options = tuple(options)
+        if type(comments) is not tuple:
+            comments = tuple(comments)
+        if type(children) is not tuple:
+            children = tuple(children)
+        _check_line(title, "title")
+        _check_weight(weight)
+        for comment in comments:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
             _check_line(comment, "comment")
-        _check_children(self.children, self.path.segments, self.path)
+        _check_children(children, path.segments, path)
+        _set_path(self, path)
+        _set_title(self, title)
+        _set_weight(self, weight)
+        _set_options(self, options)
+        _set_connective(self, connective)
+        _set_comments(self, comments)
+        _set_children(self, children)
+
+
+(_set_path, _set_title, _set_weight, _set_options,
+ _set_connective, _set_comments, _set_children) = slot_setters(Paragraph)
 
 
 @dataclass(frozen=True)
@@ -284,7 +325,7 @@ class Policy:
             pending.extend(reversed(paragraph.children))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParagraphScore:
     """Scores for one aligned paragraph pair.
 
@@ -301,14 +342,25 @@ class ParagraphScore:
     weight: int
     match_status: MatchStatus
 
-    def __post_init__(self) -> None:
-        _check_type(self.path, NumberPath, "score path")
-        _check_type(self.match_status, MatchStatus, "match_status")
-        _check_score(self.own_score, "own_score")
-        if self.child_aggregate is not None:
-            _check_score(self.child_aggregate, "child_aggregate")
-        _check_score(self.combined_score, "combined_score")
-        _check_weight(self.weight)
+    def __init__(self, path: NumberPath, own_score: float, child_aggregate: float | None,
+                 combined_score: float, weight: int, match_status: MatchStatus) -> None:
+        _check_type(path, NumberPath, "score path")
+        _check_type(match_status, MatchStatus, "match_status")
+        _check_score(own_score, "own_score")
+        if child_aggregate is not None:
+            _check_score(child_aggregate, "child_aggregate")
+        _check_score(combined_score, "combined_score")
+        _check_weight(weight)
+        _set_score_path(self, path)
+        _set_own_score(self, own_score)
+        _set_child_aggregate(self, child_aggregate)
+        _set_combined_score(self, combined_score)
+        _set_score_weight(self, weight)
+        _set_match_status(self, match_status)
+
+
+(_set_score_path, _set_own_score, _set_child_aggregate,
+ _set_combined_score, _set_score_weight, _set_match_status) = slot_setters(ParagraphScore)
 
 
 def weighted_mean(scored: Iterable[tuple[float, int]]) -> float:
@@ -339,7 +391,7 @@ def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
     return weighted, unweighted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComparisonDiagnostic:
     """Structured warning attached to a comparison report."""
 
@@ -347,12 +399,18 @@ class ComparisonDiagnostic:
     path: NumberPath | None
     message: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, code: str, path: NumberPath | None, message: str) -> None:
         # The JSON report writes path as its dotted number or null.
-        _check_type(self.code, str, "diagnostic code")
-        if self.path is not None and not isinstance(self.path, NumberPath):
-            raise ValueError(f"diagnostic path must be a NumberPath or None, got {self.path!r}")
-        _check_type(self.message, str, "diagnostic message")
+        _check_type(code, str, "diagnostic code")
+        if path is not None and not isinstance(path, NumberPath):
+            raise ValueError(f"diagnostic path must be a NumberPath or None, got {path!r}")
+        _check_type(message, str, "diagnostic message")
+        _set_code(self, code)
+        _set_diagnostic_path(self, path)
+        _set_message(self, message)
+
+
+_set_code, _set_diagnostic_path, _set_message = slot_setters(ComparisonDiagnostic)
 
 
 @dataclass(frozen=True)

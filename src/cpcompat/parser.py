@@ -43,6 +43,7 @@ from .model import (
     Paragraph,
     Policy,
     PolicyOption,
+    slot_setters,
 )
 
 __all__ = [
@@ -58,7 +59,7 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParseDiagnostic:
     """One problem found while parsing, tied to a 1-based line number."""
 
@@ -67,8 +68,17 @@ class ParseDiagnostic:
     line: int
     message: str
 
+    def __init__(self, severity: Severity, code: str, line: int, message: str) -> None:
+        _set_severity(self, severity)
+        _set_code(self, code)
+        _set_line(self, line)
+        _set_message(self, message)
+
     def __str__(self) -> str:
         return f"line {self.line}: {self.severity._value_.upper()} {self.code}: {self.message}"
+
+
+_set_severity, _set_code, _set_line, _set_message = slot_setters(ParseDiagnostic)
 
 
 # Numbers are ASCII digits only; ``\s`` is any unicode whitespace, the set

@@ -1,13 +1,16 @@
 """Every name a public ``__all__`` lists resolves, so star imports work.
 
 A stale entry leaves ``import cpcompat`` working but breaks
-``from cpcompat import *``.
+``from cpcompat import *``. The package's ``__version__`` is the one
+pyproject.toml declares.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,11 @@ def test_every_module_with_exports_is_checked():
         "cpcompat.parser",
         "cpcompat.scoring",
     }
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib, which CPython 3.10 lacks.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert cpcompat.__version__ == version

@@ -153,6 +153,18 @@ class TestConflictAnnotations:
         merged = merge_pair(a, b)
         assert merged.roots[0].comments == ("// shared note", "// a note", "// b note")
 
+    def test_comment_union_keeps_a_then_b_order_and_b_repeats(self):
+        a = policy_from("1 T\n// shared\n// only a\n", "A")
+        b = policy_from("1 T\n// only b\n// shared\n// twice in b\n// twice in b\n", "B")
+        merged = merge_pair(a, b)
+        assert merged.roots[0].comments == (
+            "// shared",
+            "// only a",
+            "// only b",
+            "// twice in b",
+            "// twice in b",
+        )
+
 
 class TestMergedPolicyQuality:
     def test_self_merge_is_identity(self, sample_policy_text):

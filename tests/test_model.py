@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import sys
 
@@ -316,9 +317,43 @@ class TestSlottedValues:
             case _:
                 pytest.fail("positional pattern did not match")
 
-    def test_replace_runs_the_checks(self):
-        with pytest.raises(ValueError, match="weight must be >= 1"):
-            dataclasses.replace(self.VALUES[2], weight=0)
+    CHECKED = [
+        (VALUES[0], {"segments": (1, 0)}, "number path segments must be >= 1"),
+        (VALUES[1], {"phrase": " keep logs"}, "option phrase must be non-empty and stripped"),
+        (VALUES[2], {"weight": 0}, "weight must be >= 1"),
+        (VALUES[3], {"combined_score": 101}, "combined_score out of range"),
+        (VALUES[4], {"code": 7}, "diagnostic code must be a str"),
+    ]
+
+    @pytest.mark.parametrize(
+        "value, changes, message", CHECKED, ids=[type(v).__name__ for v, _, _ in CHECKED]
+    )
+    def test_replace_runs_the_checks(self, value, changes, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(value, **changes)
+
+    def test_init_takes_the_fields_in_order_with_their_defaults(self):
+        # The __init__ signatures are written by hand; they follow the fields.
+        for value in self.VALUES:
+            cls = type(value)
+            parameters = list(inspect.signature(cls.__init__).parameters)[1:]
+            assert parameters == [f.name for f in dataclasses.fields(cls)], cls.__name__
+        paragraph = Paragraph(NumberPath((1,)), "TOP")
+        assert (paragraph.weight, paragraph.options, paragraph.connective) == (1, (), Connective.NONE)
+        assert (paragraph.comments, paragraph.children) == ((), ())
+        assert PolicyOption("keep logs").keyword is None
+
+    def test_lists_are_stored_as_tuples(self):
+        child = Paragraph(NumberPath((1, 1)), "Sub")
+        paragraph = Paragraph(
+            NumberPath([1]), "TOP", options=[PolicyOption("x")], comments=["// c"], children=[child]
+        )
+        assert paragraph.path.segments == (1,)
+        assert (paragraph.options, paragraph.comments, paragraph.children) == (
+            (PolicyOption("x"),),
+            ("// c",),
+            (child,),
+        )
 
 
 class TestOnlyWritableTrees:
