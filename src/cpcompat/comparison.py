@@ -9,6 +9,12 @@ count), with the count and weights taken from policy A: the comparing
 party's structure governs. The overall figures are weighted means of the
 top-level rows only; deeper paragraphs contribute through their parents.
 
+:func:`compare` walks the aligned pairs once, backwards, and works out
+each pair's path, status and connective once for its row and its
+diagnostics. It walks backwards because a parent's combined score needs
+its children's, which follow it in preorder; rows and diagnostics are
+gathered last first and reversed once at the end, into pair order.
+
 Lookups by section number, here and in ``ComparisonReport.find``, are
 keyed by the path's segment tuple, which hashes and compares in C; the
 ``__hash__`` and ``__eq__`` that ``dataclass`` generates for
@@ -21,7 +27,7 @@ one string per row and per diagnostic, with the bytes that
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from json.encoder import encode_basestring as _string
 
 from .model import (
@@ -69,69 +75,57 @@ def align(
     return pair_by_path(policy_a.walk(), policy_b.walk())
 
 
-def _row_status(paragraph_a: Paragraph | None, paragraph_b: Paragraph | None) -> MatchStatus:
-    if paragraph_a is None:
-        return MatchStatus.MISSING_IN_A
-    if paragraph_b is None:
-        return MatchStatus.MISSING_IN_B
-    if not paragraph_a.options and not paragraph_b.options:
-        return MatchStatus.BOTH_EMPTY
-    return MatchStatus.MATCHED
-
-
-def _pairing_diagnostics(
-    paragraph_a: Paragraph | None,
-    paragraph_b: Paragraph | None,
-) -> Iterator[ComparisonDiagnostic]:
-    """MISSING_IN_A/B for a one-sided pair, else TITLE_ and CONNECTIVE_MISMATCH."""
-    if paragraph_a is None or paragraph_b is None:
-        code = "MISSING_IN_A" if paragraph_a is None else "MISSING_IN_B"
-        path = (paragraph_a or paragraph_b).path
-        yield ComparisonDiagnostic(code, path, f"section {path.dotted} has no counterpart")
-        return
-    path = paragraph_a.path
-    if titles_differ(paragraph_a.title, paragraph_b.title):
-        yield ComparisonDiagnostic(
-            "TITLE_MISMATCH",
-            path,
-            f"section {path.dotted} is titled "
-            f"{paragraph_a.title!r} in one policy and {paragraph_b.title!r} in the other",
-        )
-    _, conflict = resolve_connective(paragraph_a, paragraph_b)
-    if conflict:
-        yield ComparisonDiagnostic(
-            "CONNECTIVE_MISMATCH",
-            path,
-            f"section {path.dotted} declares "
-            f"{paragraph_a.connective._name_} in one policy and "
-            f"{paragraph_b.connective._name_} in the other; "
-            f"the first policy's connective governs",
-        )
-
-
 def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> ComparisonReport:
     """Compare two policies and report per-paragraph and overall scores.
 
     Rows and diagnostics follow :func:`align`'s pair order.
     """
-    pairs = align(policy_a, policy_b)
-    diagnostics = [d for a, b in pairs for d in _pairing_diagnostics(a, b)]
-
-    # A paragraph's children come after it in preorder, so walking the pairs
-    # backwards has every child's combined score ready for its parent.
+    # One backward walk builds rows and diagnostics alike: a paragraph's
+    # children follow it in preorder, so each child's combined score is
+    # ready for its parent. A pair's diagnostics go in last first too,
+    # CONNECTIVE_ before TITLE_MISMATCH, so reversing both lists at the end
+    # gives pair order with the title first.
     rows: list[ParagraphScore] = []
+    diagnostics: list[ComparisonDiagnostic] = []
     combined: dict[tuple[int, ...], float] = {}
-    for paragraph_a, paragraph_b in reversed(pairs):
+    for paragraph_a, paragraph_b in reversed(align(policy_a, policy_b)):
+        path = (paragraph_a or paragraph_b).path
         if paragraph_a is None or paragraph_b is None:
             # One side is silent: the other side's options face an empty list.
             side = paragraph_a or paragraph_b
             options = (side.options, ()) if paragraph_b is None else ((), side.options)
             own = score_option_lists(*options, side.connective, mode)
+            status = MatchStatus.MISSING_IN_A if paragraph_a is None else MatchStatus.MISSING_IN_B
+            diagnostics.append(
+                ComparisonDiagnostic(status._name_, path, f"section {path.dotted} has no counterpart")
+            )
         else:
             own = score_paragraph_options(paragraph_a, paragraph_b, mode)
+            empty = not (paragraph_a.options or paragraph_b.options)
+            status = MatchStatus.BOTH_EMPTY if empty else MatchStatus.MATCHED
+            _, conflict = resolve_connective(paragraph_a, paragraph_b)
+            if conflict:
+                diagnostics.append(
+                    ComparisonDiagnostic(
+                        "CONNECTIVE_MISMATCH",
+                        path,
+                        f"section {path.dotted} declares "
+                        f"{paragraph_a.connective._name_} in one policy and "
+                        f"{paragraph_b.connective._name_} in the other; "
+                        f"the first policy's connective governs",
+                    )
+                )
+            if titles_differ(paragraph_a.title, paragraph_b.title):
+                diagnostics.append(
+                    ComparisonDiagnostic(
+                        "TITLE_MISMATCH",
+                        path,
+                        f"section {path.dotted} is titled {paragraph_a.title!r} "
+                        f"in one policy and {paragraph_b.title!r} in the other",
+                    )
+                )
         # A B-only paragraph has no declared weight and no subparagraph
         # count from policy A to blend with; its row stands on its own.
-        path = (paragraph_a or paragraph_b).path
         weight = 1 if paragraph_a is None else paragraph_a.weight
         children = () if paragraph_a is None else paragraph_a.children
         aggregate = None
@@ -142,24 +136,13 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
             # the paragraph's own options one unit in all.
             combined_score = weighted_mean(((own, 1), (aggregate, len(children))))
         combined[path.segments] = combined_score
-        rows.append(
-            ParagraphScore(
-                path=path,
-                own_score=own,
-                child_aggregate=aggregate,
-                combined_score=combined_score,
-                weight=weight,
-                match_status=_row_status(paragraph_a, paragraph_b),
-            )
-        )
-    rows.reverse()
-
+        rows.append(ParagraphScore(path, own, aggregate, combined_score, weight, status))
     return ComparisonReport(
         mode=mode,
         policy_a_name=policy_a.name,
         policy_b_name=policy_b.name,
-        paragraph_scores=tuple(rows),
-        diagnostics=tuple(diagnostics),
+        paragraph_scores=tuple(reversed(rows)),
+        diagnostics=tuple(reversed(diagnostics)),
     )
 
 

@@ -43,6 +43,7 @@ from .model import (
     Paragraph,
     Policy,
     PolicyOption,
+    _DOTTED_RE,
     slot_setters,
 )
 
@@ -81,12 +82,12 @@ class ParseDiagnostic:
 _set_severity, _set_code, _set_line, _set_message = slot_setters(ParseDiagnostic)
 
 
-# Numbers are ASCII digits only; ``\s`` is any unicode whitespace, the set
-# str.strip() removes and str.split() splits on, so a title never starts or
-# ends with whitespace. The text after the number is the title, less a last
-# token of ASCII digits after whitespace, which is the weight.
-_HEADING_RE = re.compile(r"([0-9]+(?:\.[0-9]+)*)\s+(.+)")
-_DOTTED_NUMBER_RE = re.compile(r"^[0-9.]+$")
+# The section number is the model's dotted number, ASCII digits only;
+# ``\s`` is any unicode whitespace, the set str.strip() removes and
+# str.split() splits on, so a title never starts or ends with whitespace.
+# The text after the number is the title, less a last token of ASCII digits
+# after whitespace, which is the weight.
+_HEADING_RE = re.compile(rf"({_DOTTED_RE.pattern})\s+(.+)")
 
 # Members by name, looked up without Enum's Python-level __getitem__.
 _CONNECTIVES = {"AND": Connective.AND, "OR": Connective.OR}
@@ -114,11 +115,6 @@ class _Node:
 def _is_weight(token: str) -> bool:
     """Whether the last token of a heading, after its title, is the weight."""
     return token.isascii() and token.isdigit()
-
-
-def _dotted(path: tuple[int, ...]) -> str:
-    """Dotted spelling of a section number, for diagnostics only."""
-    return ".".join(map(str, path))
 
 
 def _freeze(node: _Node) -> Paragraph:
@@ -231,25 +227,25 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
             parent = stack[-1]
             parent_path = path[:-1]
             if path in seen_paths:
-                error("DUPLICATE_SECTION", line_no, f"section {_dotted(path)} already defined")
+                error("DUPLICATE_SECTION", line_no, f"section {NumberPath(path)} already defined")
             elif parent.path != parent_path:
                 if parent_path in seen_paths:
                     error(
                         "SECTION_OUT_OF_ORDER",
                         line_no,
-                        f"section {_dotted(path)} appears after its parent was closed",
+                        f"section {NumberPath(path)} appears after its parent was closed",
                     )
                 else:
                     error(
                         "ORPHAN_SECTION",
                         line_no,
-                        f"section {_dotted(path)} has no parent section {_dotted(parent_path)}",
+                        f"section {NumberPath(path)} has no parent section {NumberPath(parent_path)}",
                     )
             elif parent.children and parent.children[-1].path[-1] >= path[-1]:
                 error(
                     "SECTION_OUT_OF_ORDER",
                     line_no,
-                    f"section {_dotted(path)} does not follow its siblings in order",
+                    f"section {NumberPath(path)} does not follow its siblings in order",
                 )
             else:
                 parent.children.append(node)
@@ -293,7 +289,7 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
 
         if first in ".0123456789":
             token = line.split(None, 1)[0]
-            if _DOTTED_NUMBER_RE.match(token) and "." in token and any(c.isdigit() for c in token):
+            if "." in token and token.isascii() and token.replace(".", "").isdigit():
                 warn(
                     "HEADING_LIKE_OPTION",
                     line_no,

@@ -243,6 +243,16 @@ class TestDiagnostics:
         assert report.diagnostics == ()
         assert report.find(NumberPath.parse("1")).own_score == 100.0
 
+    def test_pair_order_with_title_before_connective(self):
+        a = policy_from("1 OVERVIEW\na) MUST x\nConnection AND\n2 SCOPE\n")
+        b = policy_from("1 SUMMARY\na) MUST x\nConnection OR\n2 RANGE\n")
+        report = compare(a, b, MERGE)
+        assert [(d.code, d.path.dotted) for d in report.diagnostics] == [
+            ("TITLE_MISMATCH", "1"),
+            ("CONNECTIVE_MISMATCH", "1"),
+            ("TITLE_MISMATCH", "2"),
+        ]
+
     def test_missing_diagnostics_name_paths(self):
         a = policy_from("1 A\na) MUST x\n")
         b = policy_from("2 B\na) MUST x\n")
