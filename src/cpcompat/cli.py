@@ -37,6 +37,7 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TextIO
 
@@ -107,12 +108,12 @@ def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
 def _by_code(path: str, diagnostics: list[ParseDiagnostic]) -> list[str]:
     """One line per diagnostic code, in the order the codes first appear:
     the code's first diagnostic, then how many more of that code follow."""
-    groups: dict[str, list[ParseDiagnostic]] = {}
-    for diagnostic in diagnostics:
-        groups.setdefault(diagnostic.code, []).append(diagnostic)
+    # Counter keeps the codes in the order of their first appearance.
+    counts = Counter([diagnostic.code for diagnostic in diagnostics])
+    first = {diagnostic.code: diagnostic for diagnostic in reversed(diagnostics)}
     return [
-        f"{path}: {group[0]}" + (f" (and {len(group) - 1} more)" if len(group) > 1 else "")
-        for group in groups.values()
+        f"{path}: {first[code]}" + (f" (and {count - 1} more)" if count > 1 else "")
+        for code, count in counts.items()
     ]
 
 

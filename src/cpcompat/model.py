@@ -169,7 +169,7 @@ class NumberPath:
             raise ValueError("number path needs at least one segment")
         # Only an int is written as digits; a bool or float would render as
         # a heading the parser reads back differently.
-        if {*map(type, segments)} != _INT_ONLY:
+        if not _INT_ONLY.issuperset(map(type, segments)):
             raise ValueError(f"number path segments must be int, got {segments!r}")
         if min(segments) < 1:
             raise ValueError(f"number path segments must be >= 1, got {segments}")
@@ -212,7 +212,8 @@ class PolicyOption:
     def __init__(self, phrase: str, keyword: Keyword | None = None) -> None:
         _check_line(phrase, "option phrase")
         if keyword is not None:
-            _check_type(keyword, Keyword, "option keyword")
+            if not isinstance(keyword, Keyword):
+                raise ValueError(f"option keyword must be a Keyword, got {keyword!r}")
         elif phrase.partition(" ")[0] in KEYWORDS:
             raise ValueError(f"option phrase without a keyword starts with one: {phrase!r}")
         _set_phrase(self, phrase)
@@ -275,8 +276,10 @@ class Paragraph:
     def __init__(self, path: NumberPath, title: str, weight: int = 1,
                  options: tuple[PolicyOption, ...] = (), connective: Connective = Connective.NONE,
                  comments: tuple[str, ...] = (), children: tuple["Paragraph", ...] = ()) -> None:
-        _check_type(path, NumberPath, "paragraph path")
-        _check_type(connective, Connective, "paragraph connective")
+        if not isinstance(path, NumberPath):
+            raise ValueError(f"paragraph path must be a NumberPath, got {path!r}")
+        if not isinstance(connective, Connective):
+            raise ValueError(f"paragraph connective must be a Connective, got {connective!r}")
         if type(options) is not tuple:
             options = tuple(options)
         if type(comments) is not tuple:
@@ -289,7 +292,8 @@ class Paragraph:
             if not comment.startswith("//"):
                 raise ValueError(f"comment must start with //: {comment!r}")
             _check_line(comment, "comment")
-        _check_children(children, path.segments, path)
+        if children:
+            _check_children(children, path.segments, path)
         _set_path(self, path)
         _set_title(self, title)
         _set_weight(self, weight)
@@ -344,8 +348,10 @@ class ParagraphScore:
 
     def __init__(self, path: NumberPath, own_score: float, child_aggregate: float | None,
                  combined_score: float, weight: int, match_status: MatchStatus) -> None:
-        _check_type(path, NumberPath, "score path")
-        _check_type(match_status, MatchStatus, "match_status")
+        if not isinstance(path, NumberPath):
+            raise ValueError(f"score path must be a NumberPath, got {path!r}")
+        if not isinstance(match_status, MatchStatus):
+            raise ValueError(f"match_status must be a MatchStatus, got {match_status!r}")
         _check_score(own_score, "own_score")
         if child_aggregate is not None:
             _check_score(child_aggregate, "child_aggregate")

@@ -21,7 +21,9 @@ options, which need no further test to be told apart. Each kind is read
 inline in its branch of the loop. In an option line the label is the text
 before the first ``)`` when that text is ASCII letters, the keyword is the
 text before the first plain space when that text is a keyword, and
-whitespace after either is skipped.
+whitespace after either is skipped. Each paragraph is built once, when its
+section closes at a later heading of the same or a lower depth or at the
+end of input, and is then added to its parent's children.
 
 ``parse_policy`` never raises on malformed input; it collects diagnostics
 and returns no policy when any of them is an error. ``render_policy``
@@ -97,9 +99,9 @@ _OTHER_RFC2119_TERMS = frozenset({"SHALL", "SHOULD", "MAY", "REQUIRED"})
 
 
 class _Node:
-    """Mutable paragraph under construction."""
+    """Open section: the parts of its paragraph, gathered until it closes."""
 
-    __slots__ = ("path", "title", "weight", "options", "connective", "comments", "children", "labels")
+    __slots__ = ("path", "title", "weight", "options", "connective", "comments", "children", "labels", "last")
 
     def __init__(self, path: tuple[int, ...], title: str, weight: int) -> None:
         self.path = path
@@ -108,25 +110,15 @@ class _Node:
         self.options: list[PolicyOption] = []
         self.connective = Connective.NONE
         self.comments: list[str] = []
-        self.children: list[_Node] = []
+        self.children: list[Paragraph] = []
         self.labels: set[str] = set()
+        # Last segment of the last child linked to this section.
+        self.last = 0
 
 
 def _is_weight(token: str) -> bool:
     """Whether the last token of a heading, after its title, is the weight."""
     return token.isascii() and token.isdigit()
-
-
-def _freeze(node: _Node) -> Paragraph:
-    return Paragraph(
-        NumberPath(node.path),
-        node.title,
-        node.weight,
-        tuple(node.options),
-        node.connective,
-        tuple(node.comments),
-        tuple([_freeze(c) for c in node.children]),
-    )
 
 
 def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[ParseDiagnostic]]:
@@ -137,12 +129,35 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
     prevent parsing.
     """
     diagnostics: list[ParseDiagnostic] = []
+    # Set by the first error: no policy is returned, so no paragraph is built after it.
+    failed = False
 
     def warn(code: str, line: int, message: str) -> None:
         diagnostics.append(ParseDiagnostic(Severity.WARNING, code, line, message))
 
     def error(code: str, line: int, message: str) -> None:
+        nonlocal failed
+        failed = True
         diagnostics.append(ParseDiagnostic(Severity.ERROR, code, line, message))
+
+    def close() -> None:
+        """Close the innermost open section: build its paragraph and add it
+        to its parent's children. A section that could not be linked to the
+        one under it on the stack drew an error, and after any error nothing
+        is built."""
+        node = stack.pop()
+        if not failed:
+            stack[-1].children.append(
+                Paragraph(
+                    NumberPath(node.path),
+                    node.title,
+                    node.weight,
+                    tuple(node.options),
+                    node.connective,
+                    tuple(node.comments),
+                    tuple(node.children),
+                )
+            )
 
     root = _Node(path=(), title="", weight=1)
     # Open sections, innermost last, over the pseudo-root (empty path: no section yet).
@@ -169,9 +184,10 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
         if first in "0123456789" and (heading := _HEADING_RE.match(line)):
             number, title = heading.groups()
             weight_text = None
-            head_tail = title.rsplit(None, 1)
-            if len(head_tail) == 2 and _is_weight(head_tail[1]):
-                title, weight_text = head_tail
+            if title[-1] in "0123456789":
+                head_tail = title.rsplit(None, 1)
+                if len(head_tail) == 2 and _is_weight(head_tail[1]):
+                    title, weight_text = head_tail
             # int() refuses numbers longer than the interpreter's digit limit
             # (sys.get_int_max_str_digits(), 4300 by default).
             try:
@@ -221,9 +237,8 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
             # Link the section into its parent. A section that cannot be
             # linked draws one error and is still opened, so its own
             # children parse without cascading errors.
-            node = _Node(path, title, weight)
             while len(stack[-1].path) >= depth:
-                stack.pop()
+                close()
             parent = stack[-1]
             parent_path = path[:-1]
             if path in seen_paths:
@@ -241,16 +256,16 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
                         line_no,
                         f"section {NumberPath(path)} has no parent section {NumberPath(parent_path)}",
                     )
-            elif parent.children and parent.children[-1].path[-1] >= path[-1]:
+            elif parent.last >= path[-1]:
                 error(
                     "SECTION_OUT_OF_ORDER",
                     line_no,
                     f"section {NumberPath(path)} does not follow its siblings in order",
                 )
             else:
-                parent.children.append(node)
+                parent.last = path[-1]
             seen_paths.add(path)
-            stack.append(node)
+            stack.append(_Node(path, title, weight))
             continue
 
         if first in "cC" and (tokens := line.split())[0].lower() == "connection":
@@ -345,16 +360,18 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
             error("EMPTY_OPTION_PHRASE", line_no, "option has no phrase text")
             continue
         current.options.append(PolicyOption(rest, keyword))
-    if any(d.severity is Severity.ERROR for d in diagnostics):
+    while len(stack) > 1:
+        close()
+    if failed:
         return None, diagnostics
-    return Policy(name=name, roots=tuple(_freeze(c) for c in root.children)), diagnostics
+    return Policy(name=name, roots=tuple(root.children)), diagnostics
 
 
 def _heading_line(paragraph: Paragraph) -> str:
     title = paragraph.title
     # A title ending in a bare number needs the weight spelled out, or the
     # reparse would read that number as the weight.
-    if paragraph.weight != 1 or _is_weight(title.split()[-1]):
+    if paragraph.weight != 1 or _is_weight(title.rsplit(None, 1)[-1]):
         return f"{paragraph.path.dotted} {title} {paragraph.weight}"
     return f"{paragraph.path.dotted} {title}"
 

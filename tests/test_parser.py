@@ -580,6 +580,25 @@ class TestErrors:
         assert policy is None
         assert error_codes(diagnostics) == ["SECTION_OUT_OF_ORDER"]
 
+    # A section is checked against its last linked sibling, so one that drew
+    # an error does not move the bar for the sections after it.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1 TOP\n1.3 C\n1.1 A\n1.2 B\n", [("SECTION_OUT_OF_ORDER", 3), ("SECTION_OUT_OF_ORDER", 4)]),
+            ("1 TOP\n1.2 B\n1.1 A\n1.3 C\n", [("SECTION_OUT_OF_ORDER", 3)]),
+            (
+                "1 TOP\n1.2 B\n1.2 B\n1.3 C\n1.1.1 X\n",
+                [("DUPLICATE_SECTION", 3), ("ORPHAN_SECTION", 5)],
+            ),
+        ],
+        ids=["after-later-sibling", "after-unlinked-sibling", "after-duplicate"],
+    )
+    def test_sibling_order_reads_the_last_linked_sibling(self, text, expected):
+        policy, diagnostics = parse_policy(text)
+        assert policy is None
+        assert [(d.code, d.line) for d in diagnostics] == expected
+
     def test_section_after_later_sibling_closed(self):
         text = "1 TOP\n2 NEXT\n1.1 Late child\n"
         policy, diagnostics = parse_policy(text)
