@@ -14,8 +14,10 @@ to stdout or to the requested output file; diagnostics and the human
 summary go to stderr. ``validate`` lists every diagnostic; ``compare``
 and ``merge`` write one line per diagnostic code, with a count of the
 rest, and the overall scores: the score of each section is in the
-report. A failed write to stderr is dropped and does not change the exit
-code, and so is a failed write of argparse's help or usage text.
+report. Each write to stdout or stderr goes through ``_write``. One that
+fails is dropped on stderr, with no change to the exit code; on stdout it
+ends the command with exit code 1; argparse's help or usage text keeps
+argparse's code.
 
 Exit codes: 0 success (and, with rules, acceptance), or help; 1 file or
 stdout I/O problem; 2 parse errors, including input that is not UTF-8,
@@ -45,7 +47,7 @@ from .acceptance import RuleError, Verdict, evaluate, parse_rules
 from .comparison import compare, report_to_json
 from .merger import MergeRejectedError, merge
 from .model import ComparisonMode, ComparisonReport, Policy
-from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
+from .parser import ParseDiagnostic, parse_policy, render_policy
 
 __all__ = ["main"]
 
@@ -64,12 +66,19 @@ class _Exit(SystemExit):
     """
 
 
-def _to_null_device(stream: TextIO) -> None:
-    """Point ``stream``'s descriptor at the null device after a write to it
-    failed, so the interpreter's flush at exit neither fails nor reports it."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+def _write(stream: TextIO, text: str) -> OSError | None:
+    """Write ``text`` to ``stream`` and flush it. Return the error of a
+    failed write, after pointing the stream's descriptor at the null device
+    so that the interpreter's flush at exit neither fails nor reports it."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 def _say(*lines: str) -> None:
@@ -78,11 +87,7 @@ def _say(*lines: str) -> None:
     Stderr is for a person, so lines that cannot be written are dropped
     and the command keeps its own exit code.
     """
-    try:
-        sys.stderr.write("".join([line + "\n" for line in lines]))
-        sys.stderr.flush()
-    except OSError:
-        _to_null_device(sys.stderr)
+    _write(sys.stderr, "".join([line + "\n" for line in lines]))
 
 
 def _load_policy(path: str) -> tuple[Policy | None, list[ParseDiagnostic]]:
@@ -142,13 +147,9 @@ def _announce(verdict: Verdict) -> None:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            _say(f"<stdout>: {exc}")
-            _to_null_device(sys.stdout)
-            raise _Exit(EXIT_IO) from None
+        if (error := _write(sys.stdout, text)) is not None:
+            _say(f"<stdout>: {error}")
+            raise _Exit(EXIT_IO)
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -162,7 +163,8 @@ def _validate(arguments: argparse.Namespace) -> int:
     _say(*[f"{arguments.file}: {diagnostic}" for diagnostic in diagnostics])
     if policy is None:
         return EXIT_PARSE
-    warnings = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
+    # A policy comes back only when no diagnostic is an error.
+    warnings = len(diagnostics)
     paragraphs = sum(1 for _ in policy.walk())
     _say(f"{arguments.file}: valid, {paragraphs} paragraphs, {warnings} warnings")
     return EXIT_OK
@@ -247,11 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         # Argparse has written help or a usage error. Flush it here, so that
         # a closed pipe drops it as _say would, with argparse's own code.
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                stream.flush()
-            except OSError:
-                _to_null_device(stream)
+        _write(sys.stdout, "")
+        _write(sys.stderr, "")
         return stop.code
     collecting = gc.isenabled()
     gc.disable()

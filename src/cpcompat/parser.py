@@ -390,17 +390,6 @@ def _label(index: int) -> str:
     return _label(index // 26 - 1) + string.ascii_lowercase[index % 26]
 
 
-def _render_paragraph(paragraph: Paragraph, out: list[str]) -> None:
-    out.append(_heading_line(paragraph))
-    out.extend(paragraph.comments)
-    for index, option in enumerate(paragraph.options):
-        out.append(_option_line(option, _label(index)))
-    if paragraph.connective is not Connective.NONE:
-        out.append(f"Connection {paragraph.connective._name_}")
-    for child in paragraph.children:
-        _render_paragraph(child, out)
-
-
 def render_policy(policy: Policy) -> str:
     """Write a policy back out in the standardized text format.
 
@@ -409,6 +398,11 @@ def render_policy(policy: Policy) -> str:
     the output yields a tree equal to the input.
     """
     lines: list[str] = []
-    for root in policy.roots:
-        _render_paragraph(root, lines)
+    for paragraph in policy.walk():
+        lines.append(_heading_line(paragraph))
+        lines.extend(paragraph.comments)
+        for index, option in enumerate(paragraph.options):
+            lines.append(_option_line(option, _label(index)))
+        if paragraph.connective is not Connective.NONE:
+            lines.append(f"Connection {paragraph.connective._name_}")
     return "".join(line + "\n" for line in lines)

@@ -8,12 +8,19 @@ must occur exactly once in its file, and runs the mutant's tests with
 ``-x`` in a child pytest that imports ``cpcompat`` from the copy. The
 mutant is killed when the tests fail. Before any mutant, the tests of all
 selected mutants run once on an unmutated copy and must pass there, or a
-kill would prove nothing.
+kill would prove nothing. A mutated file that does not compile is refused,
+as its tests would fail without testing anything.
+
+The children share one cache of compiled modules in the temporary
+directory, so only the first compiles pytest, hypothesis and the tests.
+Each mutant has a copy of ``src/`` of its own, at a path no cached module
+of another copy can match.
 
 Exits 0 when every selected mutant is killed, and 1 when one survives, when
-the unmutated copy fails, or when a mutant's source text is not found
-exactly once: a change that moves or rewrites that code updates the entry.
-Standard library only, besides the pytest and hypothesis the tests need.
+the unmutated copy fails, when a mutated file does not compile, or when a
+mutant's source text is not found exactly once: a change that moves or
+rewrites that code updates the entry. Standard library only, besides the
+pytest and hypothesis the tests need.
 """
 
 from __future__ import annotations
@@ -81,6 +88,79 @@ MUTANTS = (
         '(f" (and {count - 2} more)"',
         ("tests/test_cli.py::TestCompare::test_errors_are_one_line_per_code_too",),
     ),
+    Mutant(
+        "a failed standard-stream write reports no error",
+        "cli.py",
+        "        return exc\n",
+        "        return None\n",
+        ("tests/test_cli.py::TestMerge::test_closed_stdout_exits_1",),
+    ),
+    Mutant(
+        "the renderer drops the Connection line",
+        "parser.py",
+        '            lines.append(f"Connection {paragraph.connective._name_}")\n',
+        "            pass\n",
+        ("tests/test_parser.py::TestRendering::test_connection_rendered_only_when_declared",),
+    ),
+    Mutant(
+        "a parent's own score and its children's swap blend weights",
+        "comparison.py",
+        "weighted_mean(((own, 1), (aggregate, len(children))))",
+        "weighted_mean(((own, len(children)), (aggregate, 1)))",
+        ("tests/test_comparison.py::TestChildCombination::test_parent_blends_own_and_children",),
+    ),
+    Mutant(
+        "sections only policy B has are not paired",
+        "comparison.py",
+        "    pairs.extend((None, b) for b in by_path_b.values())\n",
+        "",
+        (
+            "tests/test_comparison.py::TestMissingParagraphs::test_b_only_rows_follow_a_rows",
+            "tests/test_merger.py::TestStructureUnion::test_b_only_sections_are_adopted_in_order",
+        ),
+    ),
+    Mutant(
+        "merge keeps policy A's keyword",
+        "merger.py",
+        "        if option_keyword_value(option_b) > option_keyword_value(option_a):",
+        "        if False:",
+        ("tests/test_merger.py::TestOptionMerging::test_stricter_keyword_wins",),
+    ),
+    Mutant(
+        "RECOMMENDED is worth 0.75",
+        "model.py",
+        "    RECOMMENDED = 0.8\n",
+        "    RECOMMENDED = 0.75\n",
+        ("tests/test_scoring.py::TestWorkedExample::test_and_merge_is_32_5",),
+    ),
+    Mutant(
+        "a strict > rule accepts a score at its threshold",
+        "acceptance.py",
+        "return actual - rule.threshold > SCORE_EPSILON",
+        "return actual - rule.threshold >= -SCORE_EPSILON",
+        ("tests/test_rules.py::TestEvaluate::test_strict_threshold_rejects_equal_score",),
+    ),
+    Mutant(
+        "MUST NOT draws no look-alike warning",
+        "parser.py",
+        'if head == "MUST" and rest[:4] in ("NOT", "NOT "):',
+        "if False:",
+        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+    ),
+    Mutant(
+        "comparison diagnostics are left last first",
+        "comparison.py",
+        "diagnostics=tuple(reversed(diagnostics)),",
+        "diagnostics=tuple(diagnostics),",
+        ("tests/test_comparison.py::TestDiagnostics::test_pair_order_with_title_before_connective",),
+    ),
+    Mutant(
+        "paragraph stores its options and comments in each other's slots",
+        "model.py",
+        "(_set_path, _set_title, _set_weight, _set_options,\n _set_connective, _set_comments,",
+        "(_set_path, _set_title, _set_weight, _set_comments,\n _set_connective, _set_options,",
+        ("tests/test_model.py::TestSlottedValues::test_lists_are_stored_as_tuples",),
+    ),
 )
 
 
@@ -88,7 +168,11 @@ def run_tests(src: Path, tests: list[str], workdir: Path) -> bool:
     """Whether ``tests`` pass with cpcompat imported from ``src``, in the
     tests and in the programs they start. The child runs in ``workdir``, so
     its caches stay out of the checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env.update(
+        PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        PYTHONPYCACHEPREFIX=str(workdir / "pycache"),
+    )
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), "-o", f"pythonpath={src}",
@@ -96,6 +180,12 @@ def run_tests(src: Path, tests: list[str], workdir: Path) -> bool:
     ]
     result = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
     return result.returncode == 0
+
+
+def copy_sources(destination: Path) -> Path:
+    src = destination / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
 
 
 def main(names: list[str]) -> int:
@@ -107,13 +197,13 @@ def main(names: list[str]) -> int:
     start = time.perf_counter()
     failures = 0
     with tempfile.TemporaryDirectory() as temp:
-        src = Path(temp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        work = Path(temp)
         tests = sorted({test for mutant in selected for test in mutant.tests})
-        if not run_tests(src, tests, Path(temp)):
+        if not run_tests(copy_sources(work / "unmutated"), tests, work):
             print("the tests fail on the unmutated sources", file=sys.stderr)
             return 1
-        for mutant in selected:
+        for index, mutant in enumerate(selected):
+            src = copy_sources(work / str(index))
             path = src / "cpcompat" / mutant.file
             original = path.read_text(encoding="utf-8")
             found = original.count(mutant.old)
@@ -121,11 +211,15 @@ def main(names: list[str]) -> int:
                 print(f"NOT FOUND {mutant.name}: source text occurs {found} times in {mutant.file}")
                 failures += 1
                 continue
-            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            mutated = original.replace(mutant.old, mutant.new)
             try:
-                survived = run_tests(src, list(mutant.tests), Path(temp))
-            finally:
-                path.write_text(original, encoding="utf-8")
+                compile(mutated, str(path), "exec")
+            except SyntaxError as exc:
+                print(f"BROKEN {mutant.name}: {exc}")
+                failures += 1
+                continue
+            path.write_text(mutated, encoding="utf-8")
+            survived = run_tests(src, list(mutant.tests), work)
             print(f"{'SURVIVED' if survived else 'killed'} {mutant.name}")
             failures += survived
     print(f"{len(selected)} mutants, {failures} not killed, {time.perf_counter() - start:.1f} s")

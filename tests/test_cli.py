@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import cpcompat
 from cpcompat import cli
 from cpcompat.acceptance import evaluate
 from cpcompat.cli import main
@@ -27,11 +28,20 @@ from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
 from strategies import chain_text, limit_documents, modes
 
 
+def module_environment(environment: dict[str, str]) -> dict[str, str]:
+    """``environment`` for a child ``python -m cpcompat``, with the directory
+    this process imported cpcompat from first on PYTHONPATH: pytest's
+    ``pythonpath`` setting reaches only this process, not its children."""
+    path = [str(Path(cpcompat.__file__).resolve().parents[1]), environment.get("PYTHONPATH")]
+    return dict(environment, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def run_module(*arguments: str, text: bool = True) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "cpcompat", *arguments],
         capture_output=True,
         text=text,
+        env=module_environment(dict(os.environ)),
     )
 
 
@@ -42,7 +52,7 @@ def run_on_closed_pipe(*arguments: str, closed: tuple[str, ...]) -> subprocess.C
     Stdout and stderr are block-buffered, as by default on a pipe, so the
     interpreter's own flush at exit meets the closed pipe too.
     """
-    environment = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    environment = module_environment({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
     read_end, write_end = os.pipe()
     os.close(read_end)
     streams = {name: write_end if name in closed else subprocess.PIPE for name in ("stdout", "stderr")}
@@ -106,11 +116,7 @@ class TestValidate:
         # Text pasted from a word processor carries no-break and em spaces.
         file = tmp_path / "pasted.txt"
         file.write_text("1 \u00a0TITLE\n1.1 Scope\u2003 3\na) MUST x\n", encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "cpcompat", "validate", str(file)],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("validate", str(file))
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
         assert "valid" in result.stderr
@@ -118,11 +124,7 @@ class TestValidate:
     def test_overlong_section_number_exits_2(self, tmp_path):
         file = tmp_path / "huge.txt"
         file.write_text("1" * 4301 + " TOP\n", encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "cpcompat", "validate", str(file)],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("validate", str(file))
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert "BAD_SECTION_NUMBER" in result.stderr
@@ -588,11 +590,7 @@ class TestEntryPoints:
     def test_module_invocation(self, tmp_path, sample_policy_text):
         file = tmp_path / "ok.txt"
         file.write_text(sample_policy_text, encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "cpcompat", "validate", str(file)],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("validate", str(file))
         assert result.returncode == 0
 
     def test_usage_error(self, capsys):

@@ -18,10 +18,14 @@ def test_a_survivor_or_a_lost_source_text_fails(monkeypatch, capsys):
             # The same code spelled another way: no test can kill it.
             mutants.Mutant("equivalent", "model.py", "if len(segments) > MAX_DEPTH:", "if MAX_DEPTH < len(segments):", test),
             mutants.Mutant("moved", "model.py", "text that is not in the file", "", test),
+            # Its tests would fail on the import, not on the mutant.
+            mutants.Mutant("broken", "model.py", "if len(segments) > MAX_DEPTH:", "if len(segments) > MAX_DEPTH", test),
         ),
     )
     assert mutants.main([]) == 1
-    assert capsys.readouterr().out.splitlines()[:2] == [
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
         "SURVIVED equivalent",
         "NOT FOUND moved: source text occurs 0 times in model.py",
     ]
+    assert lines[2].startswith("BROKEN broken: ")

@@ -468,6 +468,18 @@ class TestOptionLineEdges:
                 [],
             ),
             ("1 INTRO\nMUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
+            (
+                "1 INTRO\na) MUST NOT share keys\n",
+                _intro(PolicyOption("NOT share keys", Keyword.MUST)),
+                [
+                    _diagnostic(
+                        "WARNING",
+                        "KEYWORD_LOOKALIKE",
+                        2,
+                        "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'",
+                    )
+                ],
+            ),
         ],
     )
     def test_document(self, text, policy, diagnostics):
