@@ -219,7 +219,6 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
                     error("BAD_WEIGHT", line_no, "paragraph weight has too many digits")
                 if weight == 0:
                     error("BAD_WEIGHT", line_no, "paragraph weight must be positive")
-                    weight = 1
 
             if depth > 4:
                 warn(

@@ -13,7 +13,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from cpcompat.model import (
     Connective,
-    Keyword,
     NumberPath,
     Paragraph,
     Policy,
@@ -45,29 +44,6 @@ a) MUST publish the certificate policy
 @pytest.fixture
 def sample_policy_text() -> str:
     return SAMPLE_POLICY_TEXT
-
-
-def _option(keyword: Keyword | None, phrase: str) -> PolicyOption:
-    return PolicyOption(phrase=phrase, keyword=keyword)
-
-
-@pytest.fixture
-def worked_example_options_a() -> tuple[PolicyOption, ...]:
-    return (
-        _option(Keyword.MUST, "a"),
-        _option(Keyword.MUST, "b"),
-        _option(Keyword.MUST, "c"),
-    )
-
-
-@pytest.fixture
-def worked_example_options_b() -> tuple[PolicyOption, ...]:
-    return (
-        _option(Keyword.RECOMMENDED, "a"),
-        _option(Keyword.OPTIONAL, "b"),
-        _option(Keyword.RECOMMENDED, "d"),
-        _option(Keyword.RECOMMENDED, "e"),
-    )
 
 
 # Single-paragraph policies carrying the worked-example option lists, used by

@@ -11,10 +11,12 @@ selected mutants run once on an unmutated copy and must pass there, or a
 kill would prove nothing. A mutated file that does not compile is refused,
 as its tests would fail without testing anything.
 
-The children share one cache of compiled modules in the temporary
-directory, so only the first compiles pytest, hypothesis and the tests.
-Each mutant has a copy of ``src/`` of its own, at a path no cached module
-of another copy can match.
+Importing pytest and hypothesis takes most of a fresh interpreter's
+start-up, so the children are forked from one server process that has
+imported them (POSIX only). They share one cache of compiled modules in
+the temporary directory, so only the first compiles the tests. Each
+mutant has a copy of ``src/`` of its own, at a path no cached module of
+another copy can match.
 
 Exits 0 when every selected mutant is killed, and 1 when one survives, when
 the unmutated copy fails, when a mutated file does not compile, or when a
@@ -25,14 +27,16 @@ pytest and hypothesis the tests need.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -161,25 +165,61 @@ MUTANTS = (
         "(_set_path, _set_title, _set_weight, _set_comments,\n _set_connective, _set_options,",
         ("tests/test_model.py::TestSlottedValues::test_lists_are_stored_as_tuples",),
     ),
+    Mutant(
+        "OR takes the worst pair",
+        "scoring.py",
+        "return max(terms, default=0.0)",
+        "return min(terms, default=0.0)",
+        ("tests/test_scoring.py::TestWorkedExample::test_or_connective_is_80",),
+    ),
+    Mutant(
+        "ACQUIRE divides by B's option count",
+        "scoring.py",
+        "        denominator = len(options_a)\n",
+        "        denominator = len(options_b)\n",
+        ("tests/test_scoring.py::TestWorkedExample::test_and_acquire_is_130_over_3",),
+    ),
+    Mutant(
+        "merge does not flag B's unmatched options",
+        "merger.py",
+        '            annotations.append(f"// unmatched: from B: {option_b.phrase}")\n',
+        "            pass\n",
+        ("tests/test_merger.py::TestOptionMerging::test_worked_example_union",),
+    ),
+    Mutant(
+        "merge does not flag a title seam",
+        "merger.py",
+        "        annotations.insert(0, f'// merged: title in B was \"{paragraph_b.title}\"')\n",
+        "        pass\n",
+        ("tests/test_merger.py::TestConflictAnnotations::test_title_conflict_keeps_a_and_notes_b",),
+    ),
 )
+
+
+CHILDREN = multiprocessing.get_context("forkserver")
 
 
 def run_tests(src: Path, tests: list[str], workdir: Path) -> bool:
     """Whether ``tests`` pass with cpcompat imported from ``src``, in the
     tests and in the programs they start. The child runs in ``workdir``, so
     its caches stay out of the checkout."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
-    env.update(
-        PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
-        PYTHONPYCACHEPREFIX=str(workdir / "pycache"),
-    )
-    command = [
-        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    child = CHILDREN.Process(target=_run_pytest, args=(str(src), tests, str(workdir)))
+    child.start()
+    child.join()
+    return child.exitcode == 0
+
+
+def _run_pytest(src: str, tests: list[str], workdir: str) -> None:
+    """The body of a child of ``run_tests``: it exits with pytest's code."""
+    os.chdir(workdir)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sys.dont_write_bytecode = False
+    sys.pycache_prefix = os.path.join(workdir, "pycache")
+    sys.exit(pytest.main([
+        "-x", "-p", "no:terminal", "-p", "no:cacheprovider",
         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), "-o", f"pythonpath={src}",
         *(str(ROOT / test) for test in tests),
-    ]
-    result = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
-    return result.returncode == 0
+    ]))
 
 
 def copy_sources(destination: Path) -> Path:
@@ -196,6 +236,7 @@ def main(names: list[str]) -> int:
     selected = [mutant for mutant in MUTANTS if not names or mutant.name in names]
     start = time.perf_counter()
     failures = 0
+    CHILDREN.set_forkserver_preload(["hypothesis", "pytest"])
     with tempfile.TemporaryDirectory() as temp:
         work = Path(temp)
         tests = sorted({test for mutant in selected for test in mutant.tests})

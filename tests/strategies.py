@@ -47,10 +47,6 @@ def connectives() -> st.SearchStrategy[Connective]:
     return st.sampled_from(tuple(Connective))
 
 
-def declared_connectives() -> st.SearchStrategy[Connective]:
-    return st.sampled_from((Connective.AND, Connective.OR))
-
-
 def modes() -> st.SearchStrategy[ComparisonMode]:
     return st.sampled_from(tuple(ComparisonMode))
 

@@ -441,6 +441,16 @@ class TestSameReportOnEveryInterpreter:
 
 
 class TestComparisonProperties:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        policy_a=policies(name="A", unit_weights=True),
+        policy_b=policies(name="B", unit_weights=True),
+    )
+    def test_unit_weights_equalize_the_overalls(self, policy_a, policy_b):
+        for mode in (MERGE, ACQUIRE):
+            report = compare(policy_a, policy_b, mode)
+            assert abs(report.overall_weighted - report.overall_unweighted) <= 1e-9
+
     @settings(max_examples=150, deadline=None)
     @given(policy=policies())
     def test_self_comparison_is_perfect(self, policy):

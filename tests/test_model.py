@@ -65,6 +65,13 @@ class TestNumberPath:
         assert parser.MAX_DEPTH is MAX_DEPTH
 
 
+class TestKeyword:
+    def test_the_four_keyword_values(self):
+        assert [(k.name, k.value) for k in Keyword] == [
+            ("MUST", 1.0), ("RECOMMENDED", 0.8), ("OPTIONAL", 0.5), ("NOT", 0.0),
+        ]
+
+
 class TestPolicyOption:
     @pytest.mark.parametrize("phrase", ["", "   ", "\t\u00a0"])
     def test_blank_phrase(self, phrase):

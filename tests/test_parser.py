@@ -39,6 +39,28 @@ def warning_codes(diagnostics):
     return [d.code for d in diagnostics if d.severity is Severity.WARNING]
 
 
+# The sample fragment of the source paper.
+PAPER_FRAGMENT = """\
+1 INTRODUCTION
+1.1 Overview
+//Gives an overview about the document
+1.2 Document name and identification
+a) RECOMMENDED Document name
+b) MUST Designated identification
+Connection AND
+1.3 PKI participants
+//Described in the subsections
+1.3.1 Certification authorities
+a) Issues certificates to end users
+b) Issues certificates to other users
+1.3.1.1 Root authorities
+a) Specifies the difference to the CAs
+1.3.2 Registration authorities
+1.3.3 Subscribers
+1.3.4 . . .
+"""
+
+
 class TestGoldenDocument:
     def test_parses_without_diagnostics(self, sample_policy_text):
         policy, diagnostics = parse_policy(sample_policy_text, name="sample")
@@ -91,6 +113,16 @@ class TestGoldenDocument:
             "1.3.1.1",
             "2",
         ]
+
+    def test_paper_fragment(self):
+        # Comments written without a space, a title that is an ellipsis,
+        # nesting to the fourth level and a connective on section 1.2.
+        policy, diagnostics = parse_policy(PAPER_FRAGMENT, name="fragment")
+        assert diagnostics == []
+        assert [p.path.dotted for p in policy.walk()] == [
+            "1", "1.1", "1.2", "1.3", "1.3.1", "1.3.1.1", "1.3.2", "1.3.3", "1.3.4",
+        ]
+        assert find(policy, "1.2").connective is Connective.AND
 
 
 class TestHeadingParsing:
@@ -796,7 +828,7 @@ class TestRendering:
         assert diagnostics == []
         assert policy.roots == reparsed.roots
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(policy=policies())
     def test_random_policies_round_trip(self, policy):
         rendered = render_policy(policy)

@@ -284,19 +284,21 @@ class TestEvaluate:
 
 
 class TestEvaluateProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(
-        policy=policies(),
+        policy_a=policies(name="A"),
+        policy_b=policies(name="B"),
         low=st.floats(0, 100),
         high=st.floats(0, 100),
     )
-    def test_acceptance_is_monotone_in_threshold(self, policy, low, high):
+    def test_acceptance_is_monotone_in_threshold(self, policy_a, policy_b, low, high):
         low, high = sorted((low, high))
-        report = compare(policy, policy, MERGE)
         rule_low = AcceptanceRule(">", low)
         rule_high = AcceptanceRule(">", high)
-        if evaluate(report, [rule_high]).accepted:
-            assert evaluate(report, [rule_low]).accepted
+        for mode in ComparisonMode:
+            report = compare(policy_a, policy_b, mode)
+            if evaluate(report, [rule_high]).accepted:
+                assert evaluate(report, [rule_low]).accepted
 
     @settings(max_examples=200, deadline=None)
     @given(policy_a=policies(name="A"), policy_b=policies(name="B"))

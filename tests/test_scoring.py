@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,9 @@ from cpcompat.scoring import (
 
 from oracle import oracle_matches, oracle_score
 from strategies import (
+    SCORING_PHRASES,
     SPELLED_PHRASES,
     connectives,
-    declared_connectives,
     modes,
     option_lists,
 )
@@ -258,7 +259,40 @@ class TestChildAggregate:
             weighted_mean([(50.0, 0), (100.0, 0)])
 
 
+def grid_option_lists() -> list[tuple[PolicyOption, ...]]:
+    """Every ordered list of up to three distinctly-phrased options, each
+    option carrying one of the four keywords."""
+    return [
+        tuple(map(PolicyOption, phrases, keywords))
+        for size in range(4)
+        for phrases in permutations("abc", size)
+        for keywords in product(Keyword, repeat=size)
+    ]
+
+
 class TestAgainstOracle:
+    def test_exhaustive_sweep(self):
+        started = time.perf_counter()
+        lists = grid_option_lists()
+        assert len(lists) == 493
+        cases = 0
+        for connective in (Connective.AND, Connective.OR):
+            sided = [para(options, connective) for options in lists]
+            for mode in (MERGE, ACQUIRE):
+                for options_a, paragraph_a in zip(lists, sided):
+                    for options_b, paragraph_b in zip(lists, sided):
+                        got = score_paragraph_options(paragraph_a, paragraph_b, mode)
+                        want = oracle_score(options_a, options_b, connective, mode)
+                        if abs(got - want) > 1e-9:
+                            raise AssertionError(
+                                f"mismatch: {options_a} vs {options_b} "
+                                f"{connective} {mode}: {got} != {want}"
+                            )
+                        cases += 1
+        elapsed = time.perf_counter() - started
+        assert cases == 972_196
+        assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+
     @given(
         options_a=option_lists(),
         options_b=option_lists(),
@@ -271,7 +305,12 @@ class TestAgainstOracle:
         assert abs(got - expected) <= 1e-9
 
 
+# One keyword per phrase, so options matched by phrase agree on it.
+KEYWORD_OF_PHRASE = dict(zip(SCORING_PHRASES, Keyword))
+
+
 class TestScoringProperties:
+    @settings(max_examples=1000, deadline=None)
     @given(
         options_a=option_lists(),
         options_b=option_lists(),
@@ -282,25 +321,28 @@ class TestScoringProperties:
         score = score_option_lists(options_a, options_b, connective, mode)
         assert 0.0 <= score <= 100.0
 
+    @settings(max_examples=1000, deadline=None)
     @given(
-        options=option_lists(min_size=1),
+        options=option_lists(),
         connective=connectives(),
         mode=modes(),
     )
     def test_self_comparison_is_100(self, options, connective, mode):
         p = para(options, connective)
-        assert score_paragraph_options(p, p, mode) == pytest.approx(100.0, abs=1e-9)
+        assert abs(score_paragraph_options(p, p, mode) - 100.0) <= 1e-9
 
+    @settings(max_examples=1000, deadline=None)
     @given(
-        options_a=option_lists(min_size=1),
-        options_b=option_lists(min_size=1),
-        connective=declared_connectives(),
+        options_a=option_lists(),
+        options_b=option_lists(),
+        connective=connectives(),
     )
     def test_merge_mode_is_symmetric(self, options_a, options_b, connective):
         forward = score_option_lists(options_a, options_b, connective, MERGE)
         backward = score_option_lists(options_b, options_a, connective, MERGE)
         assert abs(forward - backward) <= 1e-9
 
+    @settings(max_examples=1000, deadline=None)
     @given(
         options_a=option_lists(min_size=1),
         options_b=option_lists(min_size=1),
@@ -311,14 +353,19 @@ class TestScoringProperties:
         and_score = score_option_lists(options_a, options_b, Connective.AND, mode)
         assert or_score >= and_score - 1e-9
 
+    # Keyword-free lists, or one keyword per phrase: either way every pair
+    # factor is exactly 1.
+    @settings(max_examples=1000, deadline=None)
     @given(
         options_a=option_lists(min_size=1),
         options_b=option_lists(min_size=1),
+        keyed=st.booleans(),
     )
-    def test_keyword_free_and_reduces_to_match_ratio(self, options_a, options_b):
-        bare_a = tuple(opt(o.phrase) for o in options_a)
-        bare_b = tuple(opt(o.phrase) for o in options_b)
-        score = score_option_lists(bare_a, bare_b, Connective.AND, MERGE)
-        n_matched = len(match_options(bare_a, bare_b))
-        expected = 100.0 * n_matched / max(len(bare_a), len(bare_b))
+    def test_keyword_free_and_reduces_to_match_ratio(self, options_a, options_b, keyed):
+        keyword = KEYWORD_OF_PHRASE.get if keyed else lambda phrase: None
+        unit_a = tuple(opt(o.phrase, keyword(o.phrase)) for o in options_a)
+        unit_b = tuple(opt(o.phrase, keyword(o.phrase)) for o in options_b)
+        score = score_option_lists(unit_a, unit_b, Connective.AND, MERGE)
+        n_matched = len(match_options(unit_a, unit_b))
+        expected = 100.0 * n_matched / max(len(unit_a), len(unit_b))
         assert abs(score - expected) <= 1e-9
