@@ -185,7 +185,9 @@ class NumberPath:
 
     @property
     def dotted(self) -> str:
-        return ".".join(map(str, self.segments))
+        # One format call; str.join over map(str, ...) costs more per row.
+        segments = self.segments
+        return ("%d" + ".%d" * (len(segments) - 1)) % segments
 
     def __str__(self) -> str:
         return self.dotted

@@ -6,10 +6,13 @@ Runs every mutant in MUTANTS, or only those named. For each one it copies
 ``src/`` to a temporary directory, replaces one exact source text, which
 must occur exactly once in its file, and runs the mutant's tests with
 ``-x`` in a child pytest that imports ``cpcompat`` from the copy. The
-mutant is killed when the tests fail. Before any mutant, the tests of all
-selected mutants run once on an unmutated copy and must pass there, or a
-kill would prove nothing. A mutated file that does not compile is refused,
-as its tests would fail without testing anything.
+mutant is killed when the tests fail; a property test stops at its first
+failing example, unshrunk, and keeps it in an example database that all
+children share. After the mutants, the tests of all selected mutants run
+once on an unmutated copy and must pass there, or a kill would prove
+nothing: their property tests replay every example a mutant failed on and
+draw no new ones (the Tier-1 suite draws those). A mutated file that does
+not compile is refused, as its tests would fail without testing anything.
 
 Importing pytest and hypothesis takes most of a fresh interpreter's
 start-up, so the children are forked from one server process that has
@@ -37,6 +40,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import Phase, settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,25 +198,62 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_merger.py::TestConflictAnnotations::test_title_conflict_keeps_a_and_notes_b",),
     ),
+    Mutant(
+        "merge does not flag A's unmatched options",
+        "merger.py",
+        '            annotations.append(f"// unmatched: from A: {option_a.phrase}")\n',
+        "            pass\n",
+        ("tests/test_merger.py::TestOptionMerging::test_worked_example_union",),
+    ),
+    Mutant(
+        "merge does not flag a connective seam",
+        "merger.py",
+        '        annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective._name_}")\n',
+        "        pass\n",
+        ("tests/test_merger.py::TestConflictAnnotations::test_connective_conflict_keeps_a_and_notes_b",),
+    ),
+    Mutant(
+        "merge does not flag the root of an adopted subtree",
+        "merger.py",
+        '            comments = child.comments + (f"// unmatched: from {side}",)\n',
+        "            comments = child.comments\n",
+        ("tests/test_whole_tree_oracle.py::test_compare_and_merge_agree_with_the_oracle",),
+    ),
+    Mutant(
+        "the renderer drops a weight other than 1",
+        "parser.py",
+        "    if paragraph.weight != 1 or _is_weight(title.rsplit(None, 1)[-1]):\n",
+        "    if _is_weight(title.rsplit(None, 1)[-1]):\n",
+        ("tests/test_parser.py::TestRendering::test_random_policies_round_trip",),
+    ),
 )
 
 
 CHILDREN = multiprocessing.get_context("forkserver")
 
+# The phases of a property test under a mutant, and on the unmutated copy.
+KILL = (Phase.explicit, Phase.reuse, Phase.generate)
+REPLAY = (Phase.explicit, Phase.reuse)
 
-def run_tests(src: Path, tests: list[str], workdir: Path) -> bool:
+
+def run_tests(src: Path, tests: list[str], workdir: Path, phases: tuple[Phase, ...]) -> bool:
     """Whether ``tests`` pass with cpcompat imported from ``src``, in the
-    tests and in the programs they start. The child runs in ``workdir``, so
-    its caches stay out of the checkout."""
-    child = CHILDREN.Process(target=_run_pytest, args=(str(src), tests, str(workdir)))
+    tests and in the programs they start, their property tests run in
+    ``phases``. The child runs in ``workdir``, so its caches and example
+    database stay out of the checkout."""
+    child = CHILDREN.Process(target=_run_pytest, args=(str(src), tests, str(workdir), phases))
     child.start()
     child.join()
     return child.exitcode == 0
 
 
-def _run_pytest(src: str, tests: list[str], workdir: str) -> None:
+def _run_pytest(src: str, tests: list[str], workdir: str, phases: tuple[Phase, ...]) -> None:
     """The body of a child of ``run_tests``: it exits with pytest's code."""
     os.chdir(workdir)
+    # Named here, as a CI profile turns the database off.
+    database = DirectoryBasedExampleDatabase(os.path.join(workdir, "examples"))
+    settings.register_profile("mutants", phases=phases, database=database)
+    settings.load_profile("mutants")
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     sys.dont_write_bytecode = False
     sys.pycache_prefix = os.path.join(workdir, "pycache")
@@ -239,10 +281,6 @@ def main(names: list[str]) -> int:
     CHILDREN.set_forkserver_preload(["hypothesis", "pytest"])
     with tempfile.TemporaryDirectory() as temp:
         work = Path(temp)
-        tests = sorted({test for mutant in selected for test in mutant.tests})
-        if not run_tests(copy_sources(work / "unmutated"), tests, work):
-            print("the tests fail on the unmutated sources", file=sys.stderr)
-            return 1
         for index, mutant in enumerate(selected):
             src = copy_sources(work / str(index))
             path = src / "cpcompat" / mutant.file
@@ -260,9 +298,13 @@ def main(names: list[str]) -> int:
                 failures += 1
                 continue
             path.write_text(mutated, encoding="utf-8")
-            survived = run_tests(src, list(mutant.tests), work)
+            survived = run_tests(src, list(mutant.tests), work, KILL)
             print(f"{'SURVIVED' if survived else 'killed'} {mutant.name}")
             failures += survived
+        tests = sorted({test for mutant in selected for test in mutant.tests})
+        if not run_tests(copy_sources(work / "unmutated"), tests, work, REPLAY):
+            print("the tests fail on the unmutated sources", file=sys.stderr)
+            return 1
     print(f"{len(selected)} mutants, {failures} not killed, {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 

@@ -106,7 +106,11 @@ def document_options() -> st.SearchStrategy[PolicyOption]:
 # built once, they are not built and unwrapped again on every draw.
 _WEIGHTS = st.integers(1, 4)
 _OPTION_COUNTS = st.integers(0, 4)
+# Zero to three roots and up to two children a section, numbered with gaps,
+# three levels deep.
+_ROOT_SEGMENTS = st.lists(st.integers(1, 6), unique=True, max_size=3)
 _CHILD_SEGMENTS = st.lists(st.integers(1, 5), unique=True, max_size=2)
+_DEPTH = 3
 _DOCUMENT_OPTIONS = document_options()
 _TITLES = _titles()
 _CONNECTIVES = connectives()
@@ -149,25 +153,16 @@ def _paragraphs(
 
 
 @st.composite
-def policies(
-    draw,
-    name: str = "P",
-    unit_weights: bool = False,
-    max_roots: int = 3,
-    max_depth: int = 3,
-) -> Policy:
-    root_segments = sorted(
-        draw(st.lists(st.integers(1, 6), unique=True, max_size=max_roots))
-    )
+def policies(draw, name: str = "P", unit_weights: bool = False) -> Policy:
     roots = tuple(
         draw(
             _paragraphs(
                 prefix=(segment,),
-                depth_budget=max_depth - 1,
+                depth_budget=_DEPTH - 1,
                 unit_weights=unit_weights,
             )
         )
-        for segment in root_segments
+        for segment in sorted(draw(_ROOT_SEGMENTS))
     )
     return Policy(name=name, roots=roots)
 
@@ -287,9 +282,12 @@ def limit_documents() -> st.SearchStrategy[str]:
 
 # Text the format cannot always hold as it is: keywords, which an option
 # line reads first, the line boundaries of str.splitlines other than "\n"
-# and "\r", and whitespace that a parsed line loses at its edges.
+# and "\r", and whitespace that a parsed line loses at its edges; and text
+# it must hold: dots, dashes, numbers that end a title (so its weight is
+# spelled out) or open a phrase as "1.2 ...", and mixed case.
 _HOSTILE_ATOMS = (
     "MUST", "NOT", "OPTIONAL", "RECOMMENDED", "x", "rotate keys", "a)", "1", "//",
+    ".", "-", "1.2", "42", "2024", "Key", "aUDIT",
     " ", "  ", "\t", "\u00a0", "\u2028", "\x0b", "\x85", "\x1c",
 )
 
@@ -309,31 +307,33 @@ def _admitted(factory, *args, **kwargs):
 @st.composite
 def _hostile_paragraphs(draw, path: tuple[int, ...]) -> Paragraph | None:
     """A section built through the model API from hostile text, with the
-    options, comments and subsection the model admits; None when it
+    options, comments and subsections the model admits; None when it
     refuses the title."""
     paragraph = _admitted(
-        Paragraph, NumberPath(path), draw(_hostile_text()), connective=draw(connectives())
+        Paragraph, NumberPath(path), draw(_hostile_text()), draw(_WEIGHTS),
+        connective=draw(_CONNECTIVES),
     )
     if paragraph is None:
         return None
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(_OPTION_COUNTS)):
         option = _admitted(PolicyOption, draw(_hostile_text()), draw(keywords_or_none()))
         if option is not None:
             paragraph = replace(paragraph, options=paragraph.options + (option,))
     for _ in range(draw(st.integers(0, 2))):
         comments = paragraph.comments + ("//" + draw(_hostile_text()),)
         paragraph = _admitted(replace, paragraph, comments=comments) or paragraph
-    if len(path) == 1 and (child := draw(_hostile_paragraphs(path + (1,)))) is not None:
-        paragraph = replace(paragraph, children=(child,))
+    if len(path) < _DEPTH:
+        children = [draw(_hostile_paragraphs(path + (s,))) for s in sorted(draw(_CHILD_SEGMENTS))]
+        paragraph = replace(paragraph, children=tuple(c for c in children if c is not None))
     return paragraph
 
 
 @st.composite
 def hostile_policies(draw) -> Policy:
-    """Policies of one to three sections, each with at most one subsection,
-    built through the model API from hostile text rather than parsed."""
-    count = draw(st.integers(1, 3))
-    sections = [draw(_hostile_paragraphs((segment,))) for segment in range(1, count + 1)]
+    """Policies of the outlines ``policies()`` draws (zero to three roots,
+    numbering gaps, weights 1 to 4, three levels), built through the model
+    API from hostile text rather than parsed."""
+    sections = [draw(_hostile_paragraphs((s,))) for s in sorted(draw(_ROOT_SEGMENTS))]
     return Policy(name="hostile", roots=tuple(s for s in sections if s is not None))
 
 

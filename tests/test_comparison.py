@@ -478,24 +478,3 @@ class TestComparisonProperties:
             assert 0.0 <= report.overall_unweighted <= 100.0
             for row in report.paragraph_scores:
                 assert 0.0 <= row.combined_score <= 100.0
-
-    @settings(max_examples=150, deadline=None)
-    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
-    def test_rows_and_missing_diagnostics_follow_align(self, policy_a, policy_b):
-        pairs = align(policy_a, policy_b)
-        one_sided = [
-            ("MISSING_IN_A", pb.path) if pa is None else ("MISSING_IN_B", pa.path)
-            for pa, pb in pairs
-            if pa is None or pb is None
-        ]
-        for mode in (MERGE, ACQUIRE):
-            report = compare(policy_a, policy_b, mode)
-            assert [row.path for row in report.paragraph_scores] == [
-                (pa or pb).path for pa, pb in pairs
-            ]
-            missing = [
-                (d.code, d.path)
-                for d in report.diagnostics
-                if d.code in ("MISSING_IN_A", "MISSING_IN_B")
-            ]
-            assert missing == one_sided

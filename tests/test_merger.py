@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from cpcompat.acceptance import evaluate, parse_rules
-from cpcompat.comparison import align, compare
+from cpcompat.comparison import compare
 from cpcompat.merger import MergeRejectedError, merge
-from cpcompat.model import ComparisonMode, Connective, Keyword, NumberPath
+from cpcompat.model import ComparisonMode, Connective, Keyword
 from cpcompat.parser import parse_policy, render_policy
 
 from conftest import find, policy_from
@@ -200,27 +200,3 @@ class TestMergedPolicyQuality:
     def test_random_self_merge_is_identity(self, policy):
         merged = merge_pair(policy, policy)
         assert merged.roots == policy.roots
-
-    @settings(max_examples=100, deadline=None)
-    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
-    def test_merge_follows_the_alignment(self, policy_a, policy_b):
-        # The draft has exactly the sections compare pairs up, and a bare
-        # section flag sits on each one-sided pair that is a top-level
-        # section or whose parent both sides have: the root of an adopted
-        # subtree, and nothing else.
-        pairs = align(policy_a, policy_b)
-        drafted = {p.path: p for p in merge_pair(policy_a, policy_b).walk()}
-        assert set(drafted) == {(a or b).path for a, b in pairs}
-        two_sided = {a.path for a, b in pairs if a is not None and b is not None}
-        for a, b in pairs:
-            path = (a or b).path
-            flags = [
-                c for c in drafted[path].comments
-                if c in ("// unmatched: from A", "// unmatched: from B")
-            ]
-            one_sided = a is None or b is None
-            adopted_root = one_sided and (
-                len(path.segments) == 1 or NumberPath(path.segments[:-1]) in two_sided
-            )
-            expected = [f"// unmatched: from {'A' if b is None else 'B'}"] if adopted_root else []
-            assert flags == expected, path

@@ -9,7 +9,6 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given, settings
 
 from cpcompat.model import (
     MAX_DEPTH,
@@ -27,8 +26,6 @@ from cpcompat.model import (
 )
 from cpcompat import parser
 from cpcompat.parser import Severity, parse_policy, render_policy
-
-from strategies import hostile_policies
 
 
 def chain(depth: int) -> Paragraph:
@@ -364,14 +361,9 @@ class TestSlottedValues:
 
 
 class TestOnlyWritableTrees:
-    """Whatever the model admits, the text format writes back unchanged."""
-
-    @settings(max_examples=1000, deadline=None)
-    @given(policy=hostile_policies())
-    def test_built_trees_render_and_reparse_equal(self, policy):
-        reparsed, diagnostics = parse_policy(render_policy(policy), name=policy.name)
-        assert not [d for d in diagnostics if d.severity is Severity.ERROR]
-        assert reparsed.roots == policy.roots
+    """Whatever the model admits, the text format writes back unchanged.
+    The randomized round trip is tests/test_parser.py's
+    test_random_policies_round_trip."""
 
     def test_chain_at_the_depth_limit_renders_and_reparses_equal(self):
         policy = Policy(name="deep", roots=(chain(MAX_DEPTH),))
