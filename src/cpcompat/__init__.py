@@ -25,7 +25,7 @@ from .acceptance import (
     evaluate,
     parse_rules,
 )
-from .comparison import align, compare, report_to_json
+from .comparison import compare, report_to_json
 from .merger import MergeRejectedError, merge
 from .model import (
     ComparisonDiagnostic,
@@ -39,15 +39,9 @@ from .model import (
     ParagraphScore,
     Policy,
     PolicyOption,
-    normalize_phrase,
     weighted_mean,
 )
 from .parser import ParseDiagnostic, Severity, parse_policy, render_policy
-from .scoring import (
-    match_options,
-    score_option_lists,
-    score_paragraph_options,
-)
 
 __all__ = [
     "AcceptanceRule",
@@ -70,18 +64,13 @@ __all__ = [
     "Severity",
     "UnknownPathError",
     "Verdict",
-    "align",
     "compare",
     "evaluate",
-    "match_options",
     "merge",
-    "normalize_phrase",
     "parse_policy",
     "parse_rules",
     "render_policy",
     "report_to_json",
-    "score_option_lists",
-    "score_paragraph_options",
     "weighted_mean",
 ]
 

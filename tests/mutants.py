@@ -226,6 +226,13 @@ MUTANTS = (
         "    if _is_weight(title.rsplit(None, 1)[-1]):\n",
         ("tests/test_parser.py::TestRendering::test_random_policies_round_trip",),
     ),
+    Mutant(
+        "the renderer writes a keyword-free option without its label",
+        "parser.py",
+        '    return f"{label}) {option.phrase}"\n',
+        "    return option.phrase\n",
+        ("tests/test_parser.py::TestRendering::test_random_policies_round_trip",),
+    ),
 )
 
 

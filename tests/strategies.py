@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import string
-from dataclasses import replace
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -34,10 +33,6 @@ SPELLED_PHRASES = tuple(
     for case in (str.lower, str.upper, str.title)
     for gap in (" ", "  ", "\t")
 )
-
-_TITLE_ALPHABET = string.ascii_letters + string.digits + " .-"
-_PHRASE_ALPHABET = string.ascii_lowercase + string.digits + " .-"
-
 
 def keywords_or_none() -> st.SearchStrategy[Keyword | None]:
     return st.sampled_from((None, *Keyword))
@@ -71,135 +66,126 @@ def option_lists(
     ).map(tuple)
 
 
-def _titles() -> st.SearchStrategy[str]:
-    return (
-        st.text(alphabet=_TITLE_ALPHABET, min_size=1, max_size=16)
-        .map(str.strip)
-        .map(lambda s: s or "Section")
-    )
+# Text the format cannot always hold as it is: keywords, which an option
+# line reads first, and whitespace that a parsed line loses at its edges;
+# and text it must hold: dots, dashes, numbers that end a title (so its
+# weight is spelled out) or open a phrase as "1.2 ...", and mixed case.
+# The line boundaries of str.splitlines are left out: the model refuses
+# every text that holds one.
+_HOSTILE_ATOMS = (
+    "MUST", "NOT", "OPTIONAL", "RECOMMENDED", "x", "rotate keys", "a)", "1", "//",
+    ".", "-", "1.2", "42", "2024", "Key", "aUDIT",
+    " ", "  ", "\t", "\u00a0",
+)
+_RUNS = tuple(
+    dict.fromkeys("".join(run) for size in (1, 2, 3) for run in product(_HOSTILE_ATOMS, repeat=size))
+)
 
 
-def _phrases() -> st.SearchStrategy[str]:
-    return (
-        st.text(alphabet=_PHRASE_ALPHABET, min_size=1, max_size=20)
-        .map(str.strip)
-        .map(lambda s: s or "option text")
-    )
+def _admits(factory, *args, **kwargs) -> bool:
+    try:
+        factory(*args, **kwargs)
+    except ValueError:
+        return False
+    return True
 
 
-def _comments() -> st.SearchStrategy[str]:
-    # Trailing whitespace would not survive a render/parse round trip.
-    return st.text(alphabet=_TITLE_ALPHABET, max_size=20).map(
-        lambda s: ("//" + s).rstrip()
-    )
-
-
-def document_options() -> st.SearchStrategy[PolicyOption]:
-    return st.builds(
-        PolicyOption,
-        phrase=_phrases(),
-        keyword=keywords_or_none(),
-    )
-
-
-# _paragraphs and policy_pairs_same_outline draw these on every section;
-# built once, they are not built and unwrapped again on every draw.
+# Every run of one to three hostile atoms that the model admits as a line,
+# drawn whole, so that no drawn section or option is ever refused.
+_LINES = tuple(text for text in _RUNS if _admits(PolicyOption, text, Keyword.MUST))
+_TITLES = st.sampled_from(_LINES)
+# A phrase without a keyword may not open with one.
+_HOSTILE_OPTIONS = st.sampled_from(tuple(
+    PolicyOption(text, keyword)
+    for keyword in (None, *Keyword)
+    for text in _LINES
+    if keyword or _admits(PolicyOption, text)
+))
+# A comment keeps the whitespace after "//", which the model admits, but
+# not at its end, which it refuses.
+_COMMENT_LISTS = st.lists(
+    st.sampled_from(tuple(dict.fromkeys(("//" + text).rstrip() for text in _RUNS))), max_size=2
+)
+_SPELLED_OPTIONS = scoring_options(SPELLED_PHRASES)
 _WEIGHTS = st.integers(1, 4)
 _OPTION_COUNTS = st.integers(0, 4)
-# Zero to three roots and up to two children a section, numbered with gaps,
-# three levels deep.
-_ROOT_SEGMENTS = st.lists(st.integers(1, 6), unique=True, max_size=3)
-_CHILD_SEGMENTS = st.lists(st.integers(1, 5), unique=True, max_size=2)
-_DEPTH = 3
-_DOCUMENT_OPTIONS = document_options()
-_TITLES = _titles()
 _CONNECTIVES = connectives()
-_COMMENT_LISTS = st.lists(_comments(), max_size=2)
-_SCORING_OPTIONS = scoring_options()
+# Each set of one to three roots numbered 1 to 6, or of up to two children
+# numbered 1 to 5, in one draw, so most sections have siblings and gaps in
+# their numbering; three levels deep.
+_ROOT_SEGMENTS = st.sampled_from([c for n in (1, 2, 3) for c in combinations(range(1, 7), n)])
+_CHILD_SEGMENTS = st.sampled_from([c for n in (0, 1, 2) for c in combinations(range(1, 6), n)])
+_DEPTH = 3
 
 
-@st.composite
-def _paragraphs(
-    draw,
-    prefix: tuple[int, ...],
-    depth_budget: int,
-    unit_weights: bool,
-) -> Paragraph:
-    weight = 1 if unit_weights else draw(_WEIGHTS)
-    n_options = draw(_OPTION_COUNTS)
-    options = tuple(draw(_DOCUMENT_OPTIONS) for _ in range(n_options))
-    children: list[Paragraph] = []
-    if depth_budget > 0:
-        segments = sorted(draw(_CHILD_SEGMENTS))
-        for segment in segments:
-            children.append(
-                draw(
-                    _paragraphs(
-                        prefix=prefix + (segment,),
-                        depth_budget=depth_budget - 1,
-                        unit_weights=unit_weights,
-                    )
-                )
+def _sections(draw, prefix, segments, clothe) -> list[tuple[Paragraph, ...]]:
+    """The sections numbered ``prefix`` and a segment that ``segments``
+    draws, with their subtrees, each as one paragraph per side. The sides
+    share the outline: numbers, titles, weights and comments.
+    ``clothe(draw)`` gives each side its options and connective."""
+    sections = []
+    for segment in draw(segments):
+        path = prefix + (segment,)
+        title, weight, comments = draw(_TITLES), draw(_WEIGHTS), tuple(draw(_COMMENT_LISTS))
+        children = _sections(draw, path, _CHILD_SEGMENTS, clothe) if len(path) < _DEPTH else []
+        sections.append(tuple(
+            Paragraph(
+                NumberPath(path), title, weight, options, connective, comments,
+                tuple(child[side] for child in children),
             )
-    return Paragraph(
-        path=NumberPath(prefix),
-        title=draw(_TITLES),
-        weight=weight,
-        options=options,
-        connective=draw(_CONNECTIVES),
-        comments=tuple(draw(_COMMENT_LISTS)),
-        children=tuple(children),
-    )
+            for side, (options, connective) in enumerate(clothe(draw))
+        ))
+    return sections
+
+
+def _options(draw, options) -> tuple[PolicyOption, ...]:
+    return tuple(draw(options) for _ in range(draw(_OPTION_COUNTS)))
+
+
+def _hostile_clothes(draw):
+    return ((_options(draw, _HOSTILE_OPTIONS), draw(_CONNECTIVES)),)
+
+
+def _policy(draw, name: str) -> Policy:
+    sections = _sections(draw, (), _ROOT_SEGMENTS, _hostile_clothes)
+    return Policy(name=name, roots=tuple(root for (root,) in sections))
 
 
 @st.composite
-def policies(draw, name: str = "P", unit_weights: bool = False) -> Policy:
-    roots = tuple(
-        draw(
-            _paragraphs(
-                prefix=(segment,),
-                depth_budget=_DEPTH - 1,
-                unit_weights=unit_weights,
-            )
-        )
-        for segment in sorted(draw(_ROOT_SEGMENTS))
-    )
-    return Policy(name=name, roots=roots)
+def policies(draw, name: str = "P") -> Policy:
+    """Policies of one to three roots, numbering gaps, weights 1 to 4 and
+    three levels, built through the model API from hostile text."""
+    return _policy(draw, name)
 
 
 @st.composite
-def policy_pairs_same_outline(
-    draw,
-    same_connective: bool = True,
-    unit_weights: bool = True,
-) -> tuple[Policy, Policy]:
-    """Two policies with identical outlines (paths, titles, weights).
+def policy_pairs(draw) -> tuple[Policy, Policy]:
+    """Policies A and B of ``policies()``, drawn in one value. Hypothesis
+    copies one drawn value onto another of the same strategy, so two
+    ``policies()`` draws are identical far more often (74 in 1000
+    derandomized pairs)."""
+    return _policy(draw, "A"), _policy(draw, "B")
 
-    Option lists are redrawn per side from the small scoring pool so that
-    cross-side matches are common; connectives are shared when
-    ``same_connective`` is set and drawn independently otherwise.
+
+@st.composite
+def policy_pairs_same_outline(draw, same_connective: bool = True) -> tuple[Policy, Policy]:
+    """Two policies with one outline (numbers, titles, weights, comments).
+
+    Options are drawn per side from ``SPELLED_PHRASES``, so that cross-side
+    matches are common and differently spelled; connectives are shared when
+    ``same_connective`` is set and drawn per side otherwise.
     """
-    skeleton = draw(policies(unit_weights=unit_weights))
 
-    def reclothe(paragraph: Paragraph) -> Paragraph:
-        n_options = draw(_OPTION_COUNTS)
-        options = tuple(draw(_SCORING_OPTIONS) for _ in range(n_options))
-        connective = (
-            paragraph.connective if same_connective else draw(_CONNECTIVES)
-        )
-        return Paragraph(
-            path=paragraph.path,
-            title=paragraph.title,
-            weight=paragraph.weight,
-            options=options,
-            connective=connective,
-            comments=paragraph.comments,
-            children=tuple(reclothe(child) for child in paragraph.children),
-        )
+    def clothe(draw):
+        connective = draw(_CONNECTIVES)
+        connectives = (connective, connective if same_connective else draw(_CONNECTIVES))
+        return tuple((_options(draw, _SPELLED_OPTIONS), c) for c in connectives)
 
-    side_a = Policy(name="A", roots=tuple(reclothe(root) for root in skeleton.roots))
-    side_b = Policy(name="B", roots=tuple(reclothe(root) for root in skeleton.roots))
-    return side_a, side_b
+    sections = _sections(draw, (), _ROOT_SEGMENTS, clothe)
+    return (
+        Policy(name="A", roots=tuple(a for a, _ in sections)),
+        Policy(name="B", roots=tuple(b for _, b in sections)),
+    )
 
 
 # Line fragments chosen to sit on the edges of the parser's line dispatch:
@@ -278,63 +264,6 @@ def limit_documents() -> st.SearchStrategy[str]:
     """Documents on the program's size limits: a wide section 1 and a chain
     under section 2."""
     return st.tuples(wide_sections(), deep_chains()).map("".join)
-
-
-# Text the format cannot always hold as it is: keywords, which an option
-# line reads first, the line boundaries of str.splitlines other than "\n"
-# and "\r", and whitespace that a parsed line loses at its edges; and text
-# it must hold: dots, dashes, numbers that end a title (so its weight is
-# spelled out) or open a phrase as "1.2 ...", and mixed case.
-_HOSTILE_ATOMS = (
-    "MUST", "NOT", "OPTIONAL", "RECOMMENDED", "x", "rotate keys", "a)", "1", "//",
-    ".", "-", "1.2", "42", "2024", "Key", "aUDIT",
-    " ", "  ", "\t", "\u00a0", "\u2028", "\x0b", "\x85", "\x1c",
-)
-
-
-def _hostile_text() -> st.SearchStrategy[str]:
-    return st.lists(st.sampled_from(_HOSTILE_ATOMS), min_size=1, max_size=5).map("".join)
-
-
-def _admitted(factory, *args, **kwargs):
-    """``factory(*args, **kwargs)``, or None when the model refuses it."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError:
-        return None
-
-
-@st.composite
-def _hostile_paragraphs(draw, path: tuple[int, ...]) -> Paragraph | None:
-    """A section built through the model API from hostile text, with the
-    options, comments and subsections the model admits; None when it
-    refuses the title."""
-    paragraph = _admitted(
-        Paragraph, NumberPath(path), draw(_hostile_text()), draw(_WEIGHTS),
-        connective=draw(_CONNECTIVES),
-    )
-    if paragraph is None:
-        return None
-    for _ in range(draw(_OPTION_COUNTS)):
-        option = _admitted(PolicyOption, draw(_hostile_text()), draw(keywords_or_none()))
-        if option is not None:
-            paragraph = replace(paragraph, options=paragraph.options + (option,))
-    for _ in range(draw(st.integers(0, 2))):
-        comments = paragraph.comments + ("//" + draw(_hostile_text()),)
-        paragraph = _admitted(replace, paragraph, comments=comments) or paragraph
-    if len(path) < _DEPTH:
-        children = [draw(_hostile_paragraphs(path + (s,))) for s in sorted(draw(_CHILD_SEGMENTS))]
-        paragraph = replace(paragraph, children=tuple(c for c in children if c is not None))
-    return paragraph
-
-
-@st.composite
-def hostile_policies(draw) -> Policy:
-    """Policies of the outlines ``policies()`` draws (zero to three roots,
-    numbering gaps, weights 1 to 4, three levels), built through the model
-    API from hostile text rather than parsed."""
-    sections = [draw(_hostile_paragraphs((s,))) for s in sorted(draw(_ROOT_SEGMENTS))]
-    return Policy(name="hostile", roots=tuple(s for s in sections if s is not None))
 
 
 # Text a JSON writer must escape or pass through: quotes, backslashes,

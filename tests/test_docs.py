@@ -2,7 +2,8 @@
 
 Each Python example is executed with the names it assumes already bound:
 ``text_a`` and ``text_b`` hold two policies, and ``report`` is their
-comparison, which has the sections 1 and 6.1 the examples name. The JSON
+comparison, which has the sections 1 and 6.1 the examples name. README's
+Library use or RULES.md names every name the package exports. The JSON
 report schema of CLI.md lists the keys the report writer writes, and
 FORMAT.md's diagnostics tables list the codes the parser reports. CLI.md's
 synopsis of each command names the options of its ``--help``, and the
@@ -61,6 +62,19 @@ def test_example_runs(name, capsys):
     assert report.find(cpcompat.NumberPath.parse("6.1")) is not None
     namespace = {"text_a": TEXT_A, "text_b": TEXT_B, "report": report}
     exec(compile(EXAMPLES[name](), name, "exec"), namespace)
+
+
+def code_names(text: str) -> set[str]:
+    """The words in the code spans and code blocks of Markdown text."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.DOTALL)
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
+def test_every_exported_name_is_documented():
+    """README's Library use or RULES.md names each name of cpcompat.__all__."""
+    documented = code_names(section("README.md", "Library use"))
+    documented |= code_names((ROOT / "RULES.md").read_text(encoding="utf-8"))
+    assert sorted(set(cpcompat.__all__) - documented) == []
 
 
 def test_report_schema_tables_list_the_written_keys():

@@ -19,7 +19,7 @@ from cpcompat.parser import (
 
 from conftest import find
 from oracle import oracle_option_line
-from strategies import _soup_lines, chain_text, hostile_policies, line_soups
+from strategies import _soup_lines, chain_text, line_soups, policies
 
 
 def parse_ok(text: str, name: str = "P"):
@@ -829,7 +829,7 @@ class TestRendering:
         assert policy.roots == reparsed.roots
 
     @settings(max_examples=1000, deadline=None)
-    @given(policy=hostile_policies())
+    @given(policy=policies())
     def test_random_policies_round_trip(self, policy):
         rendered = render_policy(policy)
         reparsed, diagnostics = parse_policy(rendered, name=policy.name)
