@@ -49,7 +49,6 @@ from .scoring import (
 )
 
 __all__ = [
-    "align",
     "compare",
     "report_to_json",
 ]
@@ -67,18 +66,11 @@ def pair_by_path(
     return pairs
 
 
-def align(
-    policy_a: Policy,
-    policy_b: Policy,
-) -> list[tuple[Paragraph | None, Paragraph | None]]:
-    """:func:`pair_by_path` over all paragraphs of both policies, preorder."""
-    return pair_by_path(policy_a.walk(), policy_b.walk())
-
-
 def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> ComparisonReport:
     """Compare two policies and report per-paragraph and overall scores.
 
-    Rows and diagnostics follow :func:`align`'s pair order.
+    Rows and diagnostics follow :func:`pair_by_path`'s order over all
+    paragraphs of both policies, in preorder.
     """
     # One backward walk builds rows and diagnostics alike: a paragraph's
     # children follow it in preorder, so each child's combined score is
@@ -88,7 +80,7 @@ def compare(policy_a: Policy, policy_b: Policy, mode: ComparisonMode) -> Compari
     rows: list[ParagraphScore] = []
     diagnostics: list[ComparisonDiagnostic] = []
     combined: dict[tuple[int, ...], float] = {}
-    for paragraph_a, paragraph_b in reversed(align(policy_a, policy_b)):
+    for paragraph_a, paragraph_b in reversed(pair_by_path(policy_a.walk(), policy_b.walk())):
         path = (paragraph_a or paragraph_b).path
         if paragraph_a is None or paragraph_b is None:
             # One side is silent: the other side's options face an empty list.

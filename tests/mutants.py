@@ -233,6 +233,76 @@ MUTANTS = (
         "    return option.phrase\n",
         ("tests/test_parser.py::TestRendering::test_random_policies_round_trip",),
     ),
+    Mutant(
+        "a zero segment is refused only past the first",
+        "parser.py",
+        "            if 0 in path:\n",
+        "            if 0 in path[1:]:\n",
+        ("tests/test_parser.py::TestErrors::test_zero_segment_rejected",),
+    ),
+    Mutant(
+        "a weight of zero is accepted",
+        "parser.py",
+        "                if weight == 0:\n",
+        "                if weight < 0:\n",
+        ("tests/test_parser.py::TestErrors::test_zero_weight_rejected",),
+    ),
+    Mutant(
+        "the depth limit admits one segment more",
+        "parser.py",
+        "            if depth > MAX_DEPTH:\n",
+        "            if depth > MAX_DEPTH + 1:\n",
+        ("tests/test_parser.py::TestErrors::test_heading_past_the_depth_limit",),
+    ),
+    Mutant(
+        "a repeated section number is not a duplicate",
+        "parser.py",
+        "            if path in seen_paths:\n",
+        "            if False:\n",
+        ("tests/test_parser.py::TestErrors::test_duplicate_section",),
+    ),
+    Mutant(
+        "a section without a parent reads as out of order",
+        "parser.py",
+        "                if parent_path in seen_paths:\n",
+        "                if True:\n",
+        ("tests/test_parser.py::TestErrors::test_orphan_section",),
+    ),
+    Mutant(
+        "an unknown connective reads as OR",
+        "parser.py",
+        "_CONNECTIVES.get(tokens[1].upper())",
+        "_CONNECTIVES.get(tokens[1].upper(), Connective.OR)",
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
+    ),
+    Mutant(
+        "a connection line before the first heading only warns",
+        "parser.py",
+        '                error(\n                    "CONNECTION_BEFORE_SECTION",',
+        '                warn(\n                    "CONNECTION_BEFORE_SECTION",',
+        ("tests/test_parser.py::TestErrors::test_connection_before_any_section",),
+    ),
+    Mutant(
+        "an option line before the first heading only warns",
+        "parser.py",
+        '            error(\n                "OPTION_BEFORE_SECTION",',
+        '            warn(\n                "OPTION_BEFORE_SECTION",',
+        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+    ),
+    Mutant(
+        "option labels are never recorded",
+        "parser.py",
+        "            current.labels.add(label)\n",
+        "",
+        ("tests/test_parser.py::TestOptionParsing::test_lowercased_label_collides_with_lower_case_label",),
+    ),
+    Mutant(
+        "an option without a phrase only warns",
+        "parser.py",
+        'error("EMPTY_OPTION_PHRASE"',
+        'warn("EMPTY_OPTION_PHRASE"',
+        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+    ),
 )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpcompat.comparison import align, compare, report_to_json
+from cpcompat.comparison import compare, report_to_json
 from cpcompat.model import (
     ComparisonMode,
     ComparisonReport,
@@ -22,41 +22,10 @@ from cpcompat.model import (
 
 from conftest import policy_from
 from oracle import oracle_report_dict
-from strategies import api_reports, modes, policies, policy_pairs_same_outline
+from strategies import api_reports, modes, policies, policy_pairs, policy_pairs_same_outline
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
-
-
-class TestAlign:
-    def test_shared_and_one_sided_paths(self):
-        a = policy_from("1 A\n1.1 Aa\n2 B\n", name="A")
-        b = policy_from("1 A\n1.2 Ab\n2 B\n3 C\n", name="B")
-        pairs = align(a, b)
-        described = [
-            (
-                pa.path.dotted if pa is not None else None,
-                pb.path.dotted if pb is not None else None,
-            )
-            for pa, pb in pairs
-        ]
-        assert described == [
-            ("1", "1"),
-            ("1.1", None),
-            ("2", "2"),
-            (None, "1.2"),
-            (None, "3"),
-        ]
-
-    def test_identical_outlines_have_no_one_sided_rows(self, sample_policy_text):
-        a = policy_from(sample_policy_text, name="A")
-        b = policy_from(sample_policy_text, name="B")
-        assert all(pa is not None and pb is not None for pa, pb in align(a, b))
-
-    def test_empty_policies(self):
-        a = policy_from("", name="A")
-        b = policy_from("", name="B")
-        assert align(a, b) == []
 
 
 class TestWorkedExampleReport:
@@ -460,8 +429,9 @@ class TestComparisonProperties:
         )
 
     @settings(max_examples=150, deadline=None)
-    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
-    def test_scores_bounded(self, policy_a, policy_b):
+    @given(pair=policy_pairs())
+    def test_scores_bounded(self, pair):
+        policy_a, policy_b = pair
         for mode in (MERGE, ACQUIRE):
             report = compare(policy_a, policy_b, mode)
             assert 0.0 <= report.overall_weighted <= 100.0

@@ -94,6 +94,17 @@ def test_report_schema_tables_list_the_written_keys():
     assert tables == [list(data), list(data["paragraphs"][0]), list(data["diagnostics"][0])]
 
 
+def diagnostic_tables() -> dict[str, set[str]]:
+    """The codes of FORMAT.md's diagnostics tables, by heading: ``Errors``
+    and ``Warnings``."""
+    return {
+        heading: set(re.findall(r"^\| `(\w+)` +\|", text, re.MULTILINE))
+        for heading, text in (
+            part.split("\n", 1) for part in section("FORMAT.md", "Diagnostics").split("### ")[1:]
+        )
+    }
+
+
 def test_diagnostics_tables_list_the_parser_codes():
     """FORMAT.md's Errors table names the first argument of every
     ``error(...)`` call in parser.py, and its Warnings table that of every
@@ -104,13 +115,7 @@ def test_diagnostics_tables_list_the_parser_codes():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in codes:
             codes[node.func.id].add(ast.literal_eval(node.args[0]))
     assert codes["error"] and codes["warn"]
-    tables = {
-        heading: set(re.findall(r"^\| `(\w+)` +\|", text, re.MULTILINE))
-        for heading, text in (
-            part.split("\n", 1) for part in section("FORMAT.md", "Diagnostics").split("### ")[1:]
-        )
-    }
-    assert tables == {"Errors": codes["error"], "Warnings": codes["warn"]}
+    assert diagnostic_tables() == {"Errors": codes["error"], "Warnings": codes["warn"]}
 
 
 @pytest.mark.parametrize("command", ["validate", "compare", "merge"])

@@ -12,7 +12,7 @@ from cpcompat.model import ComparisonMode, Connective, Keyword
 from cpcompat.parser import parse_policy, render_policy
 
 from conftest import find, policy_from
-from strategies import policies
+from strategies import policies, policy_pairs
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
@@ -188,9 +188,9 @@ class TestMergedPolicyQuality:
         assert again.roots == merged.roots
 
     @settings(max_examples=100, deadline=None)
-    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
-    def test_random_merges_reparse_cleanly(self, policy_a, policy_b):
-        merged = merge_pair(policy_a, policy_b)
+    @given(pair=policy_pairs())
+    def test_random_merges_reparse_cleanly(self, pair):
+        merged = merge_pair(*pair)
         reparsed, diagnostics = parse_policy(render_policy(merged), name=merged.name)
         assert reparsed is not None, [str(d) for d in diagnostics]
         assert merged.roots == reparsed.roots

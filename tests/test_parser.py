@@ -1,8 +1,16 @@
-"""Tests for the policy text parser and renderer."""
+"""Tests for the policy text parser and renderer.
+
+Each example of the policy grammar is asserted in full: the document, the
+tree it parses to (None when it draws an error) and every diagnostic, with
+its severity, code, line and message. ``_document`` and ``_documents`` make
+the tests of such rows and record each row in ``DOCUMENTS``, which names
+every code FORMAT.md documents.
+"""
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +28,13 @@ from cpcompat.parser import (
 from conftest import find
 from oracle import oracle_option_line
 from strategies import _soup_lines, chain_text, line_soups, policies
+from test_docs import diagnostic_tables
+
+MUST, RECOMMENDED, OPTIONAL, NOT = Keyword.MUST, Keyword.RECOMMENDED, Keyword.OPTIONAL, Keyword.NOT
+AND, OR = Connective.AND, Connective.OR
+
+_error = partial(ParseDiagnostic, Severity.ERROR)
+_warning = partial(ParseDiagnostic, Severity.WARNING)
 
 
 def parse_ok(text: str, name: str = "P"):
@@ -31,15 +46,84 @@ def parse_ok(text: str, name: str = "P"):
     return policy, diagnostics
 
 
-def error_codes(diagnostics):
-    return [d.code for d in diagnostics if d.severity is Severity.ERROR]
+def _section(dotted, title, *options, weight=1, connective=Connective.NONE, comments=(), children=()):
+    return Paragraph(NumberPath.parse(dotted), title, weight, options, connective, comments, children)
 
 
-def warning_codes(diagnostics):
-    return [d.code for d in diagnostics if d.severity is Severity.WARNING]
+def _policy(*roots, name="P"):
+    return Policy(name, roots)
 
 
-# The sample fragment of the source paper.
+def _one(title, *options, **fields):
+    """The policy whose one section is ``1 title``, holding ``options``."""
+    return _policy(_section("1", title, *options, **fields))
+
+
+def _intro(*options, **fields):
+    return _one("INTRO", *options, **fields)
+
+
+def _bad_label(label, line=2):
+    return _warning("BAD_OPTION_LABEL", line, f"option label {label!r} should be lower case")
+
+
+def _duplicate_label(label, line=3):
+    return _error("DUPLICATE_OPTION_LABEL", line, f"option label {label!r} is already used in this paragraph")
+
+
+def _heading_like(token):
+    return _warning("HEADING_LIKE_OPTION", 2, f"option starts with {token!r}, which looks like a section number")
+
+
+def _out_of_order(dotted, line):
+    return _error("SECTION_OUT_OF_ORDER", line, f"section {dotted} does not follow its siblings in order")
+
+
+def _bad_connective(line):
+    return _error("BAD_CONNECTIVE", line, "Connection line must read 'Connection AND' or 'Connection OR'")
+
+
+_EMPTY_PHRASE = _error("EMPTY_OPTION_PHRASE", 2, "option has no phrase text")
+_DUPLICATE_1 = _error("DUPLICATE_SECTION", 2, "section 1 already defined")
+
+# Every (text, policy, diagnostics) row of this module.
+DOCUMENTS = []
+
+
+def _document(text, policy, diagnostics):
+    """A test that ``text`` parses to exactly ``policy`` and ``diagnostics``."""
+    DOCUMENTS.append((text, policy, diagnostics))
+
+    def test(self):
+        assert parse_policy(text, name="P") == (policy, diagnostics)
+
+    return test
+
+
+def _documents(*rows, ids=None):
+    """One test over ``(text, policy, diagnostics)`` rows, a case each."""
+    DOCUMENTS.extend(rows)
+
+    @pytest.mark.parametrize("text, policy, diagnostics", rows, ids=ids)
+    def test(self, text, policy, diagnostics):
+        assert parse_policy(text, name="P") == (policy, diagnostics)
+
+    return test
+
+
+def test_documents_name_every_documented_code():
+    """The rows' errors are FORMAT.md's Errors table, and their warnings
+    its Warnings table, so a new code needs a row."""
+    named = {"Errors": set(), "Warnings": set()}
+    for _, _, diagnostics in DOCUMENTS:
+        for d in diagnostics:
+            named["Errors" if d.severity is Severity.ERROR else "Warnings"].add(d.code)
+    assert named == diagnostic_tables()
+
+
+# The sample fragment of the source paper: comments written without a
+# space, a title that is an ellipsis, nesting to the fourth level and a
+# connective on section 1.2.
 PAPER_FRAGMENT = """\
 1 INTRODUCTION
 1.1 Overview
@@ -62,96 +146,86 @@ a) Specifies the difference to the CAs
 
 
 class TestGoldenDocument:
-    def test_parses_without_diagnostics(self, sample_policy_text):
-        policy, diagnostics = parse_policy(sample_policy_text, name="sample")
-        assert diagnostics == []
-        assert policy is not None
-        assert policy.name == "sample"
-
-    def test_root_structure(self, sample_policy_text):
-        policy, _ = parse_ok(sample_policy_text)
-        assert [p.path.dotted for p in policy.roots] == ["1", "2"]
-        intro = policy.roots[0]
-        assert intro.title == "INTRODUCTION"
-        assert intro.weight == 3
-        assert intro.comments == ("// Scope of the document",)
-        assert [c.path.dotted for c in intro.children] == ["1.1", "1.2", "1.3"]
-
-    def test_option_details(self, sample_policy_text):
-        policy, _ = parse_ok(sample_policy_text)
-        overview = find(policy, "1.1")
-        assert overview.title == "Overview"
-        assert overview.weight == 2
-        assert [(o.keyword, o.phrase) for o in overview.options] == [
-            (Keyword.MUST, "provide an overview"),
-            (Keyword.RECOMMENDED, "include a diagram"),
-        ]
-
-    def test_connection_line(self, sample_policy_text):
-        policy, _ = parse_ok(sample_policy_text)
-        naming = find(policy, "1.2")
-        assert naming.connective is Connective.AND
-        # Paragraphs without a Connection line carry no declared connective.
-        assert find(policy, "1.1").connective is Connective.NONE
-
-    def test_nesting_to_depth_four(self, sample_policy_text):
-        policy, _ = parse_ok(sample_policy_text)
-        deep = find(policy, "1.3.1.1")
-        assert deep is not None
-        assert len(deep.path.segments) == 4
-        assert deep.title == "Root Authorities"
-        assert [o.phrase for o in deep.options] == ["operate offline"]
-
-    def test_walk_order_is_document_order(self, sample_policy_text):
-        policy, _ = parse_ok(sample_policy_text)
-        assert [p.path.dotted for p in policy.walk()] == [
+    def test_parses_to_the_whole_tree(self, sample_policy_text):
+        root_authorities = _section("1.3.1.1", "Root Authorities", PolicyOption("operate offline", MUST))
+        introduction = _section(
             "1",
-            "1.1",
-            "1.2",
-            "1.3",
-            "1.3.1",
-            "1.3.1.1",
-            "2",
-        ]
+            "INTRODUCTION",
+            weight=3,
+            comments=("// Scope of the document",),
+            children=(
+                _section(
+                    "1.1",
+                    "Overview",
+                    PolicyOption("provide an overview", MUST),
+                    PolicyOption("include a diagram", RECOMMENDED),
+                    weight=2,
+                ),
+                _section(
+                    "1.2",
+                    "Document Name and Identification",
+                    PolicyOption("state the document name", MUST),
+                    PolicyOption("register an OID", OPTIONAL),
+                    connective=AND,
+                ),
+                _section(
+                    "1.3",
+                    "PKI Participants",
+                    weight=2,
+                    children=(_section("1.3.1", "Certification Authorities", children=(root_authorities,)),),
+                ),
+            ),
+        )
+        publication = _section(
+            "2", "PUBLICATION AND REPOSITORY RESPONSIBILITIES", PolicyOption("publish the certificate policy", MUST)
+        )
+        expected = _policy(introduction, publication, name="sample")
+        assert parse_policy(sample_policy_text, name="sample") == (expected, [])
 
     def test_paper_fragment(self):
-        # Comments written without a space, a title that is an ellipsis,
-        # nesting to the fourth level and a connective on section 1.2.
-        policy, diagnostics = parse_policy(PAPER_FRAGMENT, name="fragment")
-        assert diagnostics == []
-        assert [p.path.dotted for p in policy.walk()] == [
-            "1", "1.1", "1.2", "1.3", "1.3.1", "1.3.1.1", "1.3.2", "1.3.3", "1.3.4",
-        ]
-        assert find(policy, "1.2").connective is Connective.AND
+        certification_authorities = _section(
+            "1.3.1",
+            "Certification authorities",
+            PolicyOption("Issues certificates to end users"),
+            PolicyOption("Issues certificates to other users"),
+            children=(_section("1.3.1.1", "Root authorities", PolicyOption("Specifies the difference to the CAs")),),
+        )
+        participants = _section(
+            "1.3",
+            "PKI participants",
+            comments=("//Described in the subsections",),
+            children=(
+                certification_authorities,
+                _section("1.3.2", "Registration authorities"),
+                _section("1.3.3", "Subscribers"),
+                _section("1.3.4", ". . ."),
+            ),
+        )
+        naming = _section(
+            "1.2",
+            "Document name and identification",
+            PolicyOption("Document name", RECOMMENDED),
+            PolicyOption("Designated identification", MUST),
+            connective=AND,
+        )
+        overview = _section("1.1", "Overview", comments=("//Gives an overview about the document",))
+        expected = _policy(_section("1", "INTRODUCTION", children=(overview, naming, participants)), name="fragment")
+        assert parse_policy(PAPER_FRAGMENT, name="fragment") == (expected, [])
 
 
 class TestHeadingParsing:
-    def test_weight_defaults_to_one(self):
-        policy, _ = parse_ok("1 OVERVIEW\n")
-        assert policy.roots[0].weight == 1
-
-    def test_trailing_integer_is_weight(self):
-        policy, _ = parse_ok("1 SECTION 508 4\n")
-        assert policy.roots[0].title == "SECTION 508"
-        assert policy.roots[0].weight == 4
-
-    def test_all_digit_title_without_weight(self):
-        policy, warnings = parse_policy("1 2024\n")
-        assert policy.roots[0].title == "2024"
-        assert policy.roots[0].weight == 1
-
-    def test_indentation_is_ignored(self):
-        policy, _ = parse_ok("1 TOP\n    1.1 Indented child\n")
-        assert policy.roots[0].children[0].title == "Indented child"
-
-    def test_gaps_in_numbering_allowed(self):
-        policy, diagnostics = parse_ok("1 FIRST\n3 THIRD\n")
-        assert [p.path.dotted for p in policy.roots] == ["1", "3"]
-        assert diagnostics == []
-
-    def test_blank_lines_and_crlf(self):
-        policy, _ = parse_ok("1 TOP\r\n\r\na) MUST do it\r\n")
-        assert policy.roots[0].options[0].phrase == "do it"
+    test_weight_defaults_to_one = _document("1 OVERVIEW\n", _one("OVERVIEW"), [])
+    test_trailing_integer_is_weight = _document("1 SECTION 508 4\n", _one("SECTION 508", weight=4), [])
+    test_all_digit_title_without_weight = _document("1 2024\n", _one("2024"), [])
+    test_indentation_is_ignored = _document(
+        "1 TOP\n    1.1 Indented child\n", _one("TOP", children=(_section("1.1", "Indented child"),)), []
+    )
+    test_gaps_in_numbering_allowed = _document(
+        "1 FIRST\n3 THIRD\n", _policy(_section("1", "FIRST"), _section("3", "THIRD")), []
+    )
+    test_blank_lines_and_crlf = _document(
+        "1 TOP\r\n\r\na) MUST do it\r\n", _one("TOP", PolicyOption("do it", MUST)), []
+    )
 
     @pytest.mark.parametrize(
         "text, path, title, weight",
@@ -162,9 +236,7 @@ class TestHeadingParsing:
             ("1\u00a0TOP\u001f4\n", "1", "TOP", 4),
         ],
     )
-    def test_unicode_whitespace_separates_number_title_and_weight(
-        self, text, path, title, weight
-    ):
+    def test_unicode_whitespace_separates_number_title_and_weight(self, text, path, title, weight):
         policy, _ = parse_ok(text)
         paragraph = find(policy, path)
         assert (paragraph.title, paragraph.weight) == (title, weight)
@@ -184,172 +256,123 @@ class TestHeadingParsing:
         ],
     )
     def test_last_token_of_ascii_digits_is_the_weight(self, line, title, weight):
-        policy, diagnostics = parse_policy(line + "\n")
-        assert diagnostics == []
-        assert (policy.roots[0].title, policy.roots[0].weight) == (title, weight)
+        assert parse_policy(line + "\n", name="P") == (_one(title, weight=weight), [])
 
-    def test_unicode_digits_are_not_section_numbers(self):
-        # U+0663 ARABIC-INDIC DIGIT THREE: a title word, never a number.
-        policy, _ = parse_ok("1 TOP \u0663\n\u0663 hours\n")
-        assert (policy.roots[0].title, policy.roots[0].weight) == ("TOP \u0663", 1)
-        assert policy.roots[0].options[0].phrase == "\u0663 hours"
+    # U+0663 ARABIC-INDIC DIGIT THREE: title and phrase text, never a number.
+    test_unicode_digits_are_not_section_numbers = _document(
+        "1 TOP \u0663\n\u0663 hours\n", _one("TOP \u0663", PolicyOption("\u0663 hours")), []
+    )
 
 
 class TestOptionParsing:
-    def test_unlabeled_option_with_keyword(self):
-        policy, _ = parse_ok("1 T\nMUST do x\n")
-        option = policy.roots[0].options[0]
-        assert (option.keyword, option.phrase) == (Keyword.MUST, "do x")
-
-    def test_bare_phrase_option(self):
-        policy, _ = parse_ok("1 T\nplain phrase here\n")
-        option = policy.roots[0].options[0]
-        assert (option.keyword, option.phrase) == (None, "plain phrase here")
-
-    def test_keyword_matching_is_case_sensitive(self):
-        policy, _ = parse_ok("1 T\nmust do x\n")
-        option = policy.roots[0].options[0]
-        assert option.keyword is None
-        assert option.phrase == "must do x"
-
-    def test_all_keywords_recognized(self):
-        text = "1 T\na) MUST w\nb) RECOMMENDED x\nc) OPTIONAL y\nd) NOT z\n"
-        policy, _ = parse_ok(text)
-        assert [o.keyword for o in policy.roots[0].options] == [
-            Keyword.MUST,
-            Keyword.RECOMMENDED,
-            Keyword.OPTIONAL,
-            Keyword.NOT,
-        ]
-
-    def test_label_without_space_before_phrase(self):
-        policy, _ = parse_ok("1 T\na)MUST x\n")
-        option = policy.roots[0].options[0]
-        assert (option.keyword, option.phrase) == (Keyword.MUST, "x")
-
-    def test_uppercase_label_warns_and_is_lowercased(self):
-        policy, diagnostics = parse_policy("1 T\nA) MUST x\n")
-        assert warning_codes(diagnostics) == ["BAD_OPTION_LABEL"]
-        option = policy.roots[0].options[0]
-        assert (option.keyword, option.phrase) == (Keyword.MUST, "x")
-
-    def test_lowercased_label_collides_with_lower_case_label(self):
-        policy, diagnostics = parse_policy("1 T\nA) x\na) y\n")
-        assert policy is None
-        assert warning_codes(diagnostics) == ["BAD_OPTION_LABEL"]
-        assert error_codes(diagnostics) == ["DUPLICATE_OPTION_LABEL"]
-
-    def test_unicode_phrases_survive(self):
-        policy, _ = parse_ok("1 T\na) MUST archivage sécurisé\n")
-        assert policy.roots[0].options[0].phrase == "archivage sécurisé"
+    test_all_keywords_recognized = _document(
+        "1 T\na) MUST w\nb) RECOMMENDED x\nc) OPTIONAL y\nd) NOT z\n",
+        _one(
+            "T",
+            PolicyOption("w", MUST),
+            PolicyOption("x", RECOMMENDED),
+            PolicyOption("y", OPTIONAL),
+            PolicyOption("z", NOT),
+        ),
+        [],
+    )
+    test_uppercase_label_warns_and_is_lowercased = _document(
+        "1 T\nA) MUST x\n", _one("T", PolicyOption("x", MUST)), [_bad_label("A")]
+    )
+    test_lowercased_label_collides_with_lower_case_label = _document(
+        "1 T\nA) x\na) y\n", None, [_bad_label("A"), _duplicate_label("a")]
+    )
+    test_unicode_phrases_survive = _document(
+        "1 T\na) MUST archivage sécurisé\n", _one("T", PolicyOption("archivage sécurisé", MUST)), []
+    )
 
 
 class TestConnectionParsing:
-    def test_connection_or(self):
-        policy, _ = parse_ok("1 T\na) x\nConnection OR\n")
-        assert policy.roots[0].connective is Connective.OR
+    test_connection_or = _document("1 T\na) x\nConnection OR\n", _one("T", PolicyOption("x"), connective=OR), [])
+    test_duplicate_connection_warns_last_wins = _document(
+        "1 T\nConnection AND\nConnection OR\n",
+        _one("T", connective=OR),
+        [_warning("DUPLICATE_CONNECTIVE", 3, "paragraph already declares a connective; the last one wins")],
+    )
+    test_labeled_option_may_start_with_connection_word = _document(
+        "1 T\na) connection reuse is allowed\n", _one("T", PolicyOption("connection reuse is allowed")), []
+    )
+    test_colon_after_connection_makes_an_option = _document(
+        "1 INTRO\nConnection: AND\n",
+        _intro(PolicyOption("Connection: AND")),
+        [
+            _warning(
+                "CONNECTION_LOOKALIKE",
+                2,
+                "option starts with 'Connection:', read as phrase text, not as a Connection line",
+            )
+        ],
+    )
 
-    def test_connection_is_case_insensitive(self):
-        policy, _ = parse_ok("1 T\nconnection and\n")
-        assert policy.roots[0].connective is Connective.AND
 
-    def test_duplicate_connection_warns_last_wins(self):
-        policy, diagnostics = parse_policy("1 T\nConnection AND\nConnection OR\n")
-        assert warning_codes(diagnostics) == ["DUPLICATE_CONNECTIVE"]
-        assert policy.roots[0].connective is Connective.OR
-
-    def test_labeled_option_may_start_with_connection_word(self):
-        policy, _ = parse_ok("1 T\na) connection reuse is allowed\n")
-        assert policy.roots[0].options[0].phrase == "connection reuse is allowed"
-
-
-def _option(keyword, phrase):
-    return [(keyword, phrase)], Connective.NONE, (), 1
-
-
-def _connection(connective):
-    return [], connective, (), 1
+# (line, codes, outcome): the diagnostics the line draws under ``1 INTRO``,
+# and the policy it makes, or None.
+LINES = [
+    # "c" or "C": a connection line only when the first word is "connection".
+    ("cache MUST rotate", [], _intro(PolicyOption("cache MUST rotate"))),
+    ("Connections AND", [], _intro(PolicyOption("Connections AND"))),
+    ("Connection AND", [], _intro(connective=AND)),
+    ("connection  or", [], _intro(connective=OR)),
+    ("Connection XOR", [_bad_connective(2)], None),
+    ("CONNECTION", [_bad_connective(2)], None),
+    ("C) x", [_bad_label("C")], _intro(PolicyOption("x"))),
+    ("c) connection", [], _intro(PolicyOption("connection"))),
+    # Labels and keywords.
+    ("a)MUST x", [], _intro(PolicyOption("x", MUST))),
+    ("Z)NOT x", [_bad_label("Z")], _intro(PolicyOption("x", NOT))),
+    ("a) \u00a0MUST x", [], _intro(PolicyOption("x", MUST))),
+    ("a) MUST\u00a0x", [], _intro(PolicyOption("MUST\u00a0x"))),
+    ("a) MUST", [_EMPTY_PHRASE], None),
+    ("a)", [_EMPTY_PHRASE], None),
+    ("MUST", [_EMPTY_PHRASE], None),
+    ("MUST\tx", [], _intro(PolicyOption("MUST\tx"))),
+    ("MUST  x", [], _intro(PolicyOption("x", MUST))),
+    (
+        "must x",
+        [_warning("KEYWORD_LOOKALIKE", 2, "option starts with 'must', read as phrase text, not as a keyword")],
+        _intro(PolicyOption("must x")),
+    ),
+    ("\u00e9) x", [], _intro(PolicyOption("\u00e9) x"))),
+    # Digits and dots: headings, heading-like options, plain options.
+    ("2 NEXT", [], _policy(_section("1", "INTRO"), _section("2", "NEXT"))),
+    ("1..2 foo", [_heading_like("1..2")], _intro(PolicyOption("1..2 foo"))),
+    (".5 foo", [_heading_like(".5")], _intro(PolicyOption(".5 foo"))),
+    ("1.2", [_heading_like("1.2")], _intro(PolicyOption("1.2"))),
+    ("3x", [], _intro(PolicyOption("3x"))),
+    ("1)x", [], _intro(PolicyOption("1)x"))),
+    # Slashes: a comment needs two.
+    ("/etc/passwd", [], _intro(PolicyOption("/etc/passwd"))),
+    ("/", [], _intro(PolicyOption("/"))),
+    ("// note", [], _intro(comments=("// note",))),
+    ("x\u00a0y", [], _intro(PolicyOption("x\u00a0y"))),
+    # Labels of more than one letter.
+    ("ab) x", [], _intro(PolicyOption("x"))),
+    ("Ab) x", [_bad_label("Ab")], _intro(PolicyOption("x"))),
+    ("ab) MUST x", [], _intro(PolicyOption("x", MUST))),
+    ("ab)c) x", [], _intro(PolicyOption("c) x"))),
+    ("a1) x", [], _intro(PolicyOption("a1) x"))),
+    ("a\u00e9) x", [], _intro(PolicyOption("a\u00e9) x"))),
+    (") x", [], _intro(PolicyOption(") x"))),
+    ("aa) x\naa) y", [_duplicate_label("aa")], None),
+    ("etc) x", [], _intro(PolicyOption("x"))),
+    ("MUST) x", [_bad_label("MUST")], _intro(PolicyOption("x"))),
+]
+DOCUMENTS.extend((f"1 INTRO\n{line}\n", outcome, codes) for line, codes, outcome in LINES)
 
 
 class TestLineDispatch:
     """What one line (or two, for a duplicate label) under ``1 INTRO``
-    becomes, for each first-character branch of the dispatch and its edges.
-    ``None`` means no policy."""
+    becomes, for each first-character branch of the dispatch and its edges:
+    every diagnostic, with its code, line and message, and the policy."""
 
-    @pytest.mark.parametrize(
-        "line, codes, outcome",
-        [
-            # "c" or "C": a connection line only when the first word is "connection".
-            ("cache MUST rotate", [], _option(None, "cache MUST rotate")),
-            ("Connections AND", [], _option(None, "Connections AND")),
-            ("Connection AND", [], _connection(Connective.AND)),
-            ("connection  or", [], _connection(Connective.OR)),
-            ("Connection XOR", ["BAD_CONNECTIVE"], None),
-            ("CONNECTION", ["BAD_CONNECTIVE"], None),
-            ("C) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
-            ("c) connection", [], _option(None, "connection")),
-            # Labels and keywords.
-            ("a)MUST x", [], _option(Keyword.MUST, "x")),
-            ("Z)NOT x", ["BAD_OPTION_LABEL"], _option(Keyword.NOT, "x")),
-            ("a) \u00a0MUST x", [], _option(Keyword.MUST, "x")),
-            ("a) MUST\u00a0x", [], _option(None, "MUST\u00a0x")),
-            ("a) MUST", ["EMPTY_OPTION_PHRASE"], None),
-            ("a)", ["EMPTY_OPTION_PHRASE"], None),
-            ("MUST", ["EMPTY_OPTION_PHRASE"], None),
-            ("MUST\tx", [], _option(None, "MUST\tx")),
-            ("MUST  x", [], _option(Keyword.MUST, "x")),
-            ("must x", ["KEYWORD_LOOKALIKE"], _option(None, "must x")),
-            ("\u00e9) x", [], _option(None, "\u00e9) x")),
-            # Digits and dots: headings, heading-like options, plain options.
-            ("2 NEXT", [], ([], Connective.NONE, (), 2)),
-            ("1..2 foo", ["HEADING_LIKE_OPTION"], _option(None, "1..2 foo")),
-            (".5 foo", ["HEADING_LIKE_OPTION"], _option(None, ".5 foo")),
-            ("1.2", ["HEADING_LIKE_OPTION"], _option(None, "1.2")),
-            ("3x", [], _option(None, "3x")),
-            ("1)x", [], _option(None, "1)x")),
-            # Slashes: a comment needs two.
-            ("/etc/passwd", [], _option(None, "/etc/passwd")),
-            ("/", [], _option(None, "/")),
-            ("// note", [], ([], Connective.NONE, ("// note",), 1)),
-            ("x\u00a0y", [], _option(None, "x\u00a0y")),
-            # Labels of more than one letter.
-            ("ab) x", [], _option(None, "x")),
-            ("Ab) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
-            ("ab) MUST x", [], _option(Keyword.MUST, "x")),
-            ("ab)c) x", [], _option(None, "c) x")),
-            ("a1) x", [], _option(None, "a1) x")),
-            ("a\u00e9) x", [], _option(None, "a\u00e9) x")),
-            (") x", [], _option(None, ") x")),
-            ("aa) x\naa) y", ["DUPLICATE_OPTION_LABEL"], None),
-            ("etc) x", [], _option(None, "x")),
-            ("MUST) x", ["BAD_OPTION_LABEL"], _option(None, "x")),
-        ],
-    )
+    @pytest.mark.parametrize("line, codes, outcome", LINES)
     def test_line(self, line, codes, outcome):
-        policy, diagnostics = parse_policy(f"1 INTRO\n{line}\n")
-        assert [d.code for d in diagnostics] == codes
-        if outcome is None:
-            assert policy is None
-            return
-        intro = policy.roots[0]
-        assert (
-            [(o.keyword, o.phrase) for o in intro.options],
-            intro.connective,
-            intro.comments,
-            len(policy.roots),
-        ) == outcome
-
-
-def _intro(*options):
-    """The one-section policy ``1 INTRO`` holding ``options``."""
-    return Policy("P", (Paragraph(NumberPath((1,)), "INTRO", options=options),))
-
-
-def _diagnostic(severity, code, line, message):
-    return ParseDiagnostic(Severity[severity], code, line, message)
-
-
-_EMPTY_PHRASE = _diagnostic("ERROR", "EMPTY_OPTION_PHRASE", 2, "option has no phrase text")
+        assert parse_policy(f"1 INTRO\n{line}\n", name="P") == (outcome, codes)
 
 
 def _lookalike_warnings(keyword, phrase):
@@ -359,16 +382,16 @@ def _lookalike_warnings(keyword, phrase):
     first = phrase.split(" ", 1)[0]
     if keyword == "MUST" and first == "NOT":
         message = "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'"
-        return [_diagnostic("WARNING", "KEYWORD_LOOKALIKE", 2, message)]
+        return [_warning("KEYWORD_LOOKALIKE", 2, message)]
     if keyword is None and (
         first in ("SHALL", "SHOULD", "MAY", "REQUIRED")
         or re.fullmatch(r"(MUST|RECOMMENDED|OPTIONAL|NOT):?", first.upper())
     ):
         message = f"option starts with {first!r}, read as phrase text, not as a keyword"
-        return [_diagnostic("WARNING", "KEYWORD_LOOKALIKE", 2, message)]
+        return [_warning("KEYWORD_LOOKALIKE", 2, message)]
     if keyword is None and first.lower().startswith("connection:"):
         message = f"option starts with {first!r}, read as phrase text, not as a Connection line"
-        return [_diagnostic("WARNING", "CONNECTION_LOOKALIKE", 2, message)]
+        return [_warning("CONNECTION_LOOKALIKE", 2, message)]
     return []
 
 
@@ -415,107 +438,49 @@ def _is_option_line(line: str) -> bool:
 
 
 class TestOptionLineEdges:
-    """Whole documents around the ``[label) ][KEYWORD ]phrase`` line: the
-    tree and every diagnostic, on the edges of the option grammar (where a
-    keyword ends, which whitespace is skipped, what counts as a label) and
-    of its diagnostics, and every option line of the soups read against the
-    grammar's own regular expression."""
+    """Whole documents around the ``[label) ][KEYWORD ]phrase`` line on the
+    edges of the option grammar (where a keyword ends, which whitespace is
+    skipped, what counts as a label), and every option line of the soups
+    read against the grammar's own regular expression."""
 
-    @pytest.mark.parametrize(
-        "text, policy, diagnostics",
-        [
-            ("1 INTRO\na) MUST\n", None, [_EMPTY_PHRASE]),
-            ("1 INTRO\na) NOT\n", None, [_EMPTY_PHRASE]),
-            ("1 INTRO\na) MUST \n", None, [_EMPTY_PHRASE]),
-            # Only a plain space ends a keyword; once it has, any whitespace goes.
-            ("1 INTRO\na) MUST\tkeep logs\n", _intro(PolicyOption("MUST\tkeep logs")), []),
-            ("1 INTRO\na)  MUST keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
-            ("1 INTRO\na)MUST keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
-            ("1 INTRO\na) MUST  keep logs\n", _intro(PolicyOption("keep logs", Keyword.MUST)), []),
-            ("1 INTRO\na) MUST MUST keep\n", _intro(PolicyOption("MUST keep", Keyword.MUST)), []),
-            ("1 INTRO\na) MUSTER keep logs\n", _intro(PolicyOption("MUSTER keep logs")), []),
-            ("1 INTRO\nab) NOT keep logs\n", _intro(PolicyOption("keep logs", Keyword.NOT)), []),
-            ("1 INTRO\nkeep logs\n", _intro(PolicyOption("keep logs")), []),
-            ("1 INTRO\nOPTIONAL keep\n", _intro(PolicyOption("keep", Keyword.OPTIONAL)), []),
-            (
-                "1 INTRO\nA) keep logs\n",
-                _intro(PolicyOption("keep logs")),
-                [_diagnostic("WARNING", "BAD_OPTION_LABEL", 2, "option label 'A' should be lower case")],
-            ),
-            (
-                "1 INTRO\na) keep logs\na) rotate keys\n",
-                None,
-                [
-                    _diagnostic(
-                        "ERROR",
-                        "DUPLICATE_OPTION_LABEL",
-                        3,
-                        "option label 'a' is already used in this paragraph",
-                    )
-                ],
-            ),
-            # A label is ASCII letters; anything else before ")" is phrase text.
-            ("1 INTRO\n\u00e9) keep logs\n", _intro(PolicyOption("\u00e9) keep logs")), []),
-            ("1 INTRO\na1) keep logs\n", _intro(PolicyOption("a1) keep logs")), []),
-            (
-                "1 INTRO\n1.2. keep\n",
-                _intro(PolicyOption("1.2. keep")),
-                [
-                    _diagnostic(
-                        "WARNING",
-                        "HEADING_LIKE_OPTION",
-                        2,
-                        "option starts with '1.2.', which looks like a section number",
-                    )
-                ],
-            ),
-            (
-                "a) keep logs\n1 INTRO\n",
-                None,
-                [
-                    _diagnostic(
-                        "ERROR",
-                        "OPTION_BEFORE_SECTION",
-                        1,
-                        "option line before the first section heading",
-                    )
-                ],
-            ),
-            # U+00A0 and U+3000 are whitespace to strip() but do not end a keyword.
-            ("1 INTRO\na) MUST\u00a0keep logs\n", _intro(PolicyOption("MUST\u00a0keep logs")), []),
-            ("1 INTRO\na) MUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
-            (
-                "1 INTRO\na) MUST \u00a0keep logs\n",
-                _intro(PolicyOption("keep logs", Keyword.MUST)),
-                [],
-            ),
-            (
-                "1 INTRO\na) \u3000MUST keep logs\n",
-                _intro(PolicyOption("keep logs", Keyword.MUST)),
-                [],
-            ),
-            (
-                "1 INTRO\na) MUST keep\u00a0logs\n",
-                _intro(PolicyOption("keep\u00a0logs", Keyword.MUST)),
-                [],
-            ),
-            ("1 INTRO\nMUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
-            (
-                "1 INTRO\na) MUST NOT share keys\n",
-                _intro(PolicyOption("NOT share keys", Keyword.MUST)),
-                [
-                    _diagnostic(
-                        "WARNING",
-                        "KEYWORD_LOOKALIKE",
-                        2,
-                        "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'",
-                    )
-                ],
-            ),
-        ],
+    test_document = _documents(
+        ("1 INTRO\na) MUST\n", None, [_EMPTY_PHRASE]),
+        ("1 INTRO\na) NOT\n", None, [_EMPTY_PHRASE]),
+        ("1 INTRO\na) MUST \n", None, [_EMPTY_PHRASE]),
+        # Only a plain space ends a keyword; once it has, any whitespace goes.
+        ("1 INTRO\na) MUST\tkeep logs\n", _intro(PolicyOption("MUST\tkeep logs")), []),
+        ("1 INTRO\na)  MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
+        ("1 INTRO\na)MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
+        ("1 INTRO\na) MUST  keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
+        ("1 INTRO\na) MUST MUST keep\n", _intro(PolicyOption("MUST keep", MUST)), []),
+        ("1 INTRO\na) MUSTER keep logs\n", _intro(PolicyOption("MUSTER keep logs")), []),
+        ("1 INTRO\nab) NOT keep logs\n", _intro(PolicyOption("keep logs", NOT)), []),
+        ("1 INTRO\nkeep logs\n", _intro(PolicyOption("keep logs")), []),
+        ("1 INTRO\nOPTIONAL keep\n", _intro(PolicyOption("keep", OPTIONAL)), []),
+        ("1 INTRO\nA) keep logs\n", _intro(PolicyOption("keep logs")), [_bad_label("A")]),
+        ("1 INTRO\na) keep logs\na) rotate keys\n", None, [_duplicate_label("a")]),
+        # A label is ASCII letters; anything else before ")" is phrase text.
+        ("1 INTRO\n\u00e9) keep logs\n", _intro(PolicyOption("\u00e9) keep logs")), []),
+        ("1 INTRO\na1) keep logs\n", _intro(PolicyOption("a1) keep logs")), []),
+        ("1 INTRO\n1.2. keep\n", _intro(PolicyOption("1.2. keep")), [_heading_like("1.2.")]),
+        (
+            "a) keep logs\n1 INTRO\n",
+            None,
+            [_error("OPTION_BEFORE_SECTION", 1, "option line before the first section heading")],
+        ),
+        # U+00A0 and U+3000 are whitespace to strip() but do not end a keyword.
+        ("1 INTRO\na) MUST\u00a0keep logs\n", _intro(PolicyOption("MUST\u00a0keep logs")), []),
+        ("1 INTRO\na) MUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
+        ("1 INTRO\na) MUST \u00a0keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
+        ("1 INTRO\na) \u3000MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
+        ("1 INTRO\na) MUST keep\u00a0logs\n", _intro(PolicyOption("keep\u00a0logs", MUST)), []),
+        ("1 INTRO\nMUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
+        (
+            "1 INTRO\na) MUST NOT share keys\n",
+            _intro(PolicyOption("NOT share keys", MUST)),
+            [_warning("KEYWORD_LOOKALIKE", 2, "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'")],
+        ),
     )
-    def test_document(self, text, policy, diagnostics):
-        assert parse_policy(text, name="P") == (policy, diagnostics)
 
     @settings(max_examples=1000, deadline=None)
     @given(line=_soup_lines())
@@ -527,14 +492,12 @@ class TestOptionLineEdges:
         token = stripped.split()[0]
         # A first token of digits and dots, with at least one of each.
         if re.fullmatch(r"[0-9.]*[0-9][0-9.]*", token) and "." in token:
-            message = f"option starts with {token!r}, which looks like a section number"
-            expected.append(_diagnostic("WARNING", "HEADING_LIKE_OPTION", 2, message))
+            expected.append(_heading_like(token))
         if label is not None and label != label.lower():
-            message = f"option label {label!r} should be lower case"
-            expected.append(_diagnostic("WARNING", "BAD_OPTION_LABEL", 2, message))
+            expected.append(_bad_label(label))
         expected += _lookalike_warnings(keyword, phrase)
         if phrase:
-            policy = _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
+            policy = _one("INTRO", PolicyOption(phrase, keyword and Keyword[keyword]))
         else:
             policy = None
             expected.append(_EMPTY_PHRASE)
@@ -547,7 +510,7 @@ class TestOptionLineEdges:
         line = label_text + head + tail
         _, keyword, phrase = oracle_option_line(line)
         policy, diagnostics = parse_policy(f"1 INTRO\n{line}\n", name="P")
-        assert policy == _intro(PolicyOption(phrase, keyword and Keyword[keyword]))
+        assert policy == _one("INTRO", PolicyOption(phrase, keyword and Keyword[keyword]))
         assert [d.code for d in diagnostics if d.code != "BAD_OPTION_LABEL"] == [code]
         assert diagnostics[-1:] == _lookalike_warnings(keyword, phrase)
 
@@ -566,202 +529,131 @@ class TestParsingNeverRaises:
 
 
 class TestWarnings:
-    def test_depth_beyond_four_warns_but_parses(self):
-        text = "1 A\n1.1 B\n1.1.1 C\n1.1.1.1 D\n1.1.1.1.1 E\n"
-        policy, diagnostics = parse_policy(text)
-        assert policy is not None
-        assert warning_codes(diagnostics) == ["DEPTH_EXCEEDS_4"]
-        assert find(policy, "1.1.1.1.1").title == "E"
-
-    def test_lowercase_main_section_warns(self):
-        policy, diagnostics = parse_policy("1 Introduction\n")
-        assert warning_codes(diagnostics) == ["MAIN_SECTION_NOT_CAPS"]
-        assert policy.roots[0].title == "Introduction"
-
-    def test_subsection_titles_need_not_be_caps(self):
-        _, diagnostics = parse_policy("1 TOP\n1.1 Mixed case here\n")
-        assert diagnostics == []
-
-    def test_comment_before_any_section_is_dropped(self):
-        policy, diagnostics = parse_policy("// stray remark\n1 TOP\n")
-        assert warning_codes(diagnostics) == ["COMMENT_BEFORE_SECTION"]
-        assert policy.roots[0].comments == ()
-
-    def test_malformed_number_becomes_option_with_warning(self):
-        policy, diagnostics = parse_policy("1 TOP\n1..2 Broken heading\n")
-        assert warning_codes(diagnostics) == ["HEADING_LIKE_OPTION"]
-        assert policy.roots[0].options[0].phrase == "1..2 Broken heading"
-
-    def test_bare_dotted_number_line_warns(self):
-        _, diagnostics = parse_policy("1 TOP\n1.2.3\n")
-        assert warning_codes(diagnostics) == ["HEADING_LIKE_OPTION"]
+    test_depth_beyond_four_warns_but_parses = _document(
+        "1 A\n1.1 B\n1.1.1 C\n1.1.1.1 D\n1.1.1.1.1 E\n",
+        _one("A", children=(_section("1.1", "B", children=(_section("1.1.1", "C", children=(
+            _section("1.1.1.1", "D", children=(_section("1.1.1.1.1", "E"),)),)),)),)),
+        [_warning("DEPTH_EXCEEDS_4", 5, "section 1.1.1.1.1 is nested deeper than the standard four levels")],
+    )
+    test_lowercase_main_section_warns = _document(
+        "1 Introduction\n",
+        _one("Introduction"),
+        [_warning("MAIN_SECTION_NOT_CAPS", 1, "main section title 'Introduction' is not upper case")],
+    )
+    test_subsection_titles_need_not_be_caps = _document(
+        "1 TOP\n1.1 Mixed case here\n", _one("TOP", children=(_section("1.1", "Mixed case here"),)), []
+    )
+    test_comment_before_any_section_is_dropped = _document(
+        "// stray remark\n1 TOP\n",
+        _one("TOP"),
+        [_warning("COMMENT_BEFORE_SECTION", 1, "comment before the first section heading is dropped")],
+    )
 
 
 class TestErrors:
-    def test_duplicate_section(self):
-        policy, diagnostics = parse_policy("1 TOP\n1 AGAIN\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["DUPLICATE_SECTION"]
-
-    def test_orphan_section(self):
-        policy, diagnostics = parse_policy("1 TOP\n1.2.1 Skipped a level\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["ORPHAN_SECTION"]
-
-    def test_orphan_children_do_not_cascade(self):
-        text = "1 TOP\n1.2.1 Orphan\n1.2.1.1 Child of orphan\n"
-        _, diagnostics = parse_policy(text)
-        assert error_codes(diagnostics) == ["ORPHAN_SECTION"]
-
-    def test_root_out_of_order(self):
-        policy, diagnostics = parse_policy("2 SECOND\n1 FIRST\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["SECTION_OUT_OF_ORDER"]
-
-    def test_sibling_out_of_order(self):
-        text = "1 TOP\n1.2 B\n1.1 A\n"
-        policy, diagnostics = parse_policy(text)
-        assert policy is None
-        assert error_codes(diagnostics) == ["SECTION_OUT_OF_ORDER"]
-
+    test_duplicate_section = _document("1 TOP\n1 AGAIN\n", None, [_DUPLICATE_1])
+    test_orphan_section = _document(
+        "1 TOP\n1.2.1 Skipped a level\n",
+        None,
+        [_error("ORPHAN_SECTION", 2, "section 1.2.1 has no parent section 1.2")],
+    )
+    # An orphan is still opened, so its children draw no error of their own.
+    test_orphan_children_do_not_cascade = _document(
+        "1 TOP\n1.2.1 Orphan\n1.2.1.1 Child of orphan\n",
+        None,
+        [_error("ORPHAN_SECTION", 2, "section 1.2.1 has no parent section 1.2")],
+    )
+    test_root_out_of_order = _document("2 SECOND\n1 FIRST\n", None, [_out_of_order("1", 2)])
+    test_sibling_out_of_order = _document("1 TOP\n1.2 B\n1.1 A\n", None, [_out_of_order("1.1", 3)])
     # A section is checked against its last linked sibling, so one that drew
     # an error does not move the bar for the sections after it.
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("1 TOP\n1.3 C\n1.1 A\n1.2 B\n", [("SECTION_OUT_OF_ORDER", 3), ("SECTION_OUT_OF_ORDER", 4)]),
-            ("1 TOP\n1.2 B\n1.1 A\n1.3 C\n", [("SECTION_OUT_OF_ORDER", 3)]),
-            (
-                "1 TOP\n1.2 B\n1.2 B\n1.3 C\n1.1.1 X\n",
-                [("DUPLICATE_SECTION", 3), ("ORPHAN_SECTION", 5)],
-            ),
-        ],
+    test_sibling_order_reads_the_last_linked_sibling = _documents(
+        ("1 TOP\n1.3 C\n1.1 A\n1.2 B\n", None, [_out_of_order("1.1", 3), _out_of_order("1.2", 4)]),
+        ("1 TOP\n1.2 B\n1.1 A\n1.3 C\n", None, [_out_of_order("1.1", 3)]),
+        (
+            "1 TOP\n1.2 B\n1.2 B\n1.3 C\n1.1.1 X\n",
+            None,
+            [
+                _error("DUPLICATE_SECTION", 3, "section 1.2 already defined"),
+                _error("ORPHAN_SECTION", 5, "section 1.1.1 has no parent section 1.1"),
+            ],
+        ),
         ids=["after-later-sibling", "after-unlinked-sibling", "after-duplicate"],
     )
-    def test_sibling_order_reads_the_last_linked_sibling(self, text, expected):
-        policy, diagnostics = parse_policy(text)
-        assert policy is None
-        assert [(d.code, d.line) for d in diagnostics] == expected
-
-    def test_section_after_later_sibling_closed(self):
-        text = "1 TOP\n2 NEXT\n1.1 Late child\n"
-        policy, diagnostics = parse_policy(text)
-        assert policy is None
-        assert error_codes(diagnostics) == ["SECTION_OUT_OF_ORDER"]
-
-    def test_zero_segment_rejected(self):
-        policy, diagnostics = parse_policy("0 TOP\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["BAD_SECTION_NUMBER"]
-
-    def test_zero_inner_segment_rejected(self):
-        _, diagnostics = parse_policy("1 TOP\n1.0 Sub\n")
-        assert error_codes(diagnostics) == ["BAD_SECTION_NUMBER"]
-
-    def test_zero_weight_rejected(self):
-        policy, diagnostics = parse_policy("1 TOP 0\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["BAD_WEIGHT"]
+    test_section_after_later_sibling_closed = _document(
+        "1 TOP\n2 NEXT\n1.1 Late child\n",
+        None,
+        [_error("SECTION_OUT_OF_ORDER", 3, "section 1.1 appears after its parent was closed")],
+    )
+    test_zero_segment_rejected = _document(
+        "0 TOP\n", None, [_error("BAD_SECTION_NUMBER", 1, "section number 0 contains a zero segment")]
+    )
+    test_zero_inner_segment_rejected = _document(
+        "1 TOP\n1.0 Sub\n", None, [_error("BAD_SECTION_NUMBER", 2, "section number 1.0 contains a zero segment")]
+    )
+    test_zero_weight_rejected = _document(
+        "1 TOP 0\n", None, [_error("BAD_WEIGHT", 1, "paragraph weight must be positive")]
+    )
+    test_heading_past_the_depth_limit = _document(
+        ".".join("1" * 101) + " DEEP\n",
+        None,
+        [_error("DEPTH_LIMIT", 1, "section number has 101 segments, more than 100")],
+    )
 
     # CPython's int() refuses strings of more than 4300 digits by default.
     @pytest.mark.parametrize(
-        "text, code",
+        "text, code, message",
         [
-            ("1" * 4301 + " T", "BAD_SECTION_NUMBER"),
-            ("1 T " + "1" * 4301, "BAD_WEIGHT"),
-            ("1." + "2" * 4301 + " T", "BAD_SECTION_NUMBER"),
+            ("1" * 4301 + " T", "BAD_SECTION_NUMBER", "section number has too many digits"),
+            ("1 T " + "1" * 4301, "BAD_WEIGHT", "paragraph weight has too many digits"),
+            ("1." + "2" * 4301 + " T", "BAD_SECTION_NUMBER", "section number has too many digits"),
         ],
         ids=["section", "weight", "inner-segment"],
     )
-    def test_numbers_too_long_to_convert_rejected(self, text, code):
-        policy, diagnostics = parse_policy(text)
-        assert policy is None
-        assert error_codes(diagnostics) == [code]
+    def test_numbers_too_long_to_convert_rejected(self, text, code, message):
+        assert parse_policy(text) == (None, [_error(code, 1, message)])
 
     def test_depth_limit(self):
         policy, diagnostics = parse_policy(chain_text(MAX_DEPTH))
         assert policy is not None
-        assert error_codes(diagnostics) == []
+        assert {d.code for d in diagnostics} == {"DEPTH_EXCEEDS_4"}
         policy, diagnostics = parse_policy(chain_text(MAX_DEPTH + 1))
         assert policy is None
-        assert error_codes(diagnostics) == ["DEPTH_LIMIT"]
+        message = f"section number has {MAX_DEPTH + 1} segments, more than {MAX_DEPTH}"
+        assert [d for d in diagnostics if d.severity is Severity.ERROR] == [
+            _error("DEPTH_LIMIT", MAX_DEPTH + 1, message)
+        ]
         assert diagnostics[-1].line == MAX_DEPTH + 1
 
     def test_far_past_depth_limit_does_not_raise(self):
         policy, diagnostics = parse_policy(chain_text(600))
         assert policy is None
-        assert error_codes(diagnostics) == ["DEPTH_LIMIT"] * (600 - MAX_DEPTH)
+        errors = [d.code for d in diagnostics if d.severity is Severity.ERROR]
+        assert errors == ["DEPTH_LIMIT"] * (600 - MAX_DEPTH)
 
-    def test_unknown_connective_rejected(self):
-        policy, diagnostics = parse_policy("1 TOP\nConnection XOR\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["BAD_CONNECTIVE"]
 
-    def test_connection_without_argument_rejected(self):
-        _, diagnostics = parse_policy("1 TOP\nConnection\n")
-        assert error_codes(diagnostics) == ["BAD_CONNECTIVE"]
-
-    def test_connection_with_extra_tokens_rejected(self):
-        _, diagnostics = parse_policy("1 TOP\nConnection AND OR\n")
-        assert error_codes(diagnostics) == ["BAD_CONNECTIVE"]
-
-    def test_option_before_any_section(self):
-        policy, diagnostics = parse_policy("a) MUST things\n1 TOP\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["OPTION_BEFORE_SECTION"]
-
-    def test_connection_before_any_section(self):
-        policy, diagnostics = parse_policy("Connection AND\n1 TOP\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["CONNECTION_BEFORE_SECTION"]
-
-    def test_duplicate_option_label(self):
-        policy, diagnostics = parse_policy("1 TOP\na) MUST x\na) MUST y\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["DUPLICATE_OPTION_LABEL"]
-
-    def test_empty_option_phrase_after_label(self):
-        policy, diagnostics = parse_policy("1 TOP\na)\n")
-        assert policy is None
-        assert error_codes(diagnostics) == ["EMPTY_OPTION_PHRASE"]
-
-    def test_empty_option_phrase_after_keyword(self):
-        _, diagnostics = parse_policy("1 TOP\na) MUST\n")
-        assert error_codes(diagnostics) == ["EMPTY_OPTION_PHRASE"]
-
-    def test_multiple_errors_all_reported(self):
-        text = "1 TOP 0\n1 TOP\nConnection MAYBE\n"
-        policy, diagnostics = parse_policy(text)
-        assert policy is None
-        assert error_codes(diagnostics) == [
-            "BAD_WEIGHT",
-            "DUPLICATE_SECTION",
-            "BAD_CONNECTIVE",
-        ]
-
-    def test_diagnostics_carry_line_numbers(self):
-        text = "1 TOP\n\n// fine\nConnection BOTH\n"
-        _, diagnostics = parse_policy(text)
-        assert [d.line for d in diagnostics] == [4]
+    test_connection_with_extra_tokens_rejected = _document("1 TOP\nConnection AND OR\n", None, [_bad_connective(2)])
+    test_connection_before_any_section = _document(
+        "Connection AND\n1 TOP\n",
+        None,
+        [_error("CONNECTION_BEFORE_SECTION", 1, "Connection line before the first section heading")],
+    )
+    # Every error is reported, not only the first.
+    test_multiple_errors_all_reported = _document(
+        "1 TOP 0\n1 TOP\nConnection MAYBE\n",
+        None,
+        [_error("BAD_WEIGHT", 1, "paragraph weight must be positive"), _DUPLICATE_1, _bad_connective(3)],
+    )
+    test_diagnostics_carry_line_numbers = _document("1 TOP\n\n// fine\nConnection BOTH\n", None, [_bad_connective(4)])
 
     def test_diagnostic_message_is_readable(self):
         _, diagnostics = parse_policy("1 TOP\n1 TOP\n")
-        rendered = str(diagnostics[0])
-        assert "line 2" in rendered
-        assert "DUPLICATE_SECTION" in rendered
+        assert [str(d) for d in diagnostics] == ["line 2: ERROR DUPLICATE_SECTION: section 1 already defined"]
 
 
 class TestEmptyInput:
-    def test_empty_text(self):
-        policy, diagnostics = parse_policy("", name="empty")
-        assert diagnostics == []
-        assert policy is not None
-        assert policy.roots == ()
-
-    def test_whitespace_only(self):
-        policy, diagnostics = parse_policy("  \n\n\t\n")
-        assert policy is not None
-        assert policy.roots == ()
+    test_empty_text = _document("", _policy(), [])
+    test_whitespace_only = _document("  \n\n\t\n", _policy(), [])
 
 
 class TestRendering:

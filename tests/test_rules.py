@@ -23,7 +23,7 @@ from cpcompat.comparison import compare
 from cpcompat.model import MAX_DEPTH, ComparisonMode, NumberPath
 
 from conftest import policy_from
-from strategies import policies
+from strategies import policy_pairs
 
 MERGE = ComparisonMode.MERGE
 
@@ -56,52 +56,90 @@ def report_mixed():
     return report
 
 
+def _paragraph(dotted, operator, threshold):
+    return AcceptanceRule(operator, threshold, NumberPath.parse(dotted))
+
+
+def _rules_text(text, expected):
+    """A test that ``parse_rules(text)`` returns ``expected``, a list of
+    rules, or raises a RuleSyntaxError whose message is ``expected``."""
+
+    def test(self):
+        if isinstance(expected, list):
+            assert parse_rules(text) == expected
+        else:
+            with pytest.raises(RuleSyntaxError) as raised:
+                parse_rules(text)
+            assert str(raised.value) == expected
+
+    return test
+
+
+_DEPTH_101 = ".".join("1" * 101)
+
+# (line, message): each line alone is refused with this RuleSyntaxError,
+# which names the line, why it is refused, and the line itself.
+BAD_LINES = [
+    ("verdict > 80", "line 1: unknown rule 'verdict': 'verdict > 80'"),
+    ("OVERALL > 80", "line 1: unknown rule 'OVERALL': 'OVERALL > 80'"),
+    ("overall = 80", "line 1: unknown operator '=': 'overall = 80'"),
+    ("overall < 80", "line 1: unknown operator '<': 'overall < 80'"),
+    ("overall > eighty", "line 1: not a number: 'eighty': 'overall > eighty'"),
+    ("overall > 101", "line 1: threshold must be within [0, 100]: 'overall > 101'"),
+    ("overall > -1", "line 1: not a number: '-1': 'overall > -1'"),
+    ("overall > 80 sideways", "line 1: unknown basis 'sideways': 'overall > 80 sideways'"),
+    (
+        "overall > 80 weighted extra",
+        "line 1: expected 'overall <operator> <number> [basis]': 'overall > 80 weighted extra'",
+    ),
+    ("overall >", "line 1: expected 'overall <operator> <number> [basis]': 'overall >'"),
+    ("overall", "line 1: expected 'overall <operator> <number> [basis]': 'overall'"),
+    ("paragraph > 50", "line 1: expected 'paragraph <path> <operator> <number>': 'paragraph > 50'"),
+    ("paragraph 1.x > 50", "line 1: bad section number '1.x': 'paragraph 1.x > 50'"),
+    ("paragraph 1.0 > 50", "line 1: bad section number '1.0': 'paragraph 1.0 > 50'"),
+    (
+        "paragraph 1.2 == 99",
+        "line 1: '==' rules only exist for a section's full score of 100: 'paragraph 1.2 == 99'",
+    ),
+    ("paragraph 1.2 = 100", "line 1: unknown operator '=': 'paragraph 1.2 = 100'"),
+    (
+        "paragraph 1.2 >= 100 weighted",
+        "line 1: expected 'paragraph <path> <operator> <number>': 'paragraph 1.2 >= 100 weighted'",
+    ),
+    ("overall == 100", "line 1: '==' rules only exist for a section's full score of 100: 'overall == 100'"),
+    ("paragraph 1.2 >= 100.5", "line 1: threshold must be within [0, 100]: 'paragraph 1.2 >= 100.5'"),
+    ("paragraph 1.2 >= nan", "line 1: not a number: 'nan': 'paragraph 1.2 >= nan'"),
+    # <number> is ASCII digits with an optional decimal part only.
+    ("overall > \u0668\u0660", "line 1: not a number: '\u0668\u0660': 'overall > \u0668\u0660'"),
+    ("paragraph 1 >= \uff15\uff10", "line 1: not a number: '\uff15\uff10': 'paragraph 1 >= \uff15\uff10'"),
+    ("overall > 1_0", "line 1: not a number: '1_0': 'overall > 1_0'"),
+    ("overall > 1e1", "line 1: not a number: '1e1': 'overall > 1e1'"),
+    # U+0663 ARABIC-INDIC DIGIT THREE: not a section number, as in a heading.
+    ("paragraph \u0663 > 50", "line 1: bad section number '\u0663': 'paragraph \u0663 > 50'"),
+    # A path no policy can hold is a bad section number, not an unknown one.
+    (
+        f"paragraph {_DEPTH_101} > 50",
+        f"line 1: bad section number '{_DEPTH_101}': 'paragraph {_DEPTH_101} > 50'",
+    ),
+]
+
+
 class TestParseRules:
-    def test_overall_strict_default_weighted(self):
-        rules = parse_rules("overall > 80\n")
-        assert rules == [
-            AcceptanceRule(operator=">", threshold=80.0, path=None, weighted=True)
-        ]
-
-    def test_overall_inclusive_unweighted(self):
-        (rule,) = parse_rules("overall >= 62.5 unweighted\n")
-        assert rule.operator == ">="
-        assert rule.weighted is False
-        assert rule.threshold == 62.5
-
-    def test_explicit_weighted_basis(self):
-        (rule,) = parse_rules("overall > 70 weighted\n")
-        assert rule.weighted is True
-
-    def test_paragraph_minimum(self):
-        (rule,) = parse_rules("paragraph 1.2 > 50\n")
-        assert rule.operator == ">"
-        assert rule.path == NumberPath.parse("1.2")
-        assert rule.threshold == 50.0
-
-    def test_paragraph_inclusive(self):
-        (rule,) = parse_rules("paragraph 4 >= 99.5\n")
-        assert rule.operator == ">="
-
-    def test_paragraph_exact(self):
-        (rule,) = parse_rules("paragraph 1.2.3 == 100\n")
-        assert rule.operator == "=="
-        assert rule.path == NumberPath.parse("1.2.3")
-        assert rule.threshold == 100.0
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# require a strong match\n\noverall > 80\n  # indented remark\n"
-        assert len(parse_rules(text)) == 1
-
-    def test_multiple_rules_in_order(self):
-        rules = parse_rules("overall > 80\nparagraph 1 == 100\n")
-        assert [(r.operator, r.path) for r in rules] == [
-            (">", None),
-            ("==", NumberPath.parse("1")),
-        ]
-
-    def test_empty_text_gives_no_rules(self):
-        assert parse_rules("") == []
+    test_overall_strict_default_weighted = _rules_text("overall > 80\n", [AcceptanceRule(">", 80.0)])
+    test_overall_inclusive_unweighted = _rules_text(
+        "overall >= 62.5 unweighted\n", [AcceptanceRule(">=", 62.5, None, False)]
+    )
+    test_explicit_weighted_basis = _rules_text("overall > 70 weighted\n", [AcceptanceRule(">", 70.0)])
+    test_paragraph_minimum = _rules_text("paragraph 1.2 > 50\n", [_paragraph("1.2", ">", 50.0)])
+    test_paragraph_inclusive = _rules_text("paragraph 4 >= 99.5\n", [_paragraph("4", ">=", 99.5)])
+    test_paragraph_exact = _rules_text("paragraph 1.2.3 == 100\n", [_paragraph("1.2.3", "==", 100.0)])
+    test_comments_and_blanks_ignored = _rules_text(
+        "# require a strong match\n\noverall > 80\n  # indented remark\n", [AcceptanceRule(">", 80.0)]
+    )
+    test_multiple_rules_in_order = _rules_text(
+        "overall > 80\nparagraph 1 == 100\n", [AcceptanceRule(">", 80.0), _paragraph("1", "==", 100.0)]
+    )
+    test_empty_text_gives_no_rules = _rules_text("", [])
 
     @pytest.mark.parametrize(
         "line",
@@ -158,46 +196,20 @@ class TestRuleConstruction:
 
 
 class TestParseRuleErrors:
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "verdict > 80",
-            "OVERALL > 80",
-            "overall = 80",
-            "overall < 80",
-            "overall > eighty",
-            "overall > 101",
-            "overall > -1",
-            "overall > 80 sideways",
-            "overall > 80 weighted extra",
-            "overall >",
-            "overall",
-            "paragraph > 50",
-            "paragraph 1.x > 50",
-            "paragraph 1.0 > 50",
-            "paragraph 1.2 == 99",
-            "paragraph 1.2 = 100",
-            "paragraph 1.2 >= 100 weighted",
-            "overall == 100",
-            "paragraph 1.2 >= 100.5",
-            "paragraph 1.2 >= nan",
-            # <number> is ASCII digits with an optional decimal part only.
-            "overall > \u0668\u0660",
-            "paragraph 1 >= \uff15\uff10",
-            "overall > 1_0",
-            "overall > 1e1",
-        ],
-    )
-    def test_bad_lines_raise_syntax_errors(self, line):
-        with pytest.raises(RuleSyntaxError):
+    @pytest.mark.parametrize("line, message", BAD_LINES, ids=[line for line, _ in BAD_LINES])
+    def test_bad_lines_raise_syntax_errors(self, line, message):
+        with pytest.raises(RuleSyntaxError) as raised:
             parse_rules(line + "\n")
+        assert str(raised.value) == message
+
+    test_error_names_line_number = _rules_text(
+        "overall > 80\n# fine\nnonsense here\n", "line 3: unknown rule 'nonsense': 'nonsense here'"
+    )
 
     def test_section_numbers_are_ascii_digits(self, tmp_path, capsys):
         # U+0663 ARABIC-INDIC DIGIT THREE: no section number in a rule, as in
         # a heading, even where the policy has a section 3.
         line = "paragraph \u0663 > 50\n"
-        with pytest.raises(RuleSyntaxError, match="bad section number"):
-            parse_rules(line)
         policy = tmp_path / "p.txt"
         policy.write_text("1 ONE\n2 TWO\n3 THREE\na) MUST x\n", encoding="utf-8")
         rules = tmp_path / "rules.txt"
@@ -209,18 +221,12 @@ class TestParseRuleErrors:
         # A path no policy can hold is a bad section number, not an unknown one.
         dotted = ".".join(["1"] * (MAX_DEPTH + 1))
         line = f"paragraph {dotted} > 50\n"
-        with pytest.raises(RuleSyntaxError, match="bad section number"):
-            parse_rules(line)
         policy = tmp_path / "p.txt"
         policy.write_text("1 ONE\na) MUST x\n", encoding="utf-8")
         rules = tmp_path / "rules.txt"
         rules.write_text(line, encoding="utf-8")
         assert main(["compare", str(policy), str(policy), "--rules", str(rules)]) == 4
         assert "bad section number" in capsys.readouterr().err
-
-    def test_error_names_line_number(self):
-        with pytest.raises(RuleSyntaxError, match="line 3"):
-            parse_rules("overall > 80\n# fine\nnonsense here\n")
 
     def test_rule_errors_are_value_errors(self):
         assert issubclass(RuleSyntaxError, RuleError)
@@ -285,13 +291,9 @@ class TestEvaluate:
 
 class TestEvaluateProperties:
     @settings(max_examples=1000, deadline=None)
-    @given(
-        policy_a=policies(name="A"),
-        policy_b=policies(name="B"),
-        low=st.floats(0, 100),
-        high=st.floats(0, 100),
-    )
-    def test_acceptance_is_monotone_in_threshold(self, policy_a, policy_b, low, high):
+    @given(pair=policy_pairs(), low=st.floats(0, 100), high=st.floats(0, 100))
+    def test_acceptance_is_monotone_in_threshold(self, pair, low, high):
+        policy_a, policy_b = pair
         low, high = sorted((low, high))
         rule_low = AcceptanceRule(">", low)
         rule_high = AcceptanceRule(">", high)
@@ -301,8 +303,9 @@ class TestEvaluateProperties:
                 assert evaluate(report, [rule_low]).accepted
 
     @settings(max_examples=200, deadline=None)
-    @given(policy_a=policies(name="A"), policy_b=policies(name="B"))
-    def test_exact_100_accepts_what_at_least_100_accepts(self, policy_a, policy_b):
+    @given(pair=policy_pairs())
+    def test_exact_100_accepts_what_at_least_100_accepts(self, pair):
+        policy_a, policy_b = pair
         # No score exceeds 100, which is why "==" needs no code of its own.
         for mode in ComparisonMode:
             report = compare(policy_a, policy_b, mode)
