@@ -154,7 +154,7 @@ MUTANTS = (
         "parser.py",
         'if head == "MUST" and rest[:4] in ("NOT", "NOT "):',
         "if False:",
-        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
     ),
     Mutant(
         "comparison diagnostics are left last first",
@@ -287,7 +287,7 @@ MUTANTS = (
         "parser.py",
         '            error(\n                "OPTION_BEFORE_SECTION",',
         '            warn(\n                "OPTION_BEFORE_SECTION",',
-        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+        ("tests/test_parser.py::TestErrors::test_option_before_any_section",),
     ),
     Mutant(
         "option labels are never recorded",
@@ -301,7 +301,105 @@ MUTANTS = (
         "parser.py",
         'error("EMPTY_OPTION_PHRASE"',
         'warn("EMPTY_OPTION_PHRASE"',
-        ("tests/test_parser.py::TestOptionLineEdges::test_document",),
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
+    ),
+    Mutant(
+        "a comment before the first heading is dropped without a warning",
+        "parser.py",
+        "            if current.path:\n                current.comments.append(line)\n",
+        "            if True:\n                current.comments.append(line)\n",
+        ("tests/test_parser.py::TestWarnings::test_comment_before_any_section_is_dropped",),
+    ),
+    Mutant(
+        "a main section title is not checked for capitals",
+        "parser.py",
+        "            if depth == 1 and title != title.upper():\n",
+        "            if depth == 0 and title != title.upper():\n",
+        ("tests/test_parser.py::TestWarnings::test_lowercase_main_section_warns",),
+    ),
+    Mutant(
+        "the depth warning starts one level lower",
+        "parser.py",
+        "            if depth > 4:\n",
+        "            if depth > 5:\n",
+        ("tests/test_parser.py::TestWarnings::test_depth_beyond_four_warns_but_parses",),
+    ),
+    Mutant(
+        "a second connective warns only when it repeats the first",
+        "parser.py",
+        "            if current.connective is not Connective.NONE:\n",
+        "            if current.connective is connective:\n",
+        ("tests/test_parser.py::TestConnectionParsing::test_duplicate_connection_warns_last_wins",),
+    ),
+    Mutant(
+        "an option opening with a dot does not look like a section number",
+        "parser.py",
+        'if "." in token and token.isascii() and token.replace(".", "").isdigit():',
+        'if "." in token[1:-1] and token.isascii() and token.replace(".", "").isdigit():',
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
+    ),
+    Mutant(
+        "a mixed-case option label draws no warning",
+        "parser.py",
+        "            if not label.islower():\n",
+        "            if label.isupper():\n",
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
+    ),
+    Mutant(
+        "a capitalized 'Connection:' option draws no look-alike warning",
+        "parser.py",
+        'head.lower().startswith("connection:")',
+        'head.startswith("connection:")',
+        ("tests/test_parser.py::TestConnectionParsing::test_colon_after_connection_makes_an_option",),
+    ),
+    Mutant(
+        "a keyword in lower case draws no look-alike warning",
+        "parser.py",
+        'elif head in _OTHER_RFC2119_TERMS or head.removesuffix(":").upper() in KEYWORDS:',
+        "elif head in _OTHER_RFC2119_TERMS:",
+        ("tests/test_parser.py::TestLineDispatch::test_line",),
+    ),
+    Mutant(
+        "an unreadable policy file reads as one that does not parse",
+        "cli.py",
+        '        _say(f"{path}: {exc}")\n        raise _Exit(EXIT_IO) from None\n',
+        '        _say(f"{path}: {exc}")\n        return None, []\n',
+        ("tests/test_cli.py::TestValidate::test_missing_file_exits_1",),
+    ),
+    Mutant(
+        "a policy file that is not UTF-8 is an internal error",
+        "cli.py",
+        "    except UnicodeDecodeError as exc:\n",
+        "    except UnicodeTranslateError as exc:\n",
+        ("tests/test_cli.py::TestValidate::test_non_utf8_exits_2",),
+    ),
+    Mutant(
+        "unusable rules exit as a parse error",
+        "cli.py",
+        "raise _Exit(EXIT_RULES) from None",
+        "raise _Exit(EXIT_PARSE) from None",
+        ("tests/test_cli.py::TestCompare::test_bad_rules_syntax_exits_4",),
+    ),
+    Mutant(
+        "a policy B that does not parse is compared",
+        "cli.py",
+        "    if policy_a is None or policy_b is None:\n",
+        "    if policy_a is None:\n",
+        ("tests/test_cli.py::TestCompare::test_parse_error_in_either_file_exits_2",),
+    ),
+    Mutant(
+        "an output file that cannot be written is passed over",
+        "cli.py",
+        '        _say(f"{out}: {exc}")\n        raise _Exit(EXIT_IO) from None\n',
+        '        _say(f"{out}: {exc}")\n',
+        ("tests/test_cli.py::TestCompare::test_unwritable_report_exits_1",),
+    ),
+    Mutant(
+        "a rejected verdict names no failed rule",
+        "cli.py",
+        '_say("verdict: rejected", *[f"  {failure.message}" for failure in verdict.failures])',
+        '_say("verdict: rejected")',
+        ("tests/test_cli.py::TestCompare::test_rejecting_rules_exit_3",),
     ),
 )
 

@@ -1,4 +1,13 @@
-"""Tests for the command line interface."""
+"""Tests for the command line interface.
+
+Each example of a command is a row of the run table, asserted in full: its
+input files, its argv, and its exit code, stdout, stderr and the files the
+run leaves behind, compared in one equality. ``_run`` makes the test of a
+row under its own name and records its exit code in ``RUN_CODES``, which
+must name every exit code CLI.md documents, less the internal error's.
+The tests that need a fresh interpreter (closed pipes, raw stdout bytes)
+and the randomized contract property follow the table.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +24,19 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpcompat
 from cpcompat import cli
-from cpcompat.acceptance import evaluate
+from cpcompat.acceptance import RuleError, evaluate, parse_rules
 from cpcompat.cli import main
-from cpcompat.comparison import compare
+from cpcompat.comparison import compare, report_to_json
 from cpcompat.merger import merge
 from cpcompat.model import ComparisonMode
-from cpcompat.parser import MAX_DEPTH, Severity, parse_policy, render_policy
+from cpcompat.parser import MAX_DEPTH, parse_policy, render_policy
 
-from strategies import chain_text, limit_documents, modes
+from conftest import SAMPLE_POLICY_TEXT, WORKED_POLICY_A_TEXT, WORKED_POLICY_B_TEXT
+from strategies import chain_text, limit_documents, line_soups, modes, policies
 
 
 def module_environment(environment: dict[str, str]) -> dict[str, str]:
@@ -65,18 +76,6 @@ def run_on_closed_pipe(*arguments: str, closed: tuple[str, ...]) -> subprocess.C
 
 
 @pytest.fixture
-def warned_file(tmp_path):
-    """A policy with three MAIN_SECTION_NOT_CAPS and two DEPTH_EXCEEDS_4
-    warnings, interleaved."""
-    file = tmp_path / "warn.txt"
-    file.write_text(
-        "1 top\n2 next\n3 LAST\n3.1 A\n3.1.1 B\n3.1.1.1 C\n3.1.1.1.1 D\n3.1.1.1.2 E\n4 end\n",
-        encoding="utf-8",
-    )
-    return file
-
-
-@pytest.fixture
 def policy_files(tmp_path, worked_policy_a_text, worked_policy_b_text):
     file_a = tmp_path / "a.txt"
     file_b = tmp_path / "b.txt"
@@ -85,245 +84,249 @@ def policy_files(tmp_path, worked_policy_a_text, worked_policy_b_text):
     return file_a, file_b
 
 
+def _report(mode, name_a, name_b, weighted, unweighted, rows):
+    """The JSON report CLI.md lays out, and the newline after it, with no
+    diagnostics; each row is a tuple of the row fields in their order."""
+    fields = ("path", "own_score", "child_aggregate", "combined_score", "weight", "match_status")
+    report = dict(
+        report_version=1, mode=mode, policy_a_name=name_a, policy_b_name=name_b, overall_weighted=weighted,
+        overall_unweighted=unweighted, paragraphs=[dict(zip(fields, row)) for row in rows], diagnostics=[],
+    )
+    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+
+
+def _not_found(name):
+    return f"{{dir}}/{name}: [Errno 2] No such file or directory: '{{dir}}/{name}'\n"
+
+
+# The worked example's files, and what compare and merge make of them: the
+# report's rows, the report, the stderr summary (with the verdict) and the
+# merge draft; and the pair with a rules file.
+WORKED = {"a.txt": WORKED_POLICY_A_TEXT, "b.txt": WORKED_POLICY_B_TEXT}
+PAIR = "{dir}/a.txt {dir}/b.txt"
+ROWS = [("1", 32.5, None, 32.5, 1, "matched")]
+REPORT = _report("merge", "a", "b", 32.5, 32.5, ROWS)
+SUMMARY = "a vs b (merge semantics)\noverall weighted:   32.50\noverall unweighted: 32.50\n"
+ACCEPTED = SUMMARY + "verdict: accepted\n"
+ACQUIRED = "a vs b (acquire semantics)\noverall weighted:   43.33\noverall unweighted: 43.33\n"
+DRAFT = (
+    "1 CERTIFICATE PROFILE\n// unmatched: from A: c\n// unmatched: from B: d\n// unmatched: from B: e\n"
+    "a) MUST a\nb) MUST b\nc) MUST c\nd) RECOMMENDED d\ne) RECOMMENDED e\nConnection AND\n"
+)
+RULED = PAIR + " --rules {dir}/rules.txt"
+
+
+def _ruled(rules):
+    return {**WORKED, "rules.txt": rules}
+
+
+# Three MAIN_SECTION_NOT_CAPS and two DEPTH_EXCEEDS_4 warnings, interleaved.
+WARNED = {"warn.txt": "1 top\n2 next\n3 LAST\n3.1 A\n3.1.1 B\n3.1.1.1 C\n3.1.1.1.1 D\n3.1.1.1.2 E\n4 end\n"}
+WARNINGS = [
+    "line 1: WARNING MAIN_SECTION_NOT_CAPS: main section title 'top' is not upper case",
+    "line 2: WARNING MAIN_SECTION_NOT_CAPS: main section title 'next' is not upper case",
+    "line 7: WARNING DEPTH_EXCEEDS_4: section 3.1.1.1.1 is nested deeper than the standard four levels",
+    "line 8: WARNING DEPTH_EXCEEDS_4: section 3.1.1.1.2 is nested deeper than the standard four levels",
+    "line 9: WARNING MAIN_SECTION_NOT_CAPS: main section title 'end' is not upper case",
+]
+BINARY = {"binary.txt": b"1 TOP\n\xff\xfe broken\n"}
+NOT_UTF8 = "{dir}/binary.txt: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+
+# The exit code of every row of the run table.
+RUN_CODES = []
+
+
+def _run(argv, code, out="", err="", files=WORKED, written={}):
+    """A test that ``cpcompat argv``, run in a directory that holds
+    ``files``, exits with ``code``, writes exactly ``out`` and ``err``, and
+    leaves the directory holding ``files`` and ``written`` and nothing
+    else. ``{dir}`` stands for the directory; a file is text, written as
+    UTF-8, or bytes."""
+    RUN_CODES.append(code)
+
+    def test(self, tmp_path, capsys):
+        def encoded(content):
+            return content if isinstance(content, bytes) else content.encode()
+
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(encoded(content))
+        here = str(tmp_path)
+        result = main([argument.replace("{dir}", here) for argument in argv.split()])
+        captured = capsys.readouterr()
+        left = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert (result, captured.out, captured.err, left) == (
+            code,
+            out.replace("{dir}", here),
+            err.replace("{dir}", here),
+            {name: encoded(content) for name, content in {**files, **written}.items()},
+        )
+
+    return test
+
+
 class TestValidate:
-    def test_valid_file(self, tmp_path, sample_policy_text, capsys):
-        file = tmp_path / "ok.txt"
-        file.write_text(sample_policy_text, encoding="utf-8")
-        assert main(["validate", str(file)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "valid" in captured.err
-
-    def test_warnings_do_not_fail_validation(self, tmp_path, capsys):
-        file = tmp_path / "warn.txt"
-        file.write_text("1 lowercase title\n", encoding="utf-8")
-        assert main(["validate", str(file)]) == 0
-        assert "MAIN_SECTION_NOT_CAPS" in capsys.readouterr().err
-
-    def test_parse_errors_exit_2(self, tmp_path, capsys):
-        file = tmp_path / "bad.txt"
-        file.write_text("1 TOP\n1 TOP\n", encoding="utf-8")
-        assert main(["validate", str(file)]) == 2
-        captured = capsys.readouterr()
-        assert "DUPLICATE_SECTION" in captured.err
-        assert "line 2" in captured.err
-
-    def test_missing_file_exits_1(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "absent.txt")]) == 1
-        assert "absent.txt" in capsys.readouterr().err
-
-    def test_unicode_whitespace_in_headings(self, tmp_path):
-        # Text pasted from a word processor carries no-break and em spaces.
-        file = tmp_path / "pasted.txt"
-        file.write_text("1 \u00a0TITLE\n1.1 Scope\u2003 3\na) MUST x\n", encoding="utf-8")
-        result = run_module("validate", str(file))
-        assert result.returncode == 0, result.stderr
-        assert "Traceback" not in result.stderr
-        assert "valid" in result.stderr
-
-    def test_overlong_section_number_exits_2(self, tmp_path):
-        file = tmp_path / "huge.txt"
-        file.write_text("1" * 4301 + " TOP\n", encoding="utf-8")
-        result = run_module("validate", str(file))
-        assert result.returncode == 2, result.stderr
-        assert "Traceback" not in result.stderr
-        assert "BAD_SECTION_NUMBER" in result.stderr
-
-    def test_non_utf8_exits_2(self, tmp_path, capsys):
-        file = tmp_path / "binary.txt"
-        file.write_bytes(b"1 TOP\n\xff\xfe broken\n")
-        assert main(["validate", str(file)]) == 2
-        assert "UTF-8" in capsys.readouterr().err
-
-    def test_lists_every_diagnostic(self, warned_file, capsys):
-        assert main(["validate", str(warned_file)]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert [line.split(": ")[1:3] for line in lines[:-1]] == [
-            ["line 1", "WARNING MAIN_SECTION_NOT_CAPS"],
-            ["line 2", "WARNING MAIN_SECTION_NOT_CAPS"],
-            ["line 7", "WARNING DEPTH_EXCEEDS_4"],
-            ["line 8", "WARNING DEPTH_EXCEEDS_4"],
-            ["line 9", "WARNING MAIN_SECTION_NOT_CAPS"],
-        ]
-        assert lines[-1] == f"{warned_file}: valid, 9 paragraphs, 5 warnings"
-
-    def test_byte_order_mark_is_ignored(self, tmp_path, sample_policy_text, capsys):
-        file = tmp_path / "bom.txt"
-        file.write_text(sample_policy_text, encoding="utf-8-sig")
-        assert file.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert main(["validate", str(file)]) == 0
-        assert "ERROR" not in capsys.readouterr().err
+    test_valid_file = _run(
+        "validate {dir}/ok.txt", 0, err="{dir}/ok.txt: valid, 7 paragraphs, 0 warnings\n",
+        files={"ok.txt": SAMPLE_POLICY_TEXT},
+    )
+    test_warnings_do_not_fail_validation = _run(
+        "validate {dir}/warn.txt", 0,
+        err="{dir}/warn.txt: line 1: WARNING MAIN_SECTION_NOT_CAPS: main section title 'lowercase title' is not"
+        " upper case\n{dir}/warn.txt: valid, 1 paragraphs, 1 warnings\n",
+        files={"warn.txt": "1 lowercase title\n"},
+    )
+    test_parse_errors_exit_2 = _run(
+        "validate {dir}/bad.txt", 2, err="{dir}/bad.txt: line 2: ERROR DUPLICATE_SECTION: section 1 already defined\n",
+        files={"bad.txt": "1 TOP\n1 TOP\n"},
+    )
+    test_missing_file_exits_1 = _run("validate {dir}/absent.txt", 1, err=_not_found("absent.txt"), files={})
+    # Text pasted from a word processor carries no-break and em spaces.
+    test_unicode_whitespace_in_headings = _run(
+        "validate {dir}/pasted.txt", 0, err="{dir}/pasted.txt: valid, 2 paragraphs, 0 warnings\n",
+        files={"pasted.txt": "1 \u00a0TITLE\n1.1 Scope\u2003 3\na) MUST x\n"},
+    )
+    test_overlong_section_number_exits_2 = _run(
+        "validate {dir}/huge.txt", 2,
+        err="{dir}/huge.txt: line 1: ERROR BAD_SECTION_NUMBER: section number has too many digits\n",
+        files={"huge.txt": "1" * 4301 + " TOP\n"},
+    )
+    test_non_utf8_exits_2 = _run("validate {dir}/binary.txt", 2, err=NOT_UTF8, files=BINARY)
+    test_lists_every_diagnostic = _run(
+        "validate {dir}/warn.txt", 0,
+        err="".join(f"{{dir}}/warn.txt: {line}\n" for line in WARNINGS)
+        + "{dir}/warn.txt: valid, 9 paragraphs, 5 warnings\n",
+        files=WARNED,
+    )
+    test_byte_order_mark_is_ignored = _run(
+        "validate {dir}/bom.txt", 0, err="{dir}/bom.txt: valid, 7 paragraphs, 0 warnings\n",
+        files={"bom.txt": "\ufeff" + SAMPLE_POLICY_TEXT},
+    )
 
 
 class TestCompare:
-    def test_json_on_stdout(self, policy_files, capsys):
-        file_a, file_b = policy_files
-        assert main(["compare", str(file_a), str(file_b)]) == 0
-        captured = capsys.readouterr()
-        data = json.loads(captured.out)
-        assert data["overall_weighted"] == 32.5
-        assert data["mode"] == "merge"
-        assert data["policy_a_name"] == "a"
-        assert data["policy_b_name"] == "b"
-
-    def test_human_summary_on_stderr(self, policy_files, capsys):
-        # The header and both overall scores; each section's score is in
-        # the report only.
-        file_a, file_b = policy_files
-        assert main(["compare", str(file_a), str(file_b)]) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            "a vs b (merge semantics)",
-            "overall weighted:   32.50",
-            "overall unweighted: 32.50",
-        ]
-
-    def test_one_line_per_diagnostic_code(self, warned_file, capsys):
-        assert main(["validate", str(warned_file)]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert main(["compare", str(warned_file), str(warned_file)]) == 0
-        folded = [lines[0] + " (and 2 more)", lines[2] + " (and 1 more)"]
-        assert capsys.readouterr().err.splitlines()[:4] == folded * 2
-
-    def test_errors_are_one_line_per_code_too(self, tmp_path, policy_files, capsys):
-        file = tmp_path / "bad.txt"
-        file.write_text("1 TOP\n1 TOP\n2 NEXT\n2 NEXT\n", encoding="utf-8")
-        assert main(["compare", str(file), str(policy_files[1])]) == 2
-        assert capsys.readouterr().err == (
-            f"{file}: line 2: ERROR DUPLICATE_SECTION: section 1 already defined (and 1 more)\n"
-        )
-
-    def test_acquire_mode(self, policy_files, capsys):
-        file_a, file_b = policy_files
-        assert main(["compare", str(file_a), str(file_b), "--mode", "acquire"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["mode"] == "acquire"
-        assert abs(data["overall_weighted"] - 130.0 / 3.0) <= 1e-9
-
-    def test_report_written_to_file(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        out = tmp_path / "report.json"
-        assert main(["compare", str(file_a), str(file_b), "--report", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["overall_weighted"] == 32.5
-
-    def test_file_name_that_is_not_utf8_names_the_policy_with_fffd(self, policy_files, tmp_path, capsys):
-        _, file_b = policy_files
-        file_a = tmp_path / os.fsdecode(b"\xff.txt")
-        file_a.write_text(file_b.read_text(encoding="utf-8"), encoding="utf-8")
-        out = tmp_path / "report.json"
-        assert main(["compare", str(file_a), str(file_b), "--report", str(out)]) == 0
-        assert json.loads(out.read_text(encoding="utf-8"))["policy_a_name"] == "\ufffd"
-        capsys.readouterr()
-        assert main(["compare", str(file_a), str(file_b)]) == 0
-        assert json.loads(capsys.readouterr().out)["policy_a_name"] == "\ufffd"
-
-    def test_rejecting_rules_exit_3(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("overall > 90\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 3
-        captured = capsys.readouterr()
-        assert "rejected" in captured.err
-        # The report is still produced; rejection is a result, not an error.
-        assert json.loads(captured.out)["overall_weighted"] == 32.5
-
-    def test_passing_rules_exit_0(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("overall > 30\nparagraph 1 > 30\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 0
-        assert "accepted" in capsys.readouterr().err
-
-    def test_parse_error_in_either_file_exits_2(self, policy_files, tmp_path, capsys):
-        file_a, _ = policy_files
-        bad = tmp_path / "bad.txt"
-        bad.write_text("Connection AND\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(bad)]) == 2
-        assert "CONNECTION_BEFORE_SECTION" in capsys.readouterr().err
-
-    def test_missing_input_exits_1(self, policy_files, tmp_path):
-        file_a, _ = policy_files
-        assert main(["compare", str(file_a), str(tmp_path / "nope.txt")]) == 1
-
-    def test_missing_b_outranks_non_utf8_a(self, tmp_path, capsys):
-        # A's decode error is a parse failure; B's absence is still reported
-        # and, being an I/O error, decides the exit code.
-        file_a = tmp_path / "binary.txt"
-        file_a.write_bytes(b"1 TOP\n\xff broken\n")
-        assert main(["compare", str(file_a), str(tmp_path / "nope.txt")]) == 1
-        err = capsys.readouterr().err
-        assert "not valid UTF-8" in err
-        assert "nope.txt" in err
-
-    def test_parse_errors_of_both_files_are_printed(self, tmp_path, capsys):
-        file_a = tmp_path / "a.txt"
-        file_b = tmp_path / "b.txt"
-        file_a.write_text("1 TOP\n1 TOP\n", encoding="utf-8")
-        file_b.write_text("Connection AND\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(file_b)]) == 2
-        err = capsys.readouterr().err
-        assert "DUPLICATE_SECTION" in err
-        assert "CONNECTION_BEFORE_SECTION" in err
-
-    def test_bad_rules_syntax_exits_4(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("overall beats 80\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 4
-        assert "line 1" in capsys.readouterr().err
-
-    def test_rules_file_byte_order_mark_is_ignored(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("overall > 30\nparagraph 1 > 30\n", encoding="utf-8-sig")
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 0
-        assert "verdict: accepted" in capsys.readouterr().err
-
-    def test_missing_rules_file_exits_4(self, policy_files, tmp_path):
-        file_a, file_b = policy_files
-        missing = tmp_path / "norules.txt"
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(missing)]) == 4
-
-    def test_unknown_rule_path_exits_4(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("paragraph 7.7 > 10\n", encoding="utf-8")
-        assert main(["compare", str(file_a), str(file_b), "--rules", str(rules)]) == 4
-        assert "7.7" in capsys.readouterr().err
+    test_json_on_stdout = _run(f"compare {PAIR}", 0, REPORT, SUMMARY)
+    # The header names both policies and the mode; each section's score is
+    # in the report only.
+    test_human_summary_on_stderr = _run(
+        "compare {dir}/ours.txt {dir}/theirs.txt", 0,
+        _report("merge", "ours", "theirs", 75.0, 50.0, [("1", 100.0, None, 100.0, 3, "matched"),
+                                                        ("2", 0.0, None, 0.0, 1, "matched")]),
+        "ours vs theirs (merge semantics)\noverall weighted:   75.00\noverall unweighted: 50.00\n",
+        files={"ours.txt": "1 ONE 3\na) MUST x\n2 TWO\na) MUST y\n", "theirs.txt": "1 ONE\na) MUST x\n2 TWO\n"},
+    )
+    test_one_line_per_diagnostic_code = _run(
+        "compare {dir}/warn.txt {dir}/warn.txt", 0,
+        _report("merge", "warn", "warn", 100.0, 100.0, [
+            (path, 100.0, 100.0 if path in ("3", "3.1", "3.1.1", "3.1.1.1") else None, 100.0, 1, "both_empty")
+            for path in "1 2 3 3.1 3.1.1 3.1.1.1 3.1.1.1.1 3.1.1.1.2 4".split()
+        ]),
+        f"{{dir}}/warn.txt: {WARNINGS[0]} (and 2 more)\n{{dir}}/warn.txt: {WARNINGS[2]} (and 1 more)\n" * 2
+        + "warn vs warn (merge semantics)\noverall weighted:   100.00\noverall unweighted: 100.00\n",
+        files=WARNED,
+    )
+    test_errors_are_one_line_per_code_too = _run(
+        "compare {dir}/bad.txt {dir}/b.txt", 2,
+        err="{dir}/bad.txt: line 2: ERROR DUPLICATE_SECTION: section 1 already defined (and 1 more)\n",
+        files={**WORKED, "bad.txt": "1 TOP\n1 TOP\n2 NEXT\n2 NEXT\n"},
+    )
+    test_acquire_mode = _run(
+        f"compare {PAIR} --mode acquire", 0,
+        _report("acquire", "a", "b", 130 / 3, 130 / 3, [("1", 130 / 3, None, 130 / 3, 1, "matched")]), ACQUIRED,
+    )
+    test_report_written_to_file = _run(
+        f"compare {PAIR} --report {{dir}}/report.json", 0, err=SUMMARY, written={"report.json": REPORT}
+    )
+    test_file_name_that_is_not_utf8_names_the_policy_with_fffd = _run(
+        "compare {dir}/\udcff.txt {dir}/b.txt", 0,
+        _report("merge", "\ufffd", "b", 32.5, 32.5, ROWS), SUMMARY.replace("a vs", "\ufffd vs"),
+        files={"\udcff.txt": WORKED_POLICY_A_TEXT, "b.txt": WORKED_POLICY_B_TEXT},
+    )
+    # The report is still written in full: rejection is a result, not an error.
+    test_rejecting_rules_exit_3 = _run(
+        f"compare {RULED}", 3,
+        REPORT, SUMMARY + "verdict: rejected\n  score 32.5000 does not satisfy 'overall > 90 weighted'\n",
+        files=_ruled("overall > 90\n"),
+    )
+    test_passing_rules_exit_0 = _run(
+        f"compare {RULED}", 0, REPORT, ACCEPTED, files=_ruled("overall > 30\nparagraph 1 > 30\n")
+    )
+    test_parse_error_in_either_file_exits_2 = _run(
+        "compare {dir}/a.txt {dir}/bad.txt", 2,
+        err="{dir}/bad.txt: line 1: ERROR CONNECTION_BEFORE_SECTION: Connection line before the first section"
+        " heading\n",
+        files={**WORKED, "bad.txt": "Connection AND\n"},
+    )
+    test_missing_input_exits_1 = _run("compare {dir}/a.txt {dir}/nope.txt", 1, err=_not_found("nope.txt"))
+    # A's decode error is a parse failure; B's absence is still reported
+    # and, being an I/O error, decides the exit code.
+    test_missing_b_outranks_non_utf8_a = _run(
+        "compare {dir}/binary.txt {dir}/nope.txt", 1, err=NOT_UTF8 + _not_found("nope.txt"), files=BINARY
+    )
+    test_parse_errors_of_both_files_are_printed = _run(
+        f"compare {PAIR}", 2,
+        err="{dir}/a.txt: line 2: ERROR DUPLICATE_SECTION: section 1 already defined\n{dir}/b.txt: line 1:"
+        " ERROR CONNECTION_BEFORE_SECTION: Connection line before the first section heading\n",
+        files={"a.txt": "1 TOP\n1 TOP\n", "b.txt": "Connection AND\n"},
+    )
+    test_bad_rules_syntax_exits_4 = _run(
+        f"compare {RULED}", 4, err="{dir}/rules.txt: line 1: unknown operator 'beats': 'overall beats 80'\n",
+        files=_ruled("overall beats 80\n"),
+    )
+    test_rules_file_byte_order_mark_is_ignored = _run(
+        f"compare {RULED}", 0, REPORT, ACCEPTED, files=_ruled("\ufeffoverall > 30\nparagraph 1 > 30\n")
+    )
+    test_rules_file_that_is_not_utf8_exits_4 = _run(
+        f"compare {RULED}", 4,
+        err="{dir}/rules.txt: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n",
+        files=_ruled(b"overall > 30\n\xff\n"),
+    )
+    test_missing_rules_file_exits_4 = _run(f"compare {RULED}", 4, err=_not_found("rules.txt"))
+    test_unknown_rule_path_exits_4 = _run(
+        f"compare {RULED}", 4,
+        err="{dir}/rules.txt: rule 'paragraph 7.7 > 10' names section 7.7, which the report does not contain\n",
+        files=_ruled("paragraph 7.7 > 10\n"),
+    )
+    test_unwritable_report_exits_1 = _run(
+        f"compare {PAIR} --report {{dir}}/absent/report.json", 1, err=_not_found("absent/report.json")
+    )
 
 
 class TestMerge:
-    def test_merged_policy_written(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        out = tmp_path / "merged.txt"
-        assert main(["merge", str(file_a), str(file_b), "--out", str(out)]) == 0
-        merged, diagnostics = parse_policy(out.read_text(encoding="utf-8"))
-        assert merged is not None, diagnostics
-        phrases = [o.phrase for o in merged.roots[0].options]
-        assert phrases == ["a", "b", "c", "d", "e"]
+    test_merged_policy_written = _run(
+        f"merge {PAIR} --out {{dir}}/merged.txt", 0, err=ACCEPTED, written={"merged.txt": DRAFT}
+    )
+    test_merged_policy_to_stdout = _run(f"merge {PAIR}", 0, DRAFT, ACCEPTED)
+    test_empty_draft_is_empty_on_stdout_too = _run(
+        "merge {dir}/empty.txt {dir}/empty.txt --out {dir}/merged.txt", 0,
+        err="empty vs empty (merge semantics)\noverall weighted:   100.00\noverall unweighted: 100.00\n"
+        "verdict: accepted\n",
+        files={"empty.txt": ""}, written={"merged.txt": ""},
+    )
+    test_rejection_leaves_no_output_file = _run(
+        f"merge {RULED} --out {{dir}}/merged.txt", 3,
+        err=SUMMARY + "verdict: rejected\n  score 32.5000 does not satisfy 'overall >= 99 weighted'\n"
+        "no unified policy was written\n",
+        files=_ruled("overall >= 99\n"),
+    )
+    test_acquire_keeps_acquirer_text = _run(
+        f"merge {PAIR} --mode acquire", 0,
+        "1 CERTIFICATE PROFILE\na) MUST a\nb) MUST b\nc) MUST c\nConnection AND\n", ACQUIRED + "verdict: accepted\n",
+    )
+    test_unwritable_out_exits_1 = _run(
+        f"merge {PAIR} --out {{dir}}/absent/merged.txt", 1, err=ACCEPTED + _not_found("absent/merged.txt")
+    )
 
-    def test_merged_policy_to_stdout(self, policy_files, capsys):
+    @pytest.mark.parametrize(
+        "command, flag, same",
+        [("merge", "--out", None), ("compare", "--report", None), ("merge", "--out", "")],
+        ids=["merge---out", "compare---report", "empty-draft"],
+    )
+    def test_stdout_gets_the_bytes_of_the_output_file(self, policy_files, tmp_path, command, flag, same):
+        # The worked pair, or the policy ``same`` compared with itself.
         file_a, file_b = policy_files
-        assert main(["merge", str(file_a), str(file_b)]) == 0
-        out = capsys.readouterr().out
-        merged, _ = parse_policy(out)
-        assert merged is not None
-        assert "// unmatched: from B: d" in out
-
-    def test_empty_draft_is_empty_on_stdout_too(self, tmp_path):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("", encoding="utf-8")
-        out = tmp_path / "merged.txt"
-        assert main(["merge", str(empty), str(empty), "--out", str(out)]) == 0
-        assert out.read_bytes() == b""
-        result = run_module("merge", str(empty), str(empty), text=False)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == b""
-
-    @pytest.mark.parametrize("command, flag", [("merge", "--out"), ("compare", "--report")])
-    def test_stdout_gets_the_bytes_of_the_output_file(self, policy_files, tmp_path, command, flag):
-        file_a, file_b = policy_files
+        if same is not None:
+            file_a.write_text(same, encoding="utf-8")
+            file_b = file_a
         out = tmp_path / "written"
         assert main([command, str(file_a), str(file_b), flag, str(out)]) == 0
         result = run_module(command, str(file_a), str(file_b), text=False)
@@ -351,24 +354,6 @@ class TestMerge:
     def test_closed_stdout_and_stderr_exit_1(self, policy_files, command):
         result = run_on_closed_pipe(command, *map(str, policy_files), closed=("stdout", "stderr"))
         assert result.returncode == 1
-
-    def test_rejection_leaves_no_output_file(self, policy_files, tmp_path):
-        file_a, file_b = policy_files
-        rules = tmp_path / "rules.txt"
-        rules.write_text("overall >= 99\n", encoding="utf-8")
-        out = tmp_path / "merged.txt"
-        code = main(
-            ["merge", str(file_a), str(file_b), "--rules", str(rules), "--out", str(out)]
-        )
-        assert code == 3
-        assert not out.exists()
-
-    def test_acquire_keeps_acquirer_text(self, policy_files, tmp_path, capsys):
-        file_a, file_b = policy_files
-        assert main(["merge", str(file_a), str(file_b), "--mode", "acquire"]) == 0
-        merged, _ = parse_policy(capsys.readouterr().out)
-        original, _ = parse_policy(file_a.read_text(encoding="utf-8"))
-        assert merged.roots == original.roots
 
 
 class TestSizeLimits:
@@ -412,52 +397,115 @@ class TestSizeLimits:
         assert "Traceback" not in result.stderr
         assert f"line {MAX_DEPTH + 1}: ERROR DEPTH_LIMIT" in result.stderr
 
-    @settings(max_examples=200, deadline=None)
-    @given(text_a=limit_documents(), text_b=limit_documents(), mode=modes())
-    def test_merge_renders_or_is_refused_by_a_documented_route(self, text_a, text_b, mode):
-        # Exit 2 only for DEPTH_LIMIT, and otherwise a draft that reparses
-        # equal, however many options a merged section has.
-        policy_a, diagnostics_a = parse_policy(text_a)
-        policy_b, diagnostics_b = parse_policy(text_b)
-        merged = None
-        if policy_a is not None and policy_b is not None:
+
+# Policy files: soups of the parser's dispatch edges, rendered trees and
+# documents on the size limits; one file in eight ends in bytes that are
+# not UTF-8.
+_POLICY_FILES = st.tuples(
+    st.one_of(line_soups(), policies().map(render_policy), limit_documents()),
+    st.sampled_from((b"",) * 21 + (b"\xff", b"\xc3", b"\xed\xa0\x80")),
+).map(lambda parts: parts[0].encode() + parts[1])
+# Rules files: rules on sections that a drawn policy may or may not have,
+# and lines that are blank, comments or refused: thresholds outside
+# [0, 100] or in non-ASCII digits, '==' on the overall score, bad section
+# numbers, an unknown basis, operator or rule word.
+_RULES = st.one_of(
+    st.tuples(
+        st.just("overall"),
+        st.sampled_from(("> 30", ">= 50", "> 90", ">= 100")),
+        st.sampled_from(("", "weighted", "unweighted")),
+    ),
+    st.tuples(
+        st.just("paragraph"),
+        st.sampled_from(("1", "2", "1.1", "2.1", "7.7")),
+        st.sampled_from(("> 30", ">= 50", "> 90", "== 100")),
+    ),
+).map(" ".join)
+_OTHER_LINES = st.sampled_from((
+    "", "# note", "overall > 101", "overall > \u0665\u0660", "overall == 100", "paragraph 1.0 > 5",
+    "paragraph \u0661 > 5", "overall > 50 both", "overall < 50", "section 1 > 5",
+))
+_RULES_FILES = st.lists(_RULES | _OTHER_LINES, min_size=1, max_size=3).map("\n".join) | st.none()
+
+
+def _quietly(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    @settings(max_examples=1000, deadline=None)
+    @given(file_a=_POLICY_FILES, file_b=_POLICY_FILES, rules=_RULES_FILES, mode=modes())
+    def test_commands_end_as_the_library_calls_predict(self, file_a, file_b, rules, mode):
+        # Exit 2 iff a file does not parse or is not UTF-8, else 4 iff the
+        # rules raise RuleError, else 3 iff the verdict rejects; so never 6.
+        def parsed(data, name):
+            try:
+                return parse_policy(data.decode("utf-8-sig"), name=name)[0]
+            except UnicodeDecodeError:
+                return None
+
+        policy_a, policy_b = parsed(file_a, "a"), parsed(file_b, "b")
+        if policy_a is None or policy_b is None:
+            code = cli.EXIT_PARSE
+        else:
             report = compare(policy_a, policy_b, mode)
-            merged = merge(policy_a, policy_b, report, evaluate(report, []))
-        with tempfile.TemporaryDirectory() as work:
-            file_a, file_b, out = (Path(work) / name for name in ("a.txt", "b.txt", "out.txt"))
-            file_a.write_text(text_a, encoding="utf-8")
-            file_b.write_text(text_b, encoding="utf-8")
-            quiet = io.StringIO()
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                code = main(
-                    ["merge", str(file_a), str(file_b), "--mode", mode.value, "--out", str(out)]
-                )
-            if merged is None:
-                assert code == 2
-                errors = {
-                    d.code for d in diagnostics_a + diagnostics_b if d.severity is Severity.ERROR
-                }
-                assert errors == {"DEPTH_LIMIT"}
+            try:
+                verdict = evaluate(report, parse_rules(rules or ""))
+            except RuleError:
+                code = cli.EXIT_RULES
             else:
-                assert code == 0
-                reparsed, _ = parse_policy(out.read_text(encoding="utf-8"))
-                assert reparsed is not None
-                assert merged.roots == reparsed.roots
+                code = cli.EXIT_OK if verdict.accepted else cli.EXIT_REJECTED
+        with tempfile.TemporaryDirectory() as work:
+            paths = {name: Path(work) / name for name in ("a.txt", "b.txt", "rules.txt", "draft.txt")}
+            paths["a.txt"].write_bytes(file_a)
+            paths["b.txt"].write_bytes(file_b)
+            pair = [str(paths["a.txt"]), str(paths["b.txt"]), "--mode", mode.value]
+            if rules is not None:
+                paths["rules.txt"].write_text(rules, encoding="utf-8")
+                pair += ["--rules", str(paths["rules.txt"])]
+            runs = [
+                _quietly(["validate", pair[0]]),
+                _quietly(["compare", *pair]),
+                _quietly(["merge", *pair, "--out", str(paths["draft.txt"])]),
+            ]
+            draft = paths["draft.txt"].read_text(encoding="utf-8") if paths["draft.txt"].exists() else None
+        assert [(run_code, out) for run_code, out, _ in runs] == [
+            (cli.EXIT_PARSE if policy_a is None else cli.EXIT_OK, ""),
+            (code, report_to_json(report) + "\n" if code in (cli.EXIT_OK, cli.EXIT_REJECTED) else ""),
+            (code, ""),
+        ]
+        assert not [err for _, _, err in runs if "Traceback" in err]
+        if code == cli.EXIT_OK:
+            merged = merge(policy_a, policy_b, report, verdict)
+            assert parse_policy(draft)[0].roots == merged.roots
+        else:
+            assert draft is None
+
+
+def documented_exit_codes() -> set[int]:
+    """The codes of CLI.md's exit-code table, less its retired codes."""
+    text = (Path(__file__).resolve().parents[1] / "CLI.md").read_text(encoding="utf-8")
+    table = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    return {
+        int(code)
+        for code, meaning in re.findall(r"^\| (\d+) \| (.*) \|$", table, re.MULTILINE)
+        if not meaning.startswith("Retired")
+    }
 
 
 class TestExitCodeTable:
     def test_documented_codes_are_the_exit_constants(self):
-        # CLI.md's exit-code table, less its retired codes, names exactly the
-        # codes the cli module defines.
-        text = (Path(__file__).resolve().parents[1] / "CLI.md").read_text(encoding="utf-8")
-        table = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
-        documented = {
-            int(code)
-            for code, meaning in re.findall(r"^\| (\d+) \| (.*) \|$", table, re.MULTILINE)
-            if not meaning.startswith("Retired")
-        }
         defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
-        assert documented == defined
+        assert documented_exit_codes() == defined
+
+    def test_runs_end_with_every_documented_code(self):
+        # So a new exit route fails the suite until the run table has a row
+        # for it. Only a patched command reaches code 6 (TestInternalErrors).
+        assert set(RUN_CODES) == documented_exit_codes() - {cli.EXIT_INTERNAL}
 
 
 class TestInternalErrors:

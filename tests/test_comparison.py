@@ -276,7 +276,7 @@ class TestReportSerialization:
     @settings(max_examples=1000, deadline=None)
     @given(
         report=st.one_of(
-            st.builds(compare, policies(), policies(), modes()),
+            st.builds(lambda pair, mode: compare(*pair, mode), policy_pairs(), modes()),
             api_reports(),
         )
     )

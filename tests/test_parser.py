@@ -361,14 +361,45 @@ LINES = [
     ("aa) x\naa) y", [_duplicate_label("aa")], None),
     ("etc) x", [], _intro(PolicyOption("x"))),
     ("MUST) x", [_bad_label("MUST")], _intro(PolicyOption("x"))),
+    # The edges of the option grammar: where a keyword ends, which
+    # whitespace is skipped, what counts as a label.
+    ("a) NOT", [_EMPTY_PHRASE], None),
+    ("a) MUST ", [_EMPTY_PHRASE], None),
+    # Only a plain space ends a keyword; once it has, any whitespace goes.
+    ("a) MUST\tkeep logs", [], _intro(PolicyOption("MUST\tkeep logs"))),
+    ("a)  MUST keep logs", [], _intro(PolicyOption("keep logs", MUST))),
+    ("a) MUST  keep logs", [], _intro(PolicyOption("keep logs", MUST))),
+    ("a) MUST MUST keep", [], _intro(PolicyOption("MUST keep", MUST))),
+    ("a) MUSTER keep logs", [], _intro(PolicyOption("MUSTER keep logs"))),
+    ("ab) NOT keep logs", [], _intro(PolicyOption("keep logs", NOT))),
+    ("keep logs", [], _intro(PolicyOption("keep logs"))),
+    ("OPTIONAL keep", [], _intro(PolicyOption("keep", OPTIONAL))),
+    ("A) keep logs", [_bad_label("A")], _intro(PolicyOption("keep logs"))),
+    ("a) keep logs\na) rotate keys", [_duplicate_label("a")], None),
+    # A label is ASCII letters; anything else before ")" is phrase text.
+    ("\u00e9) keep logs", [], _intro(PolicyOption("\u00e9) keep logs"))),
+    ("a1) keep logs", [], _intro(PolicyOption("a1) keep logs"))),
+    ("1.2. keep", [_heading_like("1.2.")], _intro(PolicyOption("1.2. keep"))),
+    # U+00A0 and U+3000 are whitespace to strip() but do not end a keyword.
+    ("a) MUST\u00a0keep logs", [], _intro(PolicyOption("MUST\u00a0keep logs"))),
+    ("a) MUST\u3000keep logs", [], _intro(PolicyOption("MUST\u3000keep logs"))),
+    ("a) MUST \u00a0keep logs", [], _intro(PolicyOption("keep logs", MUST))),
+    ("a) MUST keep\u00a0logs", [], _intro(PolicyOption("keep\u00a0logs", MUST))),
+    ("MUST\u3000keep logs", [], _intro(PolicyOption("MUST\u3000keep logs"))),
+    (
+        "a) MUST NOT share keys",
+        [_warning("KEYWORD_LOOKALIKE", 2, "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'")],
+        _intro(PolicyOption("NOT share keys", MUST)),
+    ),
 ]
 DOCUMENTS.extend((f"1 INTRO\n{line}\n", outcome, codes) for line, codes, outcome in LINES)
 
 
 class TestLineDispatch:
     """What one line (or two, for a duplicate label) under ``1 INTRO``
-    becomes, for each first-character branch of the dispatch and its edges:
-    every diagnostic, with its code, line and message, and the policy."""
+    becomes, for each first-character branch of the dispatch and each edge
+    of the option grammar: every diagnostic, with its code, line and
+    message, and the policy."""
 
     @pytest.mark.parametrize("line, codes, outcome", LINES)
     def test_line(self, line, codes, outcome):
@@ -438,49 +469,9 @@ def _is_option_line(line: str) -> bool:
 
 
 class TestOptionLineEdges:
-    """Whole documents around the ``[label) ][KEYWORD ]phrase`` line on the
-    edges of the option grammar (where a keyword ends, which whitespace is
-    skipped, what counts as a label), and every option line of the soups
-    read against the grammar's own regular expression."""
-
-    test_document = _documents(
-        ("1 INTRO\na) MUST\n", None, [_EMPTY_PHRASE]),
-        ("1 INTRO\na) NOT\n", None, [_EMPTY_PHRASE]),
-        ("1 INTRO\na) MUST \n", None, [_EMPTY_PHRASE]),
-        # Only a plain space ends a keyword; once it has, any whitespace goes.
-        ("1 INTRO\na) MUST\tkeep logs\n", _intro(PolicyOption("MUST\tkeep logs")), []),
-        ("1 INTRO\na)  MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
-        ("1 INTRO\na)MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
-        ("1 INTRO\na) MUST  keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
-        ("1 INTRO\na) MUST MUST keep\n", _intro(PolicyOption("MUST keep", MUST)), []),
-        ("1 INTRO\na) MUSTER keep logs\n", _intro(PolicyOption("MUSTER keep logs")), []),
-        ("1 INTRO\nab) NOT keep logs\n", _intro(PolicyOption("keep logs", NOT)), []),
-        ("1 INTRO\nkeep logs\n", _intro(PolicyOption("keep logs")), []),
-        ("1 INTRO\nOPTIONAL keep\n", _intro(PolicyOption("keep", OPTIONAL)), []),
-        ("1 INTRO\nA) keep logs\n", _intro(PolicyOption("keep logs")), [_bad_label("A")]),
-        ("1 INTRO\na) keep logs\na) rotate keys\n", None, [_duplicate_label("a")]),
-        # A label is ASCII letters; anything else before ")" is phrase text.
-        ("1 INTRO\n\u00e9) keep logs\n", _intro(PolicyOption("\u00e9) keep logs")), []),
-        ("1 INTRO\na1) keep logs\n", _intro(PolicyOption("a1) keep logs")), []),
-        ("1 INTRO\n1.2. keep\n", _intro(PolicyOption("1.2. keep")), [_heading_like("1.2.")]),
-        (
-            "a) keep logs\n1 INTRO\n",
-            None,
-            [_error("OPTION_BEFORE_SECTION", 1, "option line before the first section heading")],
-        ),
-        # U+00A0 and U+3000 are whitespace to strip() but do not end a keyword.
-        ("1 INTRO\na) MUST\u00a0keep logs\n", _intro(PolicyOption("MUST\u00a0keep logs")), []),
-        ("1 INTRO\na) MUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
-        ("1 INTRO\na) MUST \u00a0keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
-        ("1 INTRO\na) \u3000MUST keep logs\n", _intro(PolicyOption("keep logs", MUST)), []),
-        ("1 INTRO\na) MUST keep\u00a0logs\n", _intro(PolicyOption("keep\u00a0logs", MUST)), []),
-        ("1 INTRO\nMUST\u3000keep logs\n", _intro(PolicyOption("MUST\u3000keep logs")), []),
-        (
-            "1 INTRO\na) MUST NOT share keys\n",
-            _intro(PolicyOption("NOT share keys", MUST)),
-            [_warning("KEYWORD_LOOKALIKE", 2, "'MUST NOT' is read as keyword MUST and a phrase starting with 'NOT'")],
-        ),
-    )
+    """Every option line of the soups, and every look-alike line, read
+    against the ``[label) ][KEYWORD ]phrase`` grammar's own regular
+    expression."""
 
     @settings(max_examples=1000, deadline=None)
     @given(line=_soup_lines())
@@ -632,6 +623,11 @@ class TestErrors:
         assert errors == ["DEPTH_LIMIT"] * (600 - MAX_DEPTH)
 
 
+    test_option_before_any_section = _document(
+        "a) keep logs\n1 INTRO\n",
+        None,
+        [_error("OPTION_BEFORE_SECTION", 1, "option line before the first section heading")],
+    )
     test_connection_with_extra_tokens_rejected = _document("1 TOP\nConnection AND OR\n", None, [_bad_connective(2)])
     test_connection_before_any_section = _document(
         "Connection AND\n1 TOP\n",
