@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .model import SCORE_EPSILON, ComparisonReport, NumberPath
 
@@ -90,6 +89,9 @@ class AcceptanceRule:
 
     def describe(self) -> str:
         """The rule as a rules file line that parses back to this rule."""
+        # Imported here, its only use, so that loading the module does not.
+        from decimal import Decimal
+
         # The shortest plain decimal that reads back as the same float; abs()
         # writes -0.0, which the range check admits, as 0.
         threshold = f"{Decimal(repr(abs(self.threshold))).normalize():f}"

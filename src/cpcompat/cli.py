@@ -8,6 +8,8 @@ Three commands cover the library's workflow:
 
 ``main`` is the one entry point. Argparse hands each command's parsed
 arguments straight to its body, ``_validate``, ``_compare`` or ``_merge``.
+The argument parser is built once per process, by the first ``main`` call,
+and reused by every later call in that process.
 
 Machine-readable output (the JSON report, the merged policy text) goes
 to stdout or to the requested output file; diagnostics and the human
@@ -36,6 +38,7 @@ so the collector's passes over a large policy tree would find nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -125,9 +128,11 @@ def _by_code(path: str, diagnostics: list[ParseDiagnostic]) -> list[str]:
 def _verdict(report: ComparisonReport, rules: str) -> Verdict:
     try:
         return evaluate(report, parse_rules(Path(rules).read_text(encoding="utf-8-sig")))
-    except (OSError, UnicodeDecodeError, RuleError) as exc:
+    except UnicodeDecodeError as exc:
+        _say(f"{rules}: not valid UTF-8: {exc}")
+    except (OSError, RuleError) as exc:
         _say(f"{rules}: {exc}")
-        raise _Exit(EXIT_RULES) from None
+    raise _Exit(EXIT_RULES)
 
 
 def _summarize(report: ComparisonReport) -> None:
@@ -189,12 +194,11 @@ def _compared(
 
 def _compare(arguments: argparse.Namespace) -> int:
     _, _, report, verdict = _compared(arguments)
-    _write_or_print(report_to_json(report) + "\n", arguments.report)
     _summarize(report)
-    if verdict is None:
-        return EXIT_OK
-    _announce(verdict)
-    return EXIT_OK if verdict.accepted else EXIT_REJECTED
+    if verdict is not None:
+        _announce(verdict)
+    _write_or_print(report_to_json(report) + "\n", arguments.report)
+    return EXIT_OK if verdict is None or verdict.accepted else EXIT_REJECTED
 
 
 def _merge(arguments: argparse.Namespace) -> int:
@@ -212,7 +216,8 @@ def _merge(arguments: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpcompat",
         description="Compare certificate policies and build unified drafts.",
@@ -243,9 +248,12 @@ def main(argv: list[str] | None = None) -> int:
     add_pair_arguments(merger)
     merger.add_argument("--out", help="write the merged policy here instead of stdout")
     merger.set_defaults(run=_merge)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        arguments = parser.parse_args(argv)
+        arguments = _parser().parse_args(argv)
     except SystemExit as stop:
         # Argparse has written help or a usage error. Flush it here, so that
         # a closed pipe drops it as _say would, with argparse's own code.

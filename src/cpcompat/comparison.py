@@ -28,7 +28,6 @@ one string per row and per diagnostic, with the bytes that
 from __future__ import annotations
 
 from collections.abc import Iterable
-from json.encoder import encode_basestring as _string
 
 from .model import (
     ComparisonDiagnostic,
@@ -158,7 +157,10 @@ def report_to_json(report: ComparisonReport) -> str:
     indent, so ``json.dumps`` would run this layout in pure Python.
     """
     # Section numbers (ASCII digits and dots) and enum values need no
-    # escaping; the text fields take json's own escaper.
+    # escaping; the text fields take json's own escaper, imported here, its
+    # only use, so that loading the module does not import json.
+    from json.encoder import encode_basestring as _string
+
     rows = [
         f'    {{\n'
         f'      "path": "{row.path.dotted}",\n'

@@ -21,6 +21,8 @@ compared like any hand-written document.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .acceptance import Verdict
 from .comparison import pair_by_path
 from .model import (
@@ -35,6 +37,8 @@ from .model import (
 from .scoring import match_options, resolve_connective
 
 __all__ = ["MergeRejectedError", "merge"]
+
+_BY_PATH = attrgetter("path.segments")
 
 
 class MergeRejectedError(RuntimeError):
@@ -75,6 +79,8 @@ def _merge_children(
     children_a: tuple[Paragraph, ...],
     children_b: tuple[Paragraph, ...],
 ) -> tuple[Paragraph, ...]:
+    if not children_a and not children_b:
+        return ()
     merged: list[Paragraph] = []
     for child_a, child_b in pair_by_path(children_a, children_b):
         if child_a is not None and child_b is not None:
@@ -85,7 +91,7 @@ def _merge_children(
             comments = child.comments + (f"// unmatched: from {side}",)
             merged.append(Paragraph(child.path, child.title, child.weight, child.options,
                                     child.connective, comments, child.children))
-    merged.sort(key=lambda child: child.path.segments)
+    merged.sort(key=_BY_PATH)
     return tuple(merged)
 
 
@@ -100,10 +106,11 @@ def _merge_paragraphs(paragraph_a: Paragraph, paragraph_b: Paragraph) -> Paragra
         annotations.insert(0, f"// merged: connective in B was {paragraph_b.connective._name_}")
 
     comments = list(paragraph_a.comments)
-    # A set, so the union is linear in the comment counts; B keeps its
-    # order and its own repeats.
-    comments_a = set(comments)
-    comments.extend(c for c in paragraph_b.comments if c not in comments_a)
+    if paragraph_b.comments:
+        # A set, so the union is linear in the comment counts; B keeps its
+        # order and its own repeats.
+        comments_a = set(comments)
+        comments.extend(c for c in paragraph_b.comments if c not in comments_a)
     comments.extend(annotations)
 
     return Paragraph(

@@ -369,8 +369,11 @@ def parse_policy(text: str, name: str = "policy") -> tuple[Policy | None, list[P
 def _heading_line(paragraph: Paragraph) -> str:
     title = paragraph.title
     # A title ending in a bare number needs the weight spelled out, or the
-    # reparse would read that number as the weight.
-    if paragraph.weight != 1 or _is_weight(title.rsplit(None, 1)[-1]):
+    # reparse would read that number as the weight. A title is stripped, so
+    # only one whose last character is an ASCII digit can end in one.
+    if paragraph.weight != 1 or (
+        title[-1] in "0123456789" and _is_weight(title.rsplit(None, 1)[-1])
+    ):
         return f"{paragraph.path.dotted} {title} {paragraph.weight}"
     return f"{paragraph.path.dotted} {title}"
 
@@ -404,4 +407,6 @@ def render_policy(policy: Policy) -> str:
             lines.append(_option_line(option, _label(index)))
         if paragraph.connective is not Connective.NONE:
             lines.append(f"Connection {paragraph.connective._name_}")
-    return "".join(line + "\n" for line in lines)
+    # The empty last line ends the document with a newline.
+    lines.append("")
+    return "\n".join(lines)

@@ -12,8 +12,9 @@ scores according to the paragraph connective:
   denominator (both parties keep all their requirements); under ACQUIRE
   only the acquiring side's list counts: the acquired policy is superseded.
 
-A paragraph without a Connection line is treated as AND, the stricter
-reading.
+Paragraph A's connective governs (:func:`resolve_connective`); B's
+governs when A declares none, and AND, the stricter reading, applies when
+neither does.
 """
 
 from __future__ import annotations

@@ -54,6 +54,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, relative to the root of the checkout
 
 
+# The case of one rules line in the table of bad rules lines.
+BAD_RULE_LINE = "tests/test_rules.py::TestParseRuleErrors::test_bad_lines_raise_syntax_errors"
+
 MUTANTS = (
     Mutant(
         "sibling order never records the last linked sibling",
@@ -143,6 +146,62 @@ MUTANTS = (
         ("tests/test_scoring.py::TestWorkedExample::test_and_merge_is_32_5",),
     ),
     Mutant(
+        "a rule with an unknown basis reads the unweighted score",
+        "acceptance.py",
+        "                raise syntax_error(f\"unknown basis {basis[0]!r}\")\n",
+        "                pass\n",
+        (f"{BAD_RULE_LINE}[overall > 80 sideways]",),
+    ),
+    Mutant(
+        "a rule's bad section number raises a bare ValueError",
+        "acceptance.py",
+        "            raise syntax_error(f\"bad section number {dotted!r}\") from None\n",
+        "            raise\n",
+        (f"{BAD_RULE_LINE}[paragraph 1.x > 50]",),
+    ),
+    Mutant(
+        "an overall rule of the wrong length is called an unknown rule",
+        "acceptance.py",
+        "    elif subject == \"overall\":\n        raise syntax_error(\"expected 'overall <operator> <number> [basis]'\")\n",
+        "",
+        (f"{BAD_RULE_LINE}[overall >]",),
+    ),
+    Mutant(
+        "a paragraph rule of the wrong length is called an unknown rule",
+        "acceptance.py",
+        "    elif subject == \"paragraph\":\n        raise syntax_error(\"expected 'paragraph <path> <operator> <number>'\")\n",
+        "",
+        (f"{BAD_RULE_LINE}[paragraph > 50]",),
+    ),
+    Mutant(
+        "an unknown rule is an internal error",
+        "acceptance.py",
+        "    else:\n        raise syntax_error(f\"unknown rule {subject!r}\")\n",
+        "",
+        (f"{BAD_RULE_LINE}[verdict > 80]",),
+    ),
+    Mutant(
+        "a threshold is any text float() reads",
+        "acceptance.py",
+        "    if not _NUMBER_RE.fullmatch(number):\n",
+        "    if False:\n",
+        (f"{BAD_RULE_LINE}[overall > 1e1]",),
+    ),
+    Mutant(
+        "a rule AcceptanceRule refuses raises a bare ValueError",
+        "acceptance.py",
+        "        raise syntax_error(str(error)) from None\n",
+        "        raise\n",
+        (f"{BAD_RULE_LINE}[overall = 80]",),
+    ),
+    Mutant(
+        "a rule naming a section the report lacks is an internal error",
+        "acceptance.py",
+        "    if row is None:\n        raise UnknownPathError(\n",
+        "    if False:\n        raise UnknownPathError(\n",
+        ("tests/test_rules.py::TestEvaluate::test_unknown_path_raises",),
+    ),
+    Mutant(
         "a strict > rule accepts a score at its threshold",
         "acceptance.py",
         "return actual - rule.threshold > SCORE_EPSILON",
@@ -222,9 +281,23 @@ MUTANTS = (
     Mutant(
         "the renderer drops a weight other than 1",
         "parser.py",
-        "    if paragraph.weight != 1 or _is_weight(title.rsplit(None, 1)[-1]):\n",
-        "    if _is_weight(title.rsplit(None, 1)[-1]):\n",
+        "    if paragraph.weight != 1 or (\n",
+        "    if (\n",
         ("tests/test_parser.py::TestRendering::test_random_policies_round_trip",),
+    ),
+    Mutant(
+        "the renderer drops the newline that ends the document",
+        "parser.py",
+        '    lines.append("")\n',
+        "",
+        ("tests/test_cli.py::TestMerge::test_merged_policy_to_stdout",),
+    ),
+    Mutant(
+        "the merge drops B's children under a leaf of A",
+        "merger.py",
+        "    if not children_a and not children_b:\n",
+        "    if not children_a:\n",
+        ("tests/test_merger.py::TestStructureUnion::test_b_children_of_an_a_leaf_are_adopted",),
     ),
     Mutant(
         "the renderer writes a keyword-free option without its label",
@@ -369,15 +442,22 @@ MUTANTS = (
     Mutant(
         "a policy file that is not UTF-8 is an internal error",
         "cli.py",
-        "    except UnicodeDecodeError as exc:\n",
-        "    except UnicodeTranslateError as exc:\n",
+        '    except UnicodeDecodeError as exc:\n        _say(f"{path}: not valid UTF-8: {exc}")\n',
+        '    except UnicodeTranslateError as exc:\n        _say(f"{path}: not valid UTF-8: {exc}")\n',
         ("tests/test_cli.py::TestValidate::test_non_utf8_exits_2",),
+    ),
+    Mutant(
+        "a rules file that is not UTF-8 is an internal error",
+        "cli.py",
+        '    except UnicodeDecodeError as exc:\n        _say(f"{rules}: not valid UTF-8: {exc}")\n',
+        "",
+        ("tests/test_cli.py::TestCompare::test_rules_file_that_is_not_utf8_exits_4",),
     ),
     Mutant(
         "unusable rules exit as a parse error",
         "cli.py",
-        "raise _Exit(EXIT_RULES) from None",
-        "raise _Exit(EXIT_PARSE) from None",
+        "raise _Exit(EXIT_RULES)\n",
+        "raise _Exit(EXIT_PARSE)\n",
         ("tests/test_cli.py::TestCompare::test_bad_rules_syntax_exits_4",),
     ),
     Mutant(

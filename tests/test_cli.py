@@ -277,7 +277,7 @@ class TestCompare:
     )
     test_rules_file_that_is_not_utf8_exits_4 = _run(
         f"compare {RULED}", 4,
-        err="{dir}/rules.txt: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n",
+        err="{dir}/rules.txt: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n",
         files=_ruled(b"overall > 30\n\xff\n"),
     )
     test_missing_rules_file_exits_4 = _run(f"compare {RULED}", 4, err=_not_found("rules.txt"))
@@ -287,7 +287,7 @@ class TestCompare:
         files=_ruled("paragraph 7.7 > 10\n"),
     )
     test_unwritable_report_exits_1 = _run(
-        f"compare {PAIR} --report {{dir}}/absent/report.json", 1, err=_not_found("absent/report.json")
+        f"compare {PAIR} --report {{dir}}/absent/report.json", 1, err=SUMMARY + _not_found("absent/report.json")
     )
 
 

@@ -2,12 +2,16 @@
 every module parses as the oldest Python that pyproject.toml allows.
 
 An import left behind by a refactor keeps a dead dependency between
-modules and hides where a helper is really used.
+modules and hides where a helper is really used. A standard library
+module that serves one function is imported in that function, so that
+starting the CLI does not load it.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,13 @@ def test_an_unused_import_is_found():
         "__all__ = ['weighted_mean']\n"
     )
     assert _unused_imports(tree) == ["line 1: NamedTuple", "line 2: normalize_phrase", "line 3: os"]
+
+
+def test_the_cli_loads_without_decimal_or_json():
+    # -S: no site hook, whose imports belong to the environment.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(cpcompat.__file__).parents[1])!r}); import cpcompat.cli; "
+        "print(sorted({'decimal', 'json'} & sys.modules.keys()))"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")

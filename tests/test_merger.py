@@ -106,6 +106,13 @@ class TestStructureUnion:
         # The flag marks the subtree root only.
         assert find(merged, "2.1").comments == ()
 
+    def test_b_children_of_an_a_leaf_are_adopted(self):
+        a = policy_from("1 ALPHA\n", "A")
+        b = policy_from("1 ALPHA\n1.1 B-ONE\n", "B")
+        merged = merge_pair(a, b)
+        assert [c.path.dotted for c in merged.roots[0].children] == ["1.1"]
+        assert "// unmatched: from B" in find(merged, "1.1").comments
+
     def test_a_only_sections_get_flagged_too(self):
         a = policy_from("1 ALPHA\n2 BETA\n", "A")
         b = policy_from("1 ALPHA\n", "B")

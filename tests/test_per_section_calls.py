@@ -11,10 +11,15 @@ The parser reads an option line inside its line loop, with no call of its
 own: the Python-level calls per option line are those of building the
 PolicyOption, so the number of calls into parser.py does not grow with the
 number of option lines.
+
+Fixed costs are paid once: ``main`` builds its argument parser on its first
+call in a process only, and the merge aligns children only where a matched
+pair has some, not at every leaf.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import enum
@@ -23,8 +28,11 @@ import sys
 
 import pytest
 
+from cpcompat.acceptance import evaluate
 from cpcompat.cli import main
-from cpcompat.model import Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat.comparison import compare, pair_by_path
+from cpcompat.merger import merge
+from cpcompat.model import ComparisonMode, Keyword, NumberPath, Paragraph, Policy, PolicyOption
 from cpcompat.parser import parse_policy, render_policy
 
 _DUNDERS = frozenset(
@@ -126,3 +134,44 @@ def _parser_calls(text: str) -> int:
 def test_parser_calls_do_not_grow_with_option_lines(form):
     small, large = (_parser_calls(_option_section(form, count)) for count in (100, 1100))
     assert small == large, f"parser.py calls: {small} at 100 option lines, {large} at 1,100"
+
+
+def _calls_of(function, run) -> int:
+    """Call ``run()`` and count the calls of ``function``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is function.__code__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_main_builds_its_argument_parser_once(tmp_path):
+    file = tmp_path / "a.txt"
+    file.write_text(_policy_text(1, "a"), encoding="utf-8")
+
+    def run():
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", str(file)]) == 0
+
+    run()  # The first call in the process may build it.
+    assert _calls_of(argparse.ArgumentParser.__init__, lambda: (run(), run())) == 0
+
+
+def test_merge_aligns_children_only_where_a_pair_has_some():
+    top_sections = 3
+    policy_a, policy_b = (parse_policy(_policy_text(top_sections, side))[0] for side in "ab")
+    report = compare(policy_a, policy_b, ComparisonMode.MERGE)
+    verdict = evaluate(report, [])
+    calls = _calls_of(pair_by_path, lambda: merge(policy_a, policy_b, report, verdict))
+    # The roots, then in each top-level section k the matched pairs with
+    # children: k, k.2, k.2.1 and k.2.1.1. The leaves k.1 and k.2.1.1.1 and
+    # B's own k.3 take none.
+    assert calls == 1 + 4 * top_sections
