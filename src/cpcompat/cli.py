@@ -40,11 +40,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TextIO
 
 from .acceptance import RuleError, Verdict, evaluate, parse_rules
 from .comparison import compare, report_to_json
@@ -69,7 +69,7 @@ class _Exit(SystemExit):
     """
 
 
-def _write(stream: TextIO, text: str) -> OSError | None:
+def _write(stream: io.TextIOBase, text: str) -> OSError | None:
     """Write ``text`` to ``stream`` and flush it. Return the error of a
     failed write, after pointing the stream's descriptor at the null device
     so that the interpreter's flush at exit neither fails nor reports it."""

@@ -21,9 +21,9 @@ check too.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator
 
 # ASCII digits only, as in a section heading.
 _DOTTED_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*")

@@ -272,6 +272,34 @@ MUTANTS = (
         ("tests/test_merger.py::TestConflictAnnotations::test_connective_conflict_keeps_a_and_notes_b",),
     ),
     Mutant(
+        "the connective mismatch message no longer says which policy governs",
+        "comparison.py",
+        "f\"the first policy's connective governs\",",
+        "f\"policy A's connective governs\",",
+        ("tests/test_comparison.py::TestDiagnostics::test_connective_mismatch_uses_a_side",),
+    ),
+    Mutant(
+        "the missing-section message is reworded",
+        "comparison.py",
+        'f"section {path.dotted} has no counterpart"',
+        'f"section {path.dotted} is missing"',
+        ("tests/test_comparison.py::TestDiagnostics::test_missing_diagnostics_name_paths",),
+    ),
+    Mutant(
+        "the title mismatch message drops the quotes round B's title",
+        "comparison.py",
+        'f"in one policy and {paragraph_b.title!r} in the other",',
+        'f"in one policy and {paragraph_b.title} in the other",',
+        ("tests/test_comparison.py::TestDiagnostics::test_title_mismatch",),
+    ),
+    Mutant(
+        "merge writes the seam flags before the carried comments",
+        "merger.py",
+        "    comments.extend(annotations)\n",
+        "    comments[:0] = annotations\n",
+        ("tests/test_merger.py::TestConflictAnnotations::test_seam_flags_follow_the_comments",),
+    ),
+    Mutant(
         "merge does not flag the root of an adopted subtree",
         "merger.py",
         '            comments = child.comments + (f"// unmatched: from {side}",)\n',

@@ -1,4 +1,10 @@
-"""Tests for whole-policy alignment, comparison, and report serialization."""
+"""Tests for whole-policy comparison and report serialization.
+
+Each example pair is a row, asserted in full by ``_compared``: the mode,
+names, rows, totals and diagnostics of the report, in one equality, with
+figures written from README's "How scoring works" and compared exactly.
+The randomized properties and the tests of the report API follow the rows.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ import builtins
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +20,7 @@ from hypothesis import strategies as st
 
 from cpcompat.comparison import compare, report_to_json
 from cpcompat.model import (
+    ComparisonDiagnostic,
     ComparisonMode,
     ComparisonReport,
     MatchStatus,
@@ -20,258 +28,219 @@ from cpcompat.model import (
     ParagraphScore,
 )
 
-from conftest import policy_from
+from conftest import WORKED_POLICY_A_TEXT as WORKED_A, WORKED_POLICY_B_TEXT as WORKED_B, policy_from
 from oracle import oracle_report_dict
 from strategies import api_reports, modes, policies, policy_pairs, policy_pairs_same_outline
+from test_docs import section
 
 MERGE = ComparisonMode.MERGE
 ACQUIRE = ComparisonMode.ACQUIRE
+MATCHED, BOTH_EMPTY = MatchStatus.MATCHED, MatchStatus.BOTH_EMPTY
+MISSING_IN_A, MISSING_IN_B = MatchStatus.MISSING_IN_A, MatchStatus.MISSING_IN_B
+
+
+def _missing(status, dotted):
+    return (status.name, dotted, f"section {dotted} has no counterpart")
+
+
+def _titles(dotted, a, b):
+    return ("TITLE_MISMATCH", dotted, f"section {dotted} is titled {a!r} in one policy and {b!r} in the other")
+
+
+def _connectives(dotted, a, b):
+    message = f"section {dotted} declares {a} in one policy and {b} in the other; the first policy's connective governs"
+    return ("CONNECTIVE_MISMATCH", dotted, message)
+
+
+# The expected report rows and diagnostics of every row.
+COMPARED = []
+
+
+def _compared(a_text, b_text, mode, rows, totals, diagnostics):
+    """A test that ``a_text`` as policy "A", compared with ``b_text`` as "B"
+    in ``mode``, gives exactly ``rows``, each (path, own, aggregate,
+    combined, weight, status), the (weighted, unweighted) ``totals`` and
+    ``diagnostics``, each (code, path, message)."""
+    scores = tuple(ParagraphScore(NumberPath.parse(path), *fields) for path, *fields in rows)
+    notes = tuple(ComparisonDiagnostic(code, NumberPath.parse(path), message) for code, path, message in diagnostics)
+    expected = (mode, "A", "B", scores, totals, notes)
+    COMPARED.append((scores, notes))
+
+    def test(self):
+        report = compare(policy_from(a_text, "A"), policy_from(b_text, "B"), mode)
+        totals = (report.overall_weighted, report.overall_unweighted)
+        names = (report.policy_a_name, report.policy_b_name)
+        assert (report.mode, *names, report.paragraph_scores, totals, report.diagnostics) == expected
+
+    return test
+
+
+# MUST a vs RECOMMENDED a is worth 80, MUST b vs OPTIONAL b 50, and c, d and e
+# match nothing: AND divides by the larger count under merge, by A's under
+# acquisition.
+WORKED_MERGE, WORKED_ACQUIRE = (80.0 + 50.0) / 4, (80.0 + 50.0) / 3
 
 
 class TestWorkedExampleReport:
-    def test_merge_score(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, name="A")
-        b = policy_from(worked_policy_b_text, name="B")
-        report = compare(a, b, MERGE)
-        assert report.overall_weighted == 32.5
-        assert report.overall_unweighted == 32.5
-        row = report.paragraph_scores[0]
-        assert row.own_score == 32.5
-        assert row.combined_score == 32.5
-        assert row.child_aggregate is None
-        assert row.match_status is MatchStatus.MATCHED
-
-    def test_acquire_score(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, name="A")
-        b = policy_from(worked_policy_b_text, name="B")
-        report = compare(a, b, ACQUIRE)
-        assert abs(report.overall_weighted - 130.0 / 3.0) <= 1e-9
-
-    def test_report_names_and_mode(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, name="left")
-        b = policy_from(worked_policy_b_text, name="right")
-        report = compare(a, b, MERGE)
-        assert report.policy_a_name == "left"
-        assert report.policy_b_name == "right"
-        assert report.mode is MERGE
+    test_merge_score = _compared(
+        WORKED_A, WORKED_B, MERGE, [("1", WORKED_MERGE, None, WORKED_MERGE, 1, MATCHED)], (32.5, 32.5), []
+    )
+    test_acquire_score = _compared(
+        WORKED_A, WORKED_B, ACQUIRE, [("1", WORKED_ACQUIRE, None, WORKED_ACQUIRE, 1, MATCHED)],
+        (WORKED_ACQUIRE, WORKED_ACQUIRE), [],
+    )
+    # The other way round: the report names its first argument A, and merge
+    # divides by the larger count whichever side has it.
+    test_report_names_and_mode = _compared(
+        WORKED_B, WORKED_A, MERGE, [("1", WORKED_MERGE, None, WORKED_MERGE, 1, MATCHED)], (32.5, 32.5), []
+    )
 
 
 class TestChildCombination:
     A_TEXT = "1 TOP\n1.1 ONE 1\na) MUST x\n1.2 TWO 3\na) MUST y\n"
+    ALL_MATCH = [("1.1", 100.0, None, 100.0, 1, MATCHED), ("1.2", 100.0, None, 100.0, 3, MATCHED)]
 
-    def test_parent_blends_own_and_children(self):
-        # Child 1.1 matches fully (100), child 1.2 not at all (0).
-        # Children aggregate to (100*1 + 0*3) / 4 = 25; the parent has no
-        # options of its own (vacuous 100) and two children, so the
-        # combined score is (100 + 25*2) / 3 = 50.
-        b_text = "1 TOP\n1.1 ONE 1\na) MUST x\n1.2 TWO 3\na) MUST z\n"
-        report = compare(policy_from(self.A_TEXT), policy_from(b_text), MERGE)
-        top = report.find(NumberPath.parse("1"))
-        assert top.own_score == 100.0
-        assert top.child_aggregate == 25.0
-        assert top.combined_score == pytest.approx(50.0, abs=1e-9)
-        assert report.overall_weighted == pytest.approx(50.0, abs=1e-9)
-
-    def test_extra_b_children_do_not_dilute(self):
-        # A B-only child appears in the report but stays out of the
-        # parent's aggregate, which is defined over A's subparagraphs.
-        b_text = self.A_TEXT + "1.3 EXTRA 9\na) MUST z\n"
-        report = compare(policy_from(self.A_TEXT), policy_from(b_text), MERGE)
-        top = report.find(NumberPath.parse("1"))
-        assert top.child_aggregate == 100.0
-        assert top.combined_score == 100.0
-        extra = report.find(NumberPath.parse("1.3"))
-        assert extra.match_status is MatchStatus.MISSING_IN_A
-        assert extra.combined_score == 0.0
-        assert extra.weight == 1
-
-    def test_leaf_rows_have_no_aggregate(self):
-        report = compare(policy_from(self.A_TEXT), policy_from(self.A_TEXT), MERGE)
-        leaf = report.find(NumberPath.parse("1.1"))
-        assert leaf.child_aggregate is None
-        assert leaf.own_score == leaf.combined_score == 100.0
+    # Section 1 has no options on either side, a vacuous 100. Its children
+    # score 100 (weight 1) and 0 (weight 3), and the two blend with it.
+    test_parent_blends_own_and_children = _compared(
+        A_TEXT, "1 TOP\n1.1 ONE 1\na) MUST x\n1.2 TWO 3\na) MUST z\n", MERGE,
+        [("1", 100.0, (100.0 * 1 + 0.0 * 3) / 4, (100.0 + 25.0 * 2) / 3, 1, BOTH_EMPTY),
+         ("1.1", 100.0, None, 100.0, 1, MATCHED), ("1.2", 0.0, None, 0.0, 3, MATCHED)],
+        (50.0, 50.0), [],
+    )
+    # A B-only child has a row but stays out of the aggregate over A's.
+    test_extra_b_children_do_not_dilute = _compared(
+        A_TEXT, A_TEXT + "1.3 EXTRA 9\na) MUST z\n", MERGE,
+        [("1", 100.0, 100.0, 100.0, 1, BOTH_EMPTY), *ALL_MATCH, ("1.3", 0.0, None, 0.0, 1, MISSING_IN_A)],
+        (100.0, 100.0), [_missing(MISSING_IN_A, "1.3")],
+    )
+    test_leaf_rows_have_no_aggregate = _compared(
+        A_TEXT, A_TEXT, MERGE, [("1", 100.0, 100.0, 100.0, 1, BOTH_EMPTY), *ALL_MATCH], (100.0, 100.0), []
+    )
 
 
 class TestMissingParagraphs:
-    def test_missing_in_b_scores_zero_under_merge(self):
-        a = policy_from("1 TOP\na) MUST x\n2 NEXT\na) MUST y\n")
-        b = policy_from("1 TOP\na) MUST x\n")
-        report = compare(a, b, MERGE)
-        row = report.find(NumberPath.parse("2"))
-        assert row.match_status is MatchStatus.MISSING_IN_B
-        assert row.combined_score == 0.0
-        assert report.overall_unweighted == 50.0
+    TWO, ONE = "1 TOP\na) MUST x\n2 NEXT\na) MUST y\n", "1 TOP\na) MUST x\n"
+    FIRST = ("1", 100.0, None, 100.0, 1, MATCHED)
 
-    def test_missing_in_b_is_superseded_under_acquire(self):
-        a = policy_from("1 TOP\na) MUST x\n2 NEXT\na) MUST y\n")
-        b = policy_from("1 TOP\na) MUST x\n")
-        report = compare(a, b, ACQUIRE)
-        assert report.find(NumberPath.parse("2")).combined_score == 100.0
-        assert report.overall_unweighted == 100.0
-
-    def test_optionless_paragraph_missing_in_b(self):
-        a = policy_from("1 TOP\na) MUST x\n2 NEXT\n")
-        b = policy_from("1 TOP\na) MUST x\n")
-        report = compare(a, b, MERGE)
-        row = report.find(NumberPath.parse("2"))
-        # Nothing was required, so nothing is incompatible.
-        assert row.combined_score == 100.0
-        assert row.match_status is MatchStatus.MISSING_IN_B
-
-    def test_missing_subtree_rows_are_reported(self):
-        a = policy_from("1 TOP\n1.1 SUB\na) MUST x\n")
-        b = policy_from("1 TOP\n")
-        report = compare(a, b, MERGE)
-        assert report.find(NumberPath.parse("1.1")).match_status is MatchStatus.MISSING_IN_B
-        codes = [d.code for d in report.diagnostics]
-        assert codes.count("MISSING_IN_B") == 1
-
-    def test_b_only_rows_follow_a_rows(self):
-        a = policy_from("2 ONLY A\na) MUST x\n")
-        b = policy_from("1 ONLY B\na) MUST y\n3 ALSO B\n")
-        report = compare(a, b, MERGE)
-        assert [s.path.dotted for s in report.paragraph_scores] == ["2", "1", "3"]
-        assert [s.match_status for s in report.paragraph_scores] == [
-            MatchStatus.MISSING_IN_B,
-            MatchStatus.MISSING_IN_A,
-            MatchStatus.MISSING_IN_A,
-        ]
-
-    def test_both_empty_status(self):
-        a = policy_from("1 TOP\n")
-        b = policy_from("1 TOP\n")
-        report = compare(a, b, MERGE)
-        row = report.find(NumberPath.parse("1"))
-        assert row.match_status is MatchStatus.BOTH_EMPTY
-        assert row.combined_score == 100.0
+    test_missing_in_b_scores_zero_under_merge = _compared(
+        TWO, ONE, MERGE, [FIRST, ("2", 0.0, None, 0.0, 1, MISSING_IN_B)], (50.0, 50.0), [_missing(MISSING_IN_B, "2")]
+    )
+    test_missing_in_b_is_superseded_under_acquire = _compared(
+        TWO, ONE, ACQUIRE, [FIRST, ("2", 100.0, None, 100.0, 1, MISSING_IN_B)], (100.0, 100.0),
+        [_missing(MISSING_IN_B, "2")],
+    )
+    # Nothing was required, so nothing is incompatible.
+    test_optionless_paragraph_missing_in_b = _compared(
+        "1 TOP\na) MUST x\n2 NEXT\n", ONE, MERGE, [FIRST, ("2", 100.0, None, 100.0, 1, MISSING_IN_B)],
+        (100.0, 100.0), [_missing(MISSING_IN_B, "2")],
+    )
+    # One child at 0 blends with a vacuous 100 as (100 + 0 * 1) / 2.
+    test_missing_subtree_rows_are_reported = _compared(
+        "1 TOP\n1.1 SUB\na) MUST x\n", "1 TOP\n", MERGE,
+        [("1", 100.0, 0.0, 50.0, 1, BOTH_EMPTY), ("1.1", 0.0, None, 0.0, 1, MISSING_IN_B)], (50.0, 50.0),
+        [_missing(MISSING_IN_B, "1.1")],
+    )
+    # A's sections, then B's in B's order. B's optionless 3 scores a vacuous
+    # 100, and all three are top-level rows of weight 1.
+    test_b_only_rows_follow_a_rows = _compared(
+        "2 ONLY A\na) MUST x\n", "1 ONLY B\na) MUST y\n3 ALSO B\n", MERGE,
+        [("2", 0.0, None, 0.0, 1, MISSING_IN_B), ("1", 0.0, None, 0.0, 1, MISSING_IN_A),
+         ("3", 100.0, None, 100.0, 1, MISSING_IN_A)],
+        (100.0 / 3, 100.0 / 3),
+        [_missing(MISSING_IN_B, "2"), _missing(MISSING_IN_A, "1"), _missing(MISSING_IN_A, "3")],
+    )
+    test_both_empty_status = _compared(
+        "1 TOP\n", "1 TOP\n", MERGE, [("1", 100.0, None, 100.0, 1, BOTH_EMPTY)], (100.0, 100.0), []
+    )
 
 
 class TestOverallScores:
-    def test_weighted_and_unweighted_differ(self):
-        a = policy_from("1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST y\n")
-        b = policy_from("1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST z\n")
-        report = compare(a, b, MERGE)
-        assert report.overall_weighted == pytest.approx(75.0, abs=1e-9)
-        assert report.overall_unweighted == pytest.approx(50.0, abs=1e-9)
-
-    def test_only_top_level_rows_enter_overall(self):
-        # The deep mismatch influences the overall only through its
-        # parent's combined score.
-        a = policy_from("1 TOP\n1.1 SUB\na) MUST x\n")
-        b = policy_from("1 TOP\n1.1 SUB\na) MUST y\n")
-        report = compare(a, b, MERGE)
-        assert [len(row.path.segments) for row in report.paragraph_scores] == [1, 2]
-        # own 100 vacuous, child aggregate 0: combined (100 + 0) / 2.
-        assert report.overall_weighted == pytest.approx(50.0, abs=1e-9)
-
-    def test_empty_policies_are_fully_compatible(self):
-        report = compare(policy_from(""), policy_from(""), MERGE)
-        assert report.overall_weighted == 100.0
-        assert report.overall_unweighted == 100.0
-        assert report.paragraph_scores == ()
-
-    def test_empty_a_nonempty_b_merge(self):
-        report = compare(policy_from(""), policy_from("1 TOP\na) MUST x\n"), MERGE)
-        assert report.overall_weighted == 0.0
-
-    def test_empty_a_nonempty_b_acquire(self):
-        report = compare(policy_from(""), policy_from("1 TOP\na) MUST x\n"), ACQUIRE)
-        assert report.overall_weighted == 100.0
+    # Weighted (100 * 3 + 0 * 1) / 4, unweighted (100 + 0) / 2.
+    test_weighted_and_unweighted_differ = _compared(
+        "1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST y\n", "1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST z\n", MERGE,
+        [("1", 100.0, None, 100.0, 3, MATCHED), ("2", 0.0, None, 0.0, 1, MATCHED)], (75.0, 50.0), [],
+    )
+    # The 0 of 1.1 reaches the totals only through its parent's (100 + 0) / 2.
+    test_only_top_level_rows_enter_overall = _compared(
+        "1 TOP\n1.1 SUB\na) MUST x\n", "1 TOP\n1.1 SUB\na) MUST y\n", MERGE,
+        [("1", 100.0, 0.0, 50.0, 1, BOTH_EMPTY), ("1.1", 0.0, None, 0.0, 1, MATCHED)], (50.0, 50.0), [],
+    )
+    test_empty_policies_are_fully_compatible = _compared("", "", MERGE, [], (100.0, 100.0), [])
+    test_empty_a_nonempty_b_merge = _compared(
+        "", "1 TOP\na) MUST x\n", MERGE, [("1", 0.0, None, 0.0, 1, MISSING_IN_A)], (0.0, 0.0),
+        [_missing(MISSING_IN_A, "1")],
+    )
+    test_empty_a_nonempty_b_acquire = _compared(
+        "", "1 TOP\na) MUST x\n", ACQUIRE, [("1", 100.0, None, 100.0, 1, MISSING_IN_A)], (100.0, 100.0),
+        [_missing(MISSING_IN_A, "1")],
+    )
 
 
 class TestDiagnostics:
-    def test_title_mismatch(self):
-        a = policy_from("1 OVERVIEW\n")
-        b = policy_from("1 SUMMARY\n")
-        report = compare(a, b, MERGE)
-        assert [d.code for d in report.diagnostics] == ["TITLE_MISMATCH"]
-        assert report.diagnostics[0].path == NumberPath.parse("1")
+    EMPTY = [("1", 100.0, None, 100.0, 1, BOTH_EMPTY)]
 
-    def test_title_comparison_ignores_case_and_spacing(self):
-        a = policy_from("1 KEY   MANAGEMENT\n")
-        b = policy_from("1 Key Management\n")
-        report = compare(a, b, MERGE)
-        assert report.diagnostics == ()
+    test_title_mismatch = _compared(
+        "1 OVERVIEW\n", "1 SUMMARY\n", MERGE, EMPTY, (100.0, 100.0), [_titles("1", "OVERVIEW", "SUMMARY")]
+    )
+    test_title_comparison_ignores_case_and_spacing = _compared(
+        "1 KEY   MANAGEMENT\n", "1 Key Management\n", MERGE, EMPTY, (100.0, 100.0), []
+    )
+    # A's AND governs: x matches and y does not, over the larger count of 2.
+    # B's OR would score 100.
+    test_connective_mismatch_uses_a_side = _compared(
+        "1 T\na) MUST x\nb) MUST y\nConnection AND\n", "1 T\na) MUST x\nConnection OR\n", MERGE,
+        [("1", 100.0 / 2, None, 100.0 / 2, 1, MATCHED)], (50.0, 50.0), [_connectives("1", "AND", "OR")],
+    )
+    # A declares none, so B's OR governs: the best pair is worth 100.
+    test_undeclared_side_adopts_declared_connective = _compared(
+        "1 T\na) MUST x\nb) MUST y\n", "1 T\na) MUST x\nConnection OR\n", MERGE,
+        [("1", 100.0, None, 100.0, 1, MATCHED)], (100.0, 100.0), [],
+    )
+    test_pair_order_with_title_before_connective = _compared(
+        "1 OVERVIEW\na) MUST x\nConnection AND\n2 SCOPE\n", "1 SUMMARY\na) MUST x\nConnection OR\n2 RANGE\n",
+        MERGE, [("1", 100.0, None, 100.0, 1, MATCHED), ("2", 100.0, None, 100.0, 1, BOTH_EMPTY)], (100.0, 100.0),
+        [_titles("1", "OVERVIEW", "SUMMARY"), _connectives("1", "AND", "OR"), _titles("2", "SCOPE", "RANGE")],
+    )
+    test_missing_diagnostics_name_paths = _compared(
+        "1 A\na) MUST x\n", "2 B\na) MUST x\n", MERGE,
+        [("1", 0.0, None, 0.0, 1, MISSING_IN_B), ("2", 0.0, None, 0.0, 1, MISSING_IN_A)], (0.0, 0.0),
+        [_missing(MISSING_IN_B, "1"), _missing(MISSING_IN_A, "2")],
+    )
 
-    def test_connective_mismatch_uses_a_side(self):
-        a = policy_from("1 T\na) MUST x\nb) MUST y\nConnection AND\n")
-        b = policy_from("1 T\na) MUST x\nb) MUST y\nConnection OR\n")
-        report = compare(a, b, MERGE)
-        assert [d.code for d in report.diagnostics] == ["CONNECTIVE_MISMATCH"]
-        # A's AND governs: both options match fully, so 100 either way;
-        # make the asymmetry visible with a partial match instead.
-        a2 = policy_from("1 T\na) MUST x\nb) MUST y\nConnection AND\n")
-        b2 = policy_from("1 T\na) MUST x\nConnection OR\n")
-        report2 = compare(a2, b2, MERGE)
-        assert report2.find(NumberPath.parse("1")).own_score == 50.0
 
-    def test_undeclared_side_adopts_declared_connective(self):
-        a = policy_from("1 T\na) MUST x\nb) MUST y\n")
-        b = policy_from("1 T\na) MUST x\nConnection OR\n")
-        report = compare(a, b, MERGE)
-        assert report.diagnostics == ()
-        assert report.find(NumberPath.parse("1")).own_score == 100.0
-
-    def test_pair_order_with_title_before_connective(self):
-        a = policy_from("1 OVERVIEW\na) MUST x\nConnection AND\n2 SCOPE\n")
-        b = policy_from("1 SUMMARY\na) MUST x\nConnection OR\n2 RANGE\n")
-        report = compare(a, b, MERGE)
-        assert [(d.code, d.path.dotted) for d in report.diagnostics] == [
-            ("TITLE_MISMATCH", "1"),
-            ("CONNECTIVE_MISMATCH", "1"),
-            ("TITLE_MISMATCH", "2"),
-        ]
-
-    def test_missing_diagnostics_name_paths(self):
-        a = policy_from("1 A\na) MUST x\n")
-        b = policy_from("2 B\na) MUST x\n")
-        report = compare(a, b, MERGE)
-        codes = {(d.code, d.path.dotted) for d in report.diagnostics}
-        assert codes == {("MISSING_IN_B", "1"), ("MISSING_IN_A", "2")}
+def test_compared_rows_show_every_documented_code_and_status():
+    """The rows' codes are those of CLI.md's ``code`` row and their statuses
+    those of its ``match_status`` row, so a new one needs a row."""
+    schema = section("CLI.md", "JSON report schema")
+    rows = re.findall(r"^\| `(code|match_status)` \| string \| (.*) \|$", schema, re.MULTILINE)
+    documented = {field: set(re.findall(r'"(\w+)"', values)) for field, values in rows}
+    shown = {
+        "code": {note.code for _, notes in COMPARED for note in notes},
+        "match_status": {score.match_status.value for scores, _ in COMPARED for score in scores},
+    }
+    assert shown == documented
 
 
 class TestReportSerialization:
-    def test_dict_shape(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, name="A")
-        b = policy_from(worked_policy_b_text, name="B")
-        data = json.loads(report_to_json(compare(a, b, MERGE)))
-        assert list(data) == [
-            "report_version",
-            "mode",
-            "policy_a_name",
-            "policy_b_name",
-            "overall_weighted",
-            "overall_unweighted",
-            "paragraphs",
-            "diagnostics",
-        ]
-        assert data["report_version"] == 1
-        assert data["mode"] == "merge"
-        assert data["overall_weighted"] == 32.5
-        paragraph = data["paragraphs"][0]
-        assert paragraph == {
-            "path": "1",
-            "own_score": 32.5,
-            "child_aggregate": None,
-            "combined_score": 32.5,
-            "weight": 1,
-            "match_status": "matched",
-        }
-        assert data["diagnostics"] == []
+    # Each field of a row holds a value of its own: 1 blends an own 80 with
+    # its one child's 25, and under A's AND, 1.1 scores (50 + 0) / 2.
+    test_dict_shape = _compared(
+        "1 ROOT 2\na) MUST x\n1.1 LEAF 3\na) MUST y\nb) MUST z\nConnection AND\n",
+        "1 ROOT 2\na) RECOMMENDED x\n1.1 LEAF 3\na) OPTIONAL y\n", MERGE,
+        [("1", 80.0, 25.0, (80.0 + 25.0 * 1) / 2, 2, MATCHED), ("1.1", (50.0 + 0.0) / 2, None, 25.0, 3, MATCHED)],
+        (52.5, 52.5), [],
+    )
+    # B's optionless 2 is vacuously compatible: (0 + 100) / 2 overall.
+    test_diagnostics_serialize_with_paths = _compared(
+        "1 A\na) MUST x\n", "2 B\n", MERGE,
+        [("1", 0.0, None, 0.0, 1, MISSING_IN_B), ("2", 100.0, None, 100.0, 1, MISSING_IN_A)], (50.0, 50.0),
+        [_missing(MISSING_IN_B, "1"), _missing(MISSING_IN_A, "2")],
+    )
 
-    def test_json_round_trip(self, worked_policy_a_text, worked_policy_b_text):
-        a = policy_from(worked_policy_a_text, name="A")
-        b = policy_from(worked_policy_b_text, name="B")
-        report = compare(a, b, ACQUIRE)
-        data = json.loads(report_to_json(report))
-        assert data == oracle_report_dict(report)
-        assert data["mode"] == "acquire"
-
-    def test_diagnostics_serialize_with_paths(self):
-        a = policy_from("1 A\na) MUST x\n")
-        b = policy_from("2 B\n")
-        data = json.loads(report_to_json(compare(a, b, MERGE)))
-        assert {"code": "MISSING_IN_B", "path": "1", "message": data["diagnostics"][0]["message"]} == data["diagnostics"][0]
+    def test_json_round_trip(self):
+        report = compare(policy_from(WORKED_A, "A"), policy_from(WORKED_B, "B"), ACQUIRE)
+        assert json.loads(report_to_json(report)) == oracle_report_dict(report)
 
     @settings(max_examples=1000, deadline=None)
     @given(

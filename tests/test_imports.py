@@ -69,11 +69,11 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == ["line 1: NamedTuple", "line 2: normalize_phrase", "line 3: os"]
 
 
-def test_the_cli_loads_without_decimal_or_json():
+def test_the_cli_loads_without_decimal_json_or_typing():
     # -S: no site hook, whose imports belong to the environment.
     code = (
         f"import sys; sys.path.insert(0, {str(Path(cpcompat.__file__).parents[1])!r}); import cpcompat.cli; "
-        "print(sorted({'decimal', 'json'} & sys.modules.keys()))"
+        "print(sorted({'decimal', 'json', 'typing'} & sys.modules.keys()))"
     )
     child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
