@@ -111,7 +111,12 @@ class RuleFailure:
 
     @property
     def message(self) -> str:
-        return f"score {self.actual:.4f} does not satisfy '{self.rule.describe()}'"
+        shown = f"{self.actual:.4f}"
+        # Four decimals can round a failing score onto a value that would
+        # pass; such a score is written in full.
+        if _passes(self.rule, float(shown)):
+            shown = repr(self.actual)
+        return f"score {shown} does not satisfy '{self.rule.describe()}'"
 
 
 @dataclass(frozen=True)

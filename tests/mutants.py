@@ -209,6 +209,34 @@ MUTANTS = (
         ("tests/test_rules.py::TestEvaluate::test_strict_threshold_rejects_equal_score",),
     ),
     Mutant(
+        "a strict > rule counts float noise in the score's favor",
+        "acceptance.py",
+        "return actual - rule.threshold > SCORE_EPSILON",
+        "return actual - rule.threshold > 0.0",
+        ("tests/test_rules.py::TestEvaluate::test_noise_counts_against_the_score_under_strict",),
+    ),
+    Mutant(
+        "a >= rule counts float noise against the score",
+        "acceptance.py",
+        "return actual - rule.threshold >= -SCORE_EPSILON",
+        "return actual - rule.threshold >= 0.0",
+        ("tests/test_rules.py::TestEvaluate::test_noise_counts_for_the_score_under_at_least",),
+    ),
+    Mutant(
+        "a rule's description writes a threshold of -0.0 as -0",
+        "acceptance.py",
+        "Decimal(repr(abs(self.threshold)))",
+        "Decimal(repr(self.threshold))",
+        ("tests/test_rules.py::TestParseRules::test_negative_zero_threshold_describes_as_0",),
+    ),
+    Mutant(
+        "a failed rule's score is written to four decimals even where they meet the rule",
+        "acceptance.py",
+        "        if _passes(self.rule, float(shown)):\n",
+        "        if False:\n",
+        ("tests/test_rules.py::TestEvaluate::test_score_rounded_onto_the_threshold_is_written_in_full",),
+    ),
+    Mutant(
         "MUST NOT draws no look-alike warning",
         "parser.py",
         'if head == "MUST" and rest[:4] in ("NOT", "NOT "):',

@@ -4,7 +4,8 @@ Each example of the policy grammar is asserted in full: the document, the
 tree it parses to (None when it draws an error) and every diagnostic, with
 its severity, code, line and message. ``_document`` and ``_documents`` make
 the tests of such rows and record each row in ``DOCUMENTS``, which names
-every code FORMAT.md documents.
+every code FORMAT.md documents. Each rendering example is a ``_rendered``
+row: a document and the whole text its policy renders to.
 """
 
 from __future__ import annotations
@@ -652,6 +653,17 @@ class TestEmptyInput:
     test_whitespace_only = _document("  \n\n\t\n", _policy(), [])
 
 
+def _rendered(text, rendered):
+    """A test that the policy ``text`` parses to renders as exactly
+    ``rendered``, which parses back to the same tree with no diagnostics."""
+
+    def test(self):
+        policy, _ = parse_policy(text, name="P")
+        assert (render_policy(policy), parse_policy(rendered, name="P")) == (rendered, (policy, []))
+
+    return test
+
+
 class TestRendering:
     def test_golden_document_round_trips(self, sample_policy_text):
         policy, _ = parse_ok(sample_policy_text, name="sample")
@@ -660,51 +672,23 @@ class TestRendering:
         assert diagnostics == []
         assert policy.roots == reparsed.roots
 
-    def test_render_synthesizes_labels(self):
-        policy, _ = parse_ok("1 TOP\nMUST first\nsecond thing\n")
-        rendered = render_policy(policy)
-        assert "a) MUST first" in rendered
-        assert "b) second thing" in rendered
-
-    def test_render_relabels_sequentially(self):
-        policy, _ = parse_ok("1 TOP\nc) MUST x\nd) MUST y\n")
-        rendered = render_policy(policy)
-        assert "a) MUST x" in rendered
-        assert "b) MUST y" in rendered
-
-    def test_default_weight_is_omitted(self):
-        policy, _ = parse_ok("1 TOP\n")
-        assert render_policy(policy).splitlines() == ["1 TOP"]
-
-    def test_non_default_weight_is_emitted(self):
-        policy, _ = parse_ok("1 TOP 3\n")
-        assert render_policy(policy).splitlines() == ["1 TOP 3"]
-
-    def test_digit_final_title_keeps_explicit_weight(self):
-        # Without the explicit weight the reparse would read the title's
-        # last token as the weight.
-        policy, _ = parse_ok("1 SECTION 508 1\n")
-        rendered = render_policy(policy)
-        assert rendered.splitlines() == ["1 SECTION 508 1"]
-        reparsed, _ = parse_policy(rendered)
-        assert reparsed.roots[0].title == "SECTION 508"
-        assert reparsed.roots[0].weight == 1
-
-    def test_all_digit_title_round_trips(self):
-        policy, _ = parse_ok("1 2024\n")
-        reparsed, _ = parse_policy(render_policy(policy))
-        assert reparsed.roots[0].title == "2024"
-        assert reparsed.roots[0].weight == 1
-
-    def test_connection_rendered_only_when_declared(self):
-        policy, _ = parse_ok("1 TOP\na) x\nConnection OR\n2 NEXT\na) y\n")
-        lines = render_policy(policy).splitlines()
-        assert lines.count("Connection OR") == 1
-
-    def test_comments_are_preserved(self):
-        policy, _ = parse_ok("1 TOP\n// keep me\na) x\n// me too\n")
-        reparsed, _ = parse_policy(render_policy(policy))
-        assert reparsed.roots[0].comments == ("// keep me", "// me too")
+    test_render_synthesizes_labels = _rendered(
+        "1 TOP\nMUST first\nsecond thing\n", "1 TOP\na) MUST first\nb) second thing\n"
+    )
+    test_render_relabels_sequentially = _rendered("1 TOP\nc) MUST x\nd) MUST y\n", "1 TOP\na) MUST x\nb) MUST y\n")
+    test_default_weight_is_omitted = _rendered("1 TOP 1\n", "1 TOP\n")
+    test_non_default_weight_is_emitted = _rendered("1 TOP 3\n", "1 TOP 3\n")
+    # Without the explicit weight the reparse would read the title's last
+    # token as the weight.
+    test_digit_final_title_keeps_explicit_weight = _rendered("1 SECTION 508 1\n", "1 SECTION 508 1\n")
+    test_all_digit_title_round_trips = _rendered("1 2024\n", "1 2024 1\n")
+    test_connection_rendered_only_when_declared = _rendered(
+        "1 TOP\na) x\nConnection OR\n2 NEXT\na) y\n", "1 TOP\na) x\nConnection OR\n2 NEXT\na) y\n"
+    )
+    # Comments come right after their heading.
+    test_comments_are_preserved = _rendered(
+        "1 TOP\n// keep me\na) x\n// me too\n", "1 TOP\n// keep me\n// me too\na) x\n"
+    )
 
     def test_labels_run_past_z(self, paragraph_factory, policy_factory):
         options = tuple(PolicyOption(phrase=f"item {i}") for i in range(703))

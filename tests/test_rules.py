@@ -1,8 +1,15 @@
-"""Tests for acceptance rule parsing and verdict evaluation."""
+"""Tests for acceptance rule parsing and verdict evaluation.
+
+Each rules text example is a ``_rules_text`` row, and each verdict example
+an ``_evaluated`` row: the whole verdict of a rules text on two compared
+policy texts in one equality, with scores written from README's "How
+scoring works" and compared exactly.
+"""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,50 +17,27 @@ from hypothesis import strategies as st
 
 import cpcompat.acceptance
 from cpcompat.acceptance import (
-    AcceptanceRule,
-    RuleError,
-    RuleSyntaxError,
-    UnknownPathError,
-    Verdict,
-    evaluate,
-    parse_rules,
+    AcceptanceRule, RuleError, RuleFailure, RuleSyntaxError, UnknownPathError, Verdict, evaluate, parse_rules
 )
 from cpcompat.cli import main
 from cpcompat.comparison import compare
 from cpcompat.model import MAX_DEPTH, ComparisonMode, NumberPath
 
-from conftest import policy_from
+from conftest import WORKED_POLICY_A_TEXT as WORKED_A, WORKED_POLICY_B_TEXT as WORKED_B, policy_from
 from strategies import policy_pairs
+from test_docs import section
 
 MERGE = ComparisonMode.MERGE
 
 
-@pytest.fixture
-def report_32_5(worked_policy_a_text, worked_policy_b_text):
-    a = policy_from(worked_policy_a_text, name="A")
-    b = policy_from(worked_policy_b_text, name="B")
-    return compare(a, b, MERGE)
-
-
-@pytest.fixture
-def report_80(worked_policy_a_text, worked_policy_b_text):
-    a = policy_from(worked_policy_a_text.replace("Connection AND", "Connection OR"), "A")
-    b = policy_from(worked_policy_b_text.replace("Connection AND", "Connection OR"), "B")
-    report = compare(a, b, MERGE)
-    assert report.overall_weighted == 80.0
-    return report
+# Two top-level sections, one perfect and one hopeless, with weights 3
+# and 1: weighted (100 * 3 + 0 * 1) / 4, unweighted (100 + 0) / 2.
+MIXED_A, MIXED_B = "1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST y\n", "1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST z\n"
 
 
 @pytest.fixture
 def report_mixed():
-    # Two top-level sections, one perfect and one hopeless, with weights
-    # 3 and 1: weighted 75, unweighted 50.
-    a = policy_from("1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST y\n")
-    b = policy_from("1 GOOD 3\na) MUST x\n2 BAD 1\na) MUST z\n")
-    report = compare(a, b, MERGE)
-    assert report.overall_weighted == 75.0
-    assert report.overall_unweighted == 50.0
-    return report
+    return compare(policy_from(MIXED_A, "A"), policy_from(MIXED_B, "B"), MERGE)
 
 
 def _paragraph(dotted, operator, threshold):
@@ -159,6 +143,11 @@ class TestParseRules:
         assert rule.describe() == line
         assert parse_rules(rule.describe()) == [rule]
 
+    # abs() writes the -0.0 that the range check admits as 0, which parses.
+    def test_negative_zero_threshold_describes_as_0(self):
+        rule = AcceptanceRule(">", -0.0)
+        assert (rule.describe(), parse_rules(rule.describe())) == ("overall > 0 weighted", [rule])
+
     def test_module_docstring_example_parses(self):
         example = cpcompat.acceptance.__doc__.split("ignored:\n\n", 1)[1].split("\n\n", 1)[0]
         assert [rule.describe() for rule in parse_rules(example)] == [
@@ -234,59 +223,122 @@ class TestParseRuleErrors:
         assert issubclass(RuleError, ValueError)
 
 
+# Every (rules, failed rules) pair of the verdict rows.
+EVALUATED = []
+
+
+def _evaluated(a_text, b_text, rules_text, failures):
+    """A test that ``a_text`` as policy "A", compared with ``b_text`` as "B"
+    under merge, meets the rules of ``rules_text`` with exactly
+    ``failures``, in rule order, each (rule line, observed score, the score
+    as the failure's message writes it); or that evaluating raises an
+    UnknownPathError whose message is ``failures``."""
+    rules = parse_rules(rules_text)
+    expected = failures
+    if not isinstance(failures, str):
+        failed = [RuleFailure(parse_rules(line)[0], actual) for line, actual, _ in failures]
+        EVALUATED.append((rules, [failure.rule for failure in failed]))
+        messages = [f"score {shown} does not satisfy '{line}'" for line, _, shown in failures]
+        expected = (Verdict(tuple(failed)), not failed, messages)
+
+    def test(self):
+        report = compare(policy_from(a_text, "A"), policy_from(b_text, "B"), MERGE)
+        try:
+            verdict = evaluate(report, rules)
+        except UnknownPathError as error:
+            got = str(error)
+        else:
+            got = (verdict, verdict.accepted, [failure.message for failure in verdict.failures])
+        assert got == expected
+
+    return test
+
+
+# The worked example scores (80 + 50) / 4 under merge with AND, and 80, its
+# best pair, with OR.
+WORKED_OR_A, WORKED_OR_B = (text.replace("Connection AND", "Connection OR") for text in (WORKED_A, WORKED_B))
+WORKED, WORKED_OR = (80.0 + 50.0) / 4, 100 * (1 - abs(1.0 - 0.8))
+# Section 1 has no options of its own, a vacuous 100, and one child at 0.
+NESTED_A, NESTED_B = "1 TOP\n1.1 SUB\na) MUST x\n", "1 TOP\n1.1 SUB\na) MUST y\n"
+# RECOMMENDED x against NOT x, a float just under 20.
+NOISE_A, NOISE_B = "1 T\na) RECOMMENDED x\n", "1 T\na) NOT x\n"
+# Weight 10,000,000 at 100 and weight 1 at 0: four decimals round it to 100.
+HEAVY_A, HEAVY_B = "1 GOOD 10000000\na) MUST x\n2 BAD\na) MUST y\n", "1 GOOD\na) MUST x\n2 BAD\na) MUST z\n"
+
+
 class TestEvaluate:
-    def test_no_rules_accepts(self, report_32_5):
-        verdict = evaluate(report_32_5, [])
-        assert verdict.accepted is True
-        assert verdict.failures == ()
+    test_no_rules_accepts = _evaluated(WORKED_A, WORKED_B, "", [])
+    test_failed_overall_rule = _evaluated(
+        WORKED_A, WORKED_B, "overall > 80", [("overall > 80 weighted", WORKED, "32.5000")]
+    )
+    test_strict_threshold_rejects_equal_score = _evaluated(
+        WORKED_OR_A, WORKED_OR_B, "overall > 80", [("overall > 80 weighted", WORKED_OR, "80.0000")]
+    )
+    test_inclusive_threshold_accepts_equal_score = _evaluated(WORKED_OR_A, WORKED_OR_B, "overall >= 80", [])
+    test_weighted_and_unweighted_bases = _evaluated(
+        MIXED_A, MIXED_B, "overall > 60 weighted\noverall > 60 unweighted",
+        [("overall > 60 unweighted", (100.0 + 0.0) / 2, "50.0000")],
+    )
+    # Section 1's own score of 100 would pass ">= 100"; its combined score
+    # (100 + 0 * 1) / 2 does not.
+    test_paragraph_rule_reads_combined_score = _evaluated(
+        NESTED_A, NESTED_B, "paragraph 1 >= 50\nparagraph 1 >= 100",
+        [("paragraph 1 >= 100", (100.0 + 0.0 * 1) / 2, "50.0000")],
+    )
+    test_paragraph_exact_rule = _evaluated(
+        MIXED_A, MIXED_B, "paragraph 1 == 100\nparagraph 2 == 100", [("paragraph 2 == 100", 0.0, "0.0000")]
+    )
+    test_unknown_path_raises = _evaluated(
+        MIXED_A, MIXED_B, "paragraph 9.9 > 0",
+        "rule 'paragraph 9.9 > 0' names section 9.9, which the report does not contain",
+    )
+    test_all_rules_must_pass = _evaluated(
+        MIXED_A, MIXED_B, "overall > 60\nparagraph 1 > 60\nparagraph 2 > 60", [("paragraph 2 > 60", 0.0, "0.0000")]
+    )
+    test_every_failure_is_reported = _evaluated(
+        WORKED_A, WORKED_B, "overall > 90\noverall > 95 unweighted\nparagraph 1 == 100",
+        [("overall > 90 weighted", WORKED, "32.5000"), ("overall > 95 unweighted", WORKED, "32.5000"),
+         ("paragraph 1 == 100", WORKED, "32.5000")],
+    )
+    # A dataclass equals only an instance of its own class, so the row holds
+    # only for a Verdict of RuleFailure values.
+    test_verdict_is_plain_data = _evaluated(
+        MIXED_A, MIXED_B, "overall > 49.5 unweighted\noverall >= 50 unweighted\noverall >= 60 unweighted",
+        [("overall >= 60 unweighted", (100.0 + 0.0) / 2, "50.0000")],
+    )
+    # A score within 1e-9 of the threshold counts as equal to it: in the
+    # score's favor for ">=", against it for ">".
+    test_noise_counts_for_the_score_under_at_least = _evaluated(NOISE_A, NOISE_B, "overall >= 20", [])
+    test_noise_counts_against_the_score_under_strict = _evaluated(
+        NOISE_A, NOISE_B, "overall > 19.9999999999",
+        [("overall > 19.9999999999 weighted", 100 * (1 - abs(0.8 - 0.0)), "20.0000")],
+    )
+    test_score_rounded_onto_the_threshold_is_written_in_full = _evaluated(
+        HEAVY_A, HEAVY_B, "overall >= 100",
+        [("overall >= 100 weighted", (100.0 * 10_000_000 + 0.0 * 1) / 10_000_001, "99.999990000001")],
+    )
 
-    def test_failed_overall_rule(self, report_32_5):
-        verdict = evaluate(report_32_5, parse_rules("overall > 80\n"))
-        assert verdict.accepted is False
-        assert len(verdict.failures) == 1
-        failure = verdict.failures[0]
-        assert failure.actual == 32.5
-        assert "overall > 80" in failure.message
 
-    def test_strict_threshold_rejects_equal_score(self, report_80):
-        verdict = evaluate(report_80, parse_rules("overall > 80\n"))
-        assert verdict.accepted is False
+def _forms(line):
+    """The rule forms a rules line stands for: its words less numbers and
+    placeholders, one form per basis a ``[weighted|unweighted]`` offers."""
+    words = [word for word in line.split() if word[0] not in "<0123456789"]
+    if words[-1].startswith("["):
+        return {" ".join([*words[:-1], basis]) for basis in words[-1][1:-1].split("|")}
+    return {" ".join(words)}
 
-    def test_inclusive_threshold_accepts_equal_score(self, report_80):
-        verdict = evaluate(report_80, parse_rules("overall >= 80\n"))
-        assert verdict.accepted is True
 
-    def test_weighted_and_unweighted_bases(self, report_mixed):
-        assert evaluate(report_mixed, parse_rules("overall > 60 weighted\n")).accepted
-        assert not evaluate(report_mixed, parse_rules("overall > 60 unweighted\n")).accepted
-
-    def test_paragraph_rule_reads_combined_score(self, report_mixed):
-        assert evaluate(report_mixed, parse_rules("paragraph 1 >= 100\n")).accepted
-        assert not evaluate(report_mixed, parse_rules("paragraph 2 > 0\n")).accepted
-
-    def test_paragraph_exact_rule(self, report_mixed):
-        assert evaluate(report_mixed, parse_rules("paragraph 1 == 100\n")).accepted
-        assert not evaluate(report_mixed, parse_rules("paragraph 2 == 100\n")).accepted
-
-    def test_unknown_path_raises(self, report_mixed):
-        with pytest.raises(UnknownPathError, match="9.9"):
-            evaluate(report_mixed, parse_rules("paragraph 9.9 > 0\n"))
-
-    def test_all_rules_must_pass(self, report_mixed):
-        rules = parse_rules("overall > 60\nparagraph 2 > 60\n")
-        verdict = evaluate(report_mixed, rules)
-        assert verdict.accepted is False
-        assert len(verdict.failures) == 1
-
-    def test_every_failure_is_reported(self, report_32_5):
-        rules = parse_rules("overall > 90\noverall > 95 unweighted\nparagraph 1 == 100\n")
-        verdict = evaluate(report_32_5, rules)
-        assert len(verdict.failures) == 3
-
-    def test_verdict_is_plain_data(self, report_32_5):
-        verdict = evaluate(report_32_5, parse_rules("overall > 80\n"))
-        assert isinstance(verdict, Verdict)
-        assert verdict.failures[0].rule == AcceptanceRule(">", 80.0)
+def test_verdict_rows_accept_and_reject_every_documented_rule_form():
+    """The rows accept each rule form of RULES.md's File format block, on
+    each basis, in one row and reject it in another, so a new form needs
+    rows."""
+    block = re.search(r"```\n(.*?)```", section("RULES.md", "File format"), re.DOTALL).group(1)
+    documented = set().union(*(_forms(line) for line in block.splitlines() if line and not line.startswith("#")))
+    accepted, rejected = set(), set()
+    for rules, failed in EVALUATED:
+        for rule in rules:
+            (rejected if rule in failed else accepted).update(_forms(rule.describe()))
+    assert (accepted, rejected) == (documented, documented)
 
 
 class TestEvaluateProperties:

@@ -1,4 +1,10 @@
-"""Unit tests for option matching and paragraph scoring."""
+"""Unit tests for option matching and paragraph scoring.
+
+Each example pair of option lists is a ``_scored`` row, its pairs and score
+asserted in one equality, and each ``weighted_mean`` example a ``_mean``
+row, with figures written from README's "How scoring works" and compared
+exactly. The oracle sweep and the randomized properties follow the rows.
+"""
 
 from __future__ import annotations
 
@@ -9,105 +15,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpcompat.model import (
-    Connective,
-    ComparisonMode,
-    Keyword,
-    NumberPath,
-    Paragraph,
-    PolicyOption,
-    weighted_mean,
-)
-from cpcompat.scoring import (
-    match_options,
-    score_option_lists,
-    score_paragraph_options,
-)
+from cpcompat.model import ComparisonMode, Connective, Keyword, NumberPath, Paragraph, PolicyOption, weighted_mean
+from cpcompat.scoring import match_options, score_option_lists, score_paragraph_options
 
 from oracle import oracle_matches, oracle_score
-from strategies import (
-    SCORING_PHRASES,
-    SPELLED_PHRASES,
-    connectives,
-    modes,
-    option_lists,
-)
+from strategies import SCORING_PHRASES, SPELLED_PHRASES, connectives, modes, option_lists
 
-MERGE = ComparisonMode.MERGE
-ACQUIRE = ComparisonMode.ACQUIRE
+MERGE, ACQUIRE = ComparisonMode.MERGE, ComparisonMode.ACQUIRE
+BOTH = (MERGE, ACQUIRE)
+AND, OR, NONE = Connective.AND, Connective.OR, Connective.NONE
+MUST, RECOMMENDED, OPTIONAL, NOT = Keyword.MUST, Keyword.RECOMMENDED, Keyword.OPTIONAL, Keyword.NOT
+opt = PolicyOption
 
 
-def opt(phrase: str, keyword: Keyword | None = None) -> PolicyOption:
-    return PolicyOption(phrase=phrase, keyword=keyword)
+def para(options: tuple[PolicyOption, ...], connective: Connective) -> Paragraph:
+    return Paragraph(path=NumberPath((1,)), title="T", options=options, connective=connective)
 
 
-def para(
-    options: tuple[PolicyOption, ...],
-    connective: Connective = Connective.NONE,
-    path: tuple[int, ...] = (1,),
-) -> Paragraph:
-    return Paragraph(path=NumberPath(path), title="T", options=options, connective=connective)
+def _scored(options_a, options_b, connective, mode, pairs, score):
+    """A test that ``options_a`` and ``options_b`` pair as exactly ``pairs``,
+    each (index_a, index_b), and score exactly ``score`` under
+    ``connective`` in ``mode``. ``mode`` may be a tuple of modes, with
+    ``score`` the tuple of their scores."""
+    if not isinstance(mode, tuple):
+        mode, score = (mode,), (score,)
+
+    def test(self):
+        got = tuple(score_option_lists(options_a, options_b, connective, each) for each in mode)
+        assert (match_options(options_a, options_b), got) == (pairs, score)
+
+    return test
+
+
+def _mean(pairs, expected):
+    """A test that ``weighted_mean(pairs)`` is exactly ``expected``, a float
+    or the message of the ValueError it raises."""
+
+    def test(self):
+        try:
+            got = weighted_mean(pairs)
+        except ValueError as error:
+            got = str(error)
+        assert got == expected
+
+    return test
 
 
 # The worked example: three required options on side A, four options with
 # weaker keywords on side B, only "a" and "b" occurring on both sides.
-OPTIONS_A = (
-    opt("a", Keyword.MUST),
-    opt("b", Keyword.MUST),
-    opt("c", Keyword.MUST),
-)
-OPTIONS_B = (
-    opt("a", Keyword.RECOMMENDED),
-    opt("b", Keyword.OPTIONAL),
-    opt("d", Keyword.RECOMMENDED),
-    opt("e", Keyword.RECOMMENDED),
-)
+OPTIONS_A = (opt("a", MUST), opt("b", MUST), opt("c", MUST))
+OPTIONS_B = (opt("a", RECOMMENDED), opt("b", OPTIONAL), opt("d", RECOMMENDED), opt("e", RECOMMENDED))
+WORKED_PAIRS = [(0, 0), (1, 1)]
+
+# A pair is worth 100 * (1 - |va - vb|), with MUST 1.0, RECOMMENDED 0.8,
+# OPTIONAL 0.5 and NOT 0.0: MUST a vs RECOMMENDED a, MUST b vs OPTIONAL b.
+PAIR_A, PAIR_B = 100 * (1 - abs(1.0 - 0.8)), 100 * (1 - abs(1.0 - 0.5))
 
 
 class TestMatchOptions:
-    """Pairs as (index_a, index_b). A pair's keyword factor shows as the OR
-    score of the two options alone, which is 100 times the factor."""
-
-    @staticmethod
-    def pair_score(option_a: PolicyOption, option_b: PolicyOption) -> float:
-        return score_option_lists((option_a,), (option_b,), Connective.OR, MERGE)
-
-    def test_worked_example_pairs(self):
-        assert match_options(OPTIONS_A, OPTIONS_B) == [(0, 0), (1, 1)]
-        assert self.pair_score(OPTIONS_A[0], OPTIONS_B[0]) == pytest.approx(80.0, abs=1e-10)
-        assert self.pair_score(OPTIONS_A[1], OPTIONS_B[1]) == pytest.approx(50.0, abs=1e-10)
-
-    def test_identical_single_option(self):
-        a = (opt("x", Keyword.MUST),)
-        assert match_options(a, a) == [(0, 0)]
-        assert self.pair_score(a[0], a[0]) == 100.0
-
-    def test_duplicate_phrase_consumed_once(self):
-        a = (opt("x", Keyword.MUST), opt("x", Keyword.MUST))
-        b = (opt("x", Keyword.MUST),)
-        assert match_options(a, b) == [(0, 0)]
-
-    def test_earliest_unconsumed_b_wins(self):
-        a = (opt("x", Keyword.MUST),)
-        b = (opt("x", Keyword.NOT), opt("x", Keyword.MUST))
-        assert match_options(a, b) == [(0, 0)]
-        assert self.pair_score(a[0], b[0]) == pytest.approx(0.0, abs=1e-10)
-
-    def test_missing_keyword_counts_as_must(self):
-        a, b = (opt("x"),), (opt("x", Keyword.RECOMMENDED),)
-        assert match_options(a, b) == [(0, 0)]
-        assert self.pair_score(a[0], b[0]) == pytest.approx(80.0, abs=1e-10)
-
-    def test_phrase_equality_is_normalized(self):
-        matches = match_options(
-            (opt("Document  Name", Keyword.MUST),),
-            (opt("document name", Keyword.MUST),),
-        )
-        assert matches == [(0, 0)]
-
-    def test_empty_lists(self):
-        assert match_options((), ()) == []
-        assert match_options(OPTIONS_A, ()) == []
+    # Without B's "a", A's "b" pairs with B's first option and is the best.
+    test_worked_example_pairs = _scored(OPTIONS_A, OPTIONS_B[1:], OR, MERGE, [(1, 0)], PAIR_B)
+    test_identical_single_option = _scored(
+        (opt("x", MUST),), (opt("x", MUST),), OR, MERGE, [(0, 0)], 100 * (1 - abs(1.0 - 1.0))
+    )
+    # The second "x" of A finds no B option left, and counts 0 under AND.
+    test_duplicate_phrase_consumed_once = _scored(
+        (opt("x", MUST), opt("x", MUST)), (opt("x", MUST),), AND, MERGE, [(0, 0)], (100.0 + 0.0) / 2
+    )
+    test_earliest_unconsumed_b_wins = _scored(
+        (opt("x", MUST),), (opt("x", NOT), opt("x", MUST)), OR, MERGE, [(0, 0)], 100 * (1 - abs(1.0 - 0.0))
+    )
+    test_missing_keyword_counts_as_must = _scored(
+        (opt("x"),), (opt("x", RECOMMENDED),), OR, MERGE, [(0, 0)], 100 * (1 - abs(1.0 - 0.8))
+    )
+    test_phrase_equality_is_normalized = _scored(
+        (opt("Document  Name", MUST),), (opt("document name", MUST),), OR, MERGE, [(0, 0)], 100.0
+    )
+    test_empty_lists = _scored(OPTIONS_A, (), OR, BOTH, [], (0.0, 100.0))
 
     # The factors are checked by the sweep of oracle_score against
     # score_option_lists.
@@ -151,48 +135,27 @@ class TestMatchOptions:
 
 
 class TestWorkedExample:
-    """Frozen paragraph scores for the documented option lists."""
-
-    @pytest.mark.parametrize("mode", [MERGE, ACQUIRE])
+    @pytest.mark.parametrize("mode", BOTH)
     def test_or_connective_is_80(self, mode):
-        p_a = para(OPTIONS_A, Connective.OR)
-        p_b = para(OPTIONS_B, Connective.OR)
-        assert score_paragraph_options(p_a, p_b, mode) == 80.0
+        _scored(OPTIONS_A, OPTIONS_B, OR, mode, WORKED_PAIRS, PAIR_A)(self)
 
-    def test_and_merge_is_32_5(self):
-        p_a = para(OPTIONS_A, Connective.AND)
-        p_b = para(OPTIONS_B, Connective.AND)
-        assert score_paragraph_options(p_a, p_b, MERGE) == 32.5
-
-    def test_and_acquire_is_130_over_3(self):
-        p_a = para(OPTIONS_A, Connective.AND)
-        p_b = para(OPTIONS_B, Connective.AND)
-        score = score_paragraph_options(p_a, p_b, ACQUIRE)
-        assert abs(score - 130.0 / 3.0) <= 1e-9
-        assert score == pytest.approx(43.3, abs=0.05)
-
-    def test_no_connective_scores_like_and(self):
-        p_a = para(OPTIONS_A, Connective.NONE)
-        p_b = para(OPTIONS_B, Connective.NONE)
-        assert score_paragraph_options(p_a, p_b, MERGE) == 32.5
+    # AND divides by the larger count under merge, by A's under acquisition.
+    test_and_merge_is_32_5 = _scored(OPTIONS_A, OPTIONS_B, AND, MERGE, WORKED_PAIRS, (PAIR_A + PAIR_B) / 4)
+    test_and_acquire_is_130_over_3 = _scored(
+        OPTIONS_A, OPTIONS_B, AND, ACQUIRE, WORKED_PAIRS, (PAIR_A + PAIR_B) / 3
+    )
+    test_no_connective_scores_like_and = _scored(
+        OPTIONS_A, OPTIONS_B, NONE, BOTH, WORKED_PAIRS, ((PAIR_A + PAIR_B) / 4, (PAIR_A + PAIR_B) / 3)
+    )
 
 
 class TestEmptySideCases:
-    def test_a_has_options_b_none(self):
-        p_a = para(OPTIONS_A)
-        p_b = para(())
-        assert score_paragraph_options(p_a, p_b, MERGE) == 0.0
-        assert score_paragraph_options(p_a, p_b, ACQUIRE) == 100.0
+    test_a_has_options_b_none = _scored(OPTIONS_A, (), AND, BOTH, [], (0.0, 100.0))
+    test_a_none_b_has_options = _scored((), OPTIONS_B, AND, BOTH, [], (0.0, 100.0))
 
-    def test_a_none_b_has_options(self):
-        p_a = para(())
-        p_b = para(OPTIONS_B)
-        assert score_paragraph_options(p_a, p_b, MERGE) == 0.0
-        assert score_paragraph_options(p_a, p_b, ACQUIRE) == 100.0
-
-    @pytest.mark.parametrize("mode", [MERGE, ACQUIRE])
+    @pytest.mark.parametrize("mode", BOTH)
     def test_both_empty_is_vacuously_compatible(self, mode):
-        assert score_paragraph_options(para(()), para(()), mode) == 100.0
+        _scored((), (), AND, mode, [], 100.0)(self)
 
 
 def blend(own: float, aggregate: float, n_children: int) -> float:
@@ -202,15 +165,9 @@ def blend(own: float, aggregate: float, n_children: int) -> float:
 
 
 class TestCombineWithChildren:
-    def test_two_children(self):
-        combined = blend(100.0, 75.0, 2)
-        assert abs(combined - 250.0 / 3.0) <= 1e-9
-        assert combined == pytest.approx(83.3, abs=0.05)
-
-    def test_eight_children(self):
-        combined = blend(100.0, 75.0, 8)
-        assert abs(combined - 700.0 / 9.0) <= 1e-9
-        assert combined == pytest.approx(77.8, abs=0.05)
+    # Own score 100 weighs 1, the children's 75 one unit per child.
+    test_two_children = _mean([(100.0, 1), (75.0, 2)], (100.0 + 75.0 * 2) / 3)
+    test_eight_children = _mean([(100.0, 1), (75.0, 8)], (100.0 + 75.0 * 8) / 9)
 
     @given(
         score=st.floats(0, 100, allow_nan=False),
@@ -240,23 +197,13 @@ class TestCombineWithChildren:
 
 
 class TestChildAggregate:
-    def test_single_child(self):
-        assert weighted_mean([(75.0, 1)]) == 75.0
+    NO_WEIGHT = "weighted mean needs a positive total weight"
 
-    def test_symmetric_mean(self):
-        assert weighted_mean([(100.0, 1), (50.0, 1)]) == 75.0
-
-    def test_weighted_mean(self):
-        # 300 / 4, computed by hand
-        assert weighted_mean([(100.0, 3), (0.0, 1)]) == 75.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            weighted_mean([])
-
-    def test_rejects_zero_total_weight(self):
-        with pytest.raises(ValueError):
-            weighted_mean([(50.0, 0), (100.0, 0)])
+    test_single_child = _mean([(75.0, 1)], 75.0)
+    test_symmetric_mean = _mean([(100.0, 1), (50.0, 1)], (100.0 + 50.0) / 2)
+    test_weighted_mean = _mean([(100.0, 3), (0.0, 1)], (100.0 * 3 + 0.0 * 1) / 4)
+    test_rejects_empty = _mean([], NO_WEIGHT)
+    test_rejects_zero_total_weight = _mean([(50.0, 0), (100.0, 0)], NO_WEIGHT)
 
 
 def grid_option_lists() -> list[tuple[PolicyOption, ...]]:
