@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .model import SCORE_EPSILON, ComparisonReport, NumberPath
+from .model import SCORE_EPSILON, ComparisonReport, NumberPath, _Frozen, slot_setters
 
 __all__ = [
     "AcceptanceRule",
@@ -55,8 +54,7 @@ class UnknownPathError(RuleError):
     """A rule names a paragraph the comparison report does not contain."""
 
 
-@dataclass(frozen=True)
-class AcceptanceRule:
+class AcceptanceRule(_Frozen):
     """One threshold rule: ``operator`` is ``>``, ``>=`` or ``==``.
 
     A rule with no ``path`` reads the overall score, weighted unless
@@ -64,28 +62,30 @@ class AcceptanceRule:
     combined score. ``==`` exists only for a section's full score of 100.
     """
 
-    operator: str
-    threshold: float
-    path: NumberPath | None = None
-    weighted: bool = True
+    __slots__ = ("operator", "threshold", "path", "weighted")
 
-    def __post_init__(self) -> None:
-        if self.operator not in (">", ">=", "=="):
-            raise ValueError(f"unknown operator {self.operator!r}")
+    def __init__(self, operator: str, threshold: float, path: NumberPath | None = None,
+                 weighted: bool = True) -> None:
+        if operator not in (">", ">=", "=="):
+            raise ValueError(f"unknown operator {operator!r}")
         # describe() writes the threshold through repr(), which is a plain
         # decimal only for an int or a float.
-        if type(self.threshold) not in (int, float):
-            raise ValueError(f"threshold must be an int or float, got {self.threshold!r}")
-        if self.path is not None and not isinstance(self.path, NumberPath):
-            raise ValueError(f"path must be a NumberPath or None, got {self.path!r}")
-        if type(self.weighted) is not bool:
-            raise ValueError(f"weighted must be a bool, got {self.weighted!r}")
-        if not 0.0 <= self.threshold <= 100.0:
+        if type(threshold) not in (int, float):
+            raise ValueError(f"threshold must be an int or float, got {threshold!r}")
+        if path is not None and not isinstance(path, NumberPath):
+            raise ValueError(f"path must be a NumberPath or None, got {path!r}")
+        if type(weighted) is not bool:
+            raise ValueError(f"weighted must be a bool, got {weighted!r}")
+        if not 0.0 <= threshold <= 100.0:
             raise ValueError("threshold must be within [0, 100]")
-        if self.operator == "==" and (self.path is None or self.threshold != 100.0):
+        if operator == "==" and (path is None or threshold != 100.0):
             raise ValueError("'==' rules only exist for a section's full score of 100")
-        if self.path is not None and not self.weighted:
+        if path is not None and not weighted:
             raise ValueError("section rules read the combined score and take no basis")
+        _set_operator(self, operator)
+        _set_threshold(self, threshold)
+        _set_path(self, path)
+        _set_weighted(self, weighted)
 
     def describe(self) -> str:
         """The rule as a rules file line that parses back to this rule."""
@@ -101,13 +101,18 @@ class AcceptanceRule:
         return f"paragraph {self.path.dotted} {self.operator} {threshold}"
 
 
-@dataclass(frozen=True)
-class RuleFailure:
+_set_operator, _set_threshold, _set_path, _set_weighted = slot_setters(AcceptanceRule)
+
+
+class RuleFailure(_Frozen):
     """A rule that the report did not satisfy, with the score it read
     (``actual``); ``message`` says both in one line."""
 
-    rule: AcceptanceRule
-    actual: float
+    __slots__ = ("rule", "actual")
+
+    def __init__(self, rule: AcceptanceRule, actual: float) -> None:
+        _set_rule(self, rule)
+        _set_actual(self, actual)
 
     @property
     def message(self) -> str:
@@ -119,17 +124,25 @@ class RuleFailure:
         return f"score {shown} does not satisfy '{self.rule.describe()}'"
 
 
-@dataclass(frozen=True)
-class Verdict:
+_set_rule, _set_actual = slot_setters(RuleFailure)
+
+
+class Verdict(_Frozen):
     """The outcome of evaluating rules against a report: one failure per
     unsatisfied rule, in the order of the rules. ``accepted`` holds when
     there are none, and only an accepted verdict unlocks a merge."""
 
-    failures: tuple[RuleFailure, ...]
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: tuple[RuleFailure, ...]) -> None:
+        _set_failures(self, failures)
 
     @property
     def accepted(self) -> bool:
         return not self.failures
+
+
+(_set_failures,) = slot_setters(Verdict)
 
 
 def _parse_rule(line_no: int, line: str) -> AcceptanceRule:

@@ -30,7 +30,7 @@ Code 5 is retired: every merged policy can be written in the text format.
 
 ``main`` pauses the cyclic garbage collector for the length of one
 command. Nothing cpcompat builds can form a reference cycle: policies and
-reports are frozen dataclasses over tuples, and the parser's nodes link
+reports are frozen values over tuples, and the parser's nodes link
 only to their children, never back. Reference counting frees all of it,
 so the collector's passes over a large policy tree would find nothing.
 """

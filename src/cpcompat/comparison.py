@@ -16,9 +16,9 @@ its children's, which follow it in preorder; rows and diagnostics are
 gathered last first and reversed once at the end, into pair order.
 
 Lookups by section number, here and in ``ComparisonReport.find``, are
-keyed by the path's segment tuple, which hashes and compares in C; the
-``__hash__`` and ``__eq__`` that ``dataclass`` generates for
-``NumberPath`` would be a Python call per section at every lookup.
+keyed by the path's segment tuple, which hashes and compares in C;
+``NumberPath``'s own ``__hash__`` and ``__eq__`` would be a Python call
+per section at every lookup.
 
 :func:`report_to_json` writes the report in CLI.md's v1 layout directly,
 one string per row and per diagnostic, with the bytes that

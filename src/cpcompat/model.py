@@ -6,23 +6,21 @@ requirement options that may carry an RFC 2119 keyword.  Everything in this
 module is immutable after construction, so parsed policies and comparison
 reports can be shared freely across threads.
 
-The value classes built by the thousand per parse or compare
-(``NumberPath``, ``PolicyOption``, ``Paragraph``, ``ParagraphScore``,
-``ComparisonDiagnostic`` and the parser's ``ParseDiagnostic``) are slotted
-and write their own ``__init__``: it checks its arguments and stores each
-through its field's slot descriptor (:func:`slot_setters`), where the
-generated one of a frozen dataclass goes through ``object.__setattr__``
-and a ``__post_init__`` call for every object. ``dataclass`` still writes
-their repr, equality, hashing, pickling and frozen ``__setattr__``, and
-``dataclasses.replace`` calls the same ``__init__``, so it makes every
-check too.
+Every value class derives from :class:`_Frozen`, which supplies repr,
+equality, hashing, pickling and the refusal to assign from the names in
+the class's ``__slots__``. Each class writes its own ``__init__``: it
+checks its arguments and stores each through its slot descriptor
+(:func:`slot_setters`). Copies, pickles and ``__replace__`` (behind
+``copy.replace`` from Python 3.13 on) go through that ``__init__``, so a
+changed copy is checked like a new value. ``dataclasses`` is not used:
+importing it loads ``inspect``, and decorating a class runs ``exec``,
+which would cost more at start-up than a compare at the paper's size.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
 from enum import Enum
 
 # ASCII digits only, as in a section heading.
@@ -148,19 +146,69 @@ class MatchStatus(Enum):
     BOTH_EMPTY = "both_empty"
 
 
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in order; a slot whose
+    name starts with ``_`` holds derived data, outside equality, hashing and
+    repr. An instance equals only an instance of its own class.
+    ``__match_args__`` names the parameters of the subclass's ``__init__``,
+    which are its fields unless the class lists them itself. Copies and
+    pickles rebuild a value through ``__init__`` from those parameters, and
+    ``__replace__`` calls it with the changes, so both run every check of a
+    new value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(name for name in cls.__slots__ if name[0] != "_")
+        if not hasattr(cls, "__match_args__"):
+            cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __replace__(self, **changes: object) -> _Frozen:
+        for name in self.__match_args__:
+            changes.setdefault(name, getattr(self, name))
+        return self.__class__(**changes)
+
+
 def slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order, for
-    a hand-written ``__init__`` to store its checked arguments with. Call it
-    on the class that ``@dataclass(slots=True)`` returns, which is a new
-    class, after the class statement."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    """The ``__set__`` of each slot descriptor of ``cls``, in the order of
+    its ``__slots__``, for its ``__init__`` to store its checked arguments
+    with."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class NumberPath:
+class NumberPath(_Frozen):
     """Hierarchical section number such as 1.3.1.1."""
 
-    segments: tuple[int, ...]
+    __slots__ = ("segments",)
 
     def __init__(self, segments: tuple[int, ...]) -> None:
         if type(segments) is not tuple:
@@ -196,8 +244,7 @@ class NumberPath:
 (_set_segments,) = slot_setters(NumberPath)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PolicyOption:
+class PolicyOption(_Frozen):
     """One option line of a paragraph.
 
     ``keyword`` is the optional requirement keyword, ``phrase`` the option
@@ -208,8 +255,7 @@ class PolicyOption:
     the parser would read as the option's keyword.
     """
 
-    phrase: str
-    keyword: Keyword | None = None
+    __slots__ = ("phrase", "keyword")
 
     def __init__(self, phrase: str, keyword: Keyword | None = None) -> None:
         _check_line(phrase, "option phrase")
@@ -259,21 +305,14 @@ def _check_children(
         previous_segment = segment
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Paragraph:
+class Paragraph(_Frozen):
     """One numbered section of a policy with its options and subparagraphs.
 
     ``comments`` holds "//" lines verbatim; they are carried through
     parsing, rendering, and merging but never scored.
     """
 
-    path: NumberPath
-    title: str
-    weight: int = 1
-    options: tuple[PolicyOption, ...] = ()
-    connective: Connective = Connective.NONE
-    comments: tuple[str, ...] = ()
-    children: tuple["Paragraph", ...] = ()
+    __slots__ = ("path", "title", "weight", "options", "connective", "comments", "children")
 
     def __init__(self, path: NumberPath, title: str, weight: int = 1,
                  options: tuple[PolicyOption, ...] = (), connective: Connective = Connective.NONE,
@@ -309,17 +348,17 @@ class Paragraph:
  _set_connective, _set_comments, _set_children) = slot_setters(Paragraph)
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(_Frozen):
     """A parsed standardized certificate policy: a name and its main sections."""
 
-    name: str
-    roots: tuple[Paragraph, ...] = ()
+    __slots__ = ("name", "roots")
 
-    def __post_init__(self) -> None:
-        _check_type(self.name, str, "policy name")
-        object.__setattr__(self, "roots", tuple(self.roots))
-        _check_children(self.roots, (), "the policy root")
+    def __init__(self, name: str, roots: tuple[Paragraph, ...] = ()) -> None:
+        _check_type(name, str, "policy name")
+        roots = tuple(roots)
+        _check_children(roots, (), "the policy root")
+        _set_name(self, name)
+        _set_roots(self, roots)
 
     def walk(self) -> Iterator[Paragraph]:
         """All paragraphs of the policy, preorder, with one frame however
@@ -331,8 +370,10 @@ class Policy:
             pending.extend(reversed(paragraph.children))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParagraphScore:
+_set_name, _set_roots = slot_setters(Policy)
+
+
+class ParagraphScore(_Frozen):
     """Scores for one aligned paragraph pair.
 
     ``own_score`` reflects the paragraph's options alone; ``child_aggregate``
@@ -341,12 +382,7 @@ class ParagraphScore:
     value the overall document score and acceptance rules consume.
     """
 
-    path: NumberPath
-    own_score: float
-    child_aggregate: float | None
-    combined_score: float
-    weight: int
-    match_status: MatchStatus
+    __slots__ = ("path", "own_score", "child_aggregate", "combined_score", "weight", "match_status")
 
     def __init__(self, path: NumberPath, own_score: float, child_aggregate: float | None,
                  combined_score: float, weight: int, match_status: MatchStatus) -> None:
@@ -399,13 +435,10 @@ def overall_scores(rows: Iterable[ParagraphScore]) -> tuple[float, float]:
     return weighted, unweighted
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ComparisonDiagnostic:
+class ComparisonDiagnostic(_Frozen):
     """Structured warning attached to a comparison report."""
 
-    code: str
-    path: NumberPath | None
-    message: str
+    __slots__ = ("code", "path", "message")
 
     def __init__(self, code: str, path: NumberPath | None, message: str) -> None:
         # The JSON report writes path as its dotted number or null.
@@ -421,38 +454,45 @@ class ComparisonDiagnostic:
 _set_code, _set_diagnostic_path, _set_message = slot_setters(ComparisonDiagnostic)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Frozen):
     """Full outcome of comparing policy B against policy A.
 
     ``paragraph_scores`` has one row per aligned path at every depth.  The
-    overall scores are derived from the rows by :func:`overall_scores`.
+    overall scores are derived from the rows by :func:`overall_scores`, so
+    the constructor does not take them.
     """
 
-    mode: ComparisonMode
-    policy_a_name: str
-    policy_b_name: str
-    paragraph_scores: tuple[ParagraphScore, ...]
-    overall_weighted: float = field(init=False)
-    overall_unweighted: float = field(init=False)
-    diagnostics: tuple[ComparisonDiagnostic, ...] = ()
+    __slots__ = ("mode", "policy_a_name", "policy_b_name", "paragraph_scores",
+                 "overall_weighted", "overall_unweighted", "diagnostics", "_by_path")
+    __match_args__ = ("mode", "policy_a_name", "policy_b_name", "paragraph_scores", "diagnostics")
 
-    def __post_init__(self) -> None:
-        _check_type(self.mode, ComparisonMode, "report mode")
-        _check_type(self.policy_a_name, str, "policy_a_name")
-        _check_type(self.policy_b_name, str, "policy_b_name")
-        object.__setattr__(self, "paragraph_scores", tuple(self.paragraph_scores))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        # A plain attribute, not a field: equality, hashing, repr and
-        # asdict() see only the declared fields. Keyed by segment tuples,
-        # whose hash is C code, where NumberPath's generated one is Python.
-        by_path = {score.path.segments: score for score in self.paragraph_scores}
-        if len(by_path) != len(self.paragraph_scores):
+    def __init__(self, mode: ComparisonMode, policy_a_name: str, policy_b_name: str,
+                 paragraph_scores: tuple[ParagraphScore, ...],
+                 diagnostics: tuple[ComparisonDiagnostic, ...] = ()) -> None:
+        _check_type(mode, ComparisonMode, "report mode")
+        _check_type(policy_a_name, str, "policy_a_name")
+        _check_type(policy_b_name, str, "policy_b_name")
+        paragraph_scores = tuple(paragraph_scores)
+        diagnostics = tuple(diagnostics)
+        # Keyed by segment tuples, whose hash is C code, where NumberPath's
+        # is Python.
+        by_path = {score.path.segments: score for score in paragraph_scores}
+        if len(by_path) != len(paragraph_scores):
             raise ValueError("every aligned path may appear only once")
-        object.__setattr__(self, "_by_path", by_path)
-        weighted, unweighted = overall_scores(self.paragraph_scores)
-        object.__setattr__(self, "overall_weighted", weighted)
-        object.__setattr__(self, "overall_unweighted", unweighted)
+        weighted, unweighted = overall_scores(paragraph_scores)
+        _set_mode(self, mode)
+        _set_policy_a_name(self, policy_a_name)
+        _set_policy_b_name(self, policy_b_name)
+        _set_paragraph_scores(self, paragraph_scores)
+        _set_overall_weighted(self, weighted)
+        _set_overall_unweighted(self, unweighted)
+        _set_diagnostics(self, diagnostics)
+        _set_by_path(self, by_path)
 
     def find(self, path: NumberPath) -> ParagraphScore | None:
         return self._by_path.get(path.segments)
+
+
+(_set_mode, _set_policy_a_name, _set_policy_b_name, _set_paragraph_scores,
+ _set_overall_weighted, _set_overall_unweighted, _set_diagnostics,
+ _set_by_path) = slot_setters(ComparisonReport)

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import enum
 import re
-import string
-from dataclasses import dataclass
 
 from .model import (
     KEYWORDS,
@@ -46,6 +44,7 @@ from .model import (
     Policy,
     PolicyOption,
     _DOTTED_RE,
+    _Frozen,
     slot_setters,
 )
 
@@ -62,14 +61,10 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParseDiagnostic:
+class ParseDiagnostic(_Frozen):
     """One problem found while parsing, tied to a 1-based line number."""
 
-    severity: Severity
-    code: str
-    line: int
-    message: str
+    __slots__ = ("severity", "code", "line", "message")
 
     def __init__(self, severity: Severity, code: str, line: int, message: str) -> None:
         _set_severity(self, severity)
@@ -384,12 +379,15 @@ def _option_line(option: PolicyOption, label: str) -> str:
     return f"{label}) {option.phrase}"
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _label(index: int) -> str:
     """Label of the option at ``index``, counting from 0: ``a`` to ``z``,
     then ``aa`` to ``zz``, ``aaa`` and on (bijective base 26)."""
     if index < 26:
-        return string.ascii_lowercase[index]
-    return _label(index // 26 - 1) + string.ascii_lowercase[index % 26]
+        return _LETTERS[index]
+    return _label(index // 26 - 1) + _LETTERS[index % 26]
 
 
 def render_policy(policy: Policy) -> str:

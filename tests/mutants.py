@@ -94,6 +94,28 @@ MUTANTS = (
         ("tests/test_model.py::TestNumberPath::test_segment_not_an_int",),
     ),
     Mutant(
+        "a value equals an instance of another class with the same fields",
+        "model.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, _Frozen):\n",
+        ("tests/test_model.py::TestSlottedValues::test_equal_only_to_an_instance_of_the_same_class",),
+    ),
+    Mutant(
+        "a value accepts assignment",
+        "model.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        ("tests/test_model.py::TestSlottedValues::test_frozen[NumberPath]",),
+    ),
+    Mutant(
+        "pickling restores the slots without the constructor",
+        "model.py",
+        "    def __reduce__(self) -> tuple:\n"
+        "        return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])\n",
+        "",
+        ("tests/test_model.py::TestSlottedValues::test_unpickling_runs_the_checks",),
+    ),
+    Mutant(
         "folded diagnostics report one too few",
         "cli.py",
         '(f" (and {count - 1} more)"',

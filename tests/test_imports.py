@@ -77,3 +77,13 @@ def test_the_cli_loads_without_decimal_json_or_typing():
     )
     child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+def test_the_cli_loads_without_dataclasses_inspect_or_string():
+    # Importing dataclasses loads inspect, and with it ast, dis and tokenize.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(cpcompat.__file__).parents[1])!r}); import cpcompat.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'string'} & sys.modules.keys()))"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import inspect
 import pickle
 import sys
@@ -25,6 +24,7 @@ from cpcompat.model import (
     PolicyOption,
 )
 from cpcompat import parser
+from cpcompat.acceptance import AcceptanceRule, RuleFailure, Verdict
 from cpcompat.parser import Severity, parse_policy, render_policy
 
 
@@ -279,8 +279,12 @@ def test_every_line_boundary_is_unprintable_and_refused(paragraph_factory):
 
 
 class TestSlottedValues:
-    """The slotted value classes copy, pickle, replace and match like plain
-    frozen dataclasses on every supported interpreter."""
+    """The value classes copy, pickle, replace and match on every supported
+    interpreter, and each copy is checked like a new value."""
+
+    _SCORE = ParagraphScore(NumberPath((1,)), 50.0, None, 50.0, 1, MatchStatus.MATCHED)
+    _DIAGNOSTIC = ComparisonDiagnostic("MISSING_IN_B", NumberPath((2,)), "section 2 has no counterpart")
+    _FAILURE = RuleFailure(AcceptanceRule(">", 60, NumberPath((1,))), 50.0)
 
     VALUES = [
         NumberPath((1, 2)),
@@ -294,9 +298,14 @@ class TestSlottedValues:
             ("// c",),
             (Paragraph(NumberPath((1, 1)), "Sub"),),
         ),
-        ParagraphScore(NumberPath((1,)), 50.0, None, 50.0, 1, MatchStatus.MATCHED),
-        ComparisonDiagnostic("MISSING_IN_B", NumberPath((2,)), "section 2 has no counterpart"),
+        _SCORE,
+        _DIAGNOSTIC,
         parser.ParseDiagnostic(Severity.WARNING, "DEPTH_EXCEEDS_4", 3, "deep"),
+        Policy("P", (Paragraph(NumberPath((1,)), "TOP"),)),
+        ComparisonReport(ComparisonMode.ACQUIRE, "A", "B", (_SCORE,), (_DIAGNOSTIC,)),
+        AcceptanceRule(">=", 62.5, None, False),
+        _FAILURE,
+        Verdict((_FAILURE,)),
     ]
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
@@ -305,14 +314,32 @@ class TestSlottedValues:
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
-        assert dataclasses.replace(value) == value
-        assert hash(dataclasses.replace(value)) == hash(value)
+        assert value.__replace__() == value
+        assert hash(value.__replace__()) == hash(value)
+
+    def test_unpickling_runs_the_checks(self):
+        payload = pickle.dumps(Paragraph(NumberPath((1,)), "TOP", 7))
+        # The weight is the payload's one small int 7 (pickle opcode K).
+        assert payload.count(b"K\x07") == 1
+        with pytest.raises(ValueError, match="weight must be >= 1, got 0"):
+            pickle.loads(payload.replace(b"K\x07", b"K\x00"))
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_frozen(self, value):
-        name = dataclasses.fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, None)
+        name = type(value).__slots__[0]
+        for target in (name, "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{target}'$"):
+                setattr(value, target, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{target}'$"):
+                delattr(value, target)
+
+    def test_equal_only_to_an_instance_of_the_same_class(self):
+        class SubPath(NumberPath):
+            __slots__ = ()
+
+        assert SubPath((1,)) == SubPath((1,))
+        assert SubPath((1,)) != NumberPath((1,))
+        assert NumberPath((1,)) != (1,)
 
     def test_match_args(self):
         match PolicyOption("keep logs", Keyword.NOT):
@@ -327,25 +354,36 @@ class TestSlottedValues:
         (VALUES[2], {"weight": 0}, "weight must be >= 1"),
         (VALUES[3], {"combined_score": 101}, "combined_score out of range"),
         (VALUES[4], {"code": 7}, "diagnostic code must be a str"),
+        (VALUES[6], {"name": 7}, "policy name must be a str"),
+        (VALUES[7], {"paragraph_scores": (_SCORE, _SCORE)}, "every aligned path may appear only once"),
+        (VALUES[8], {"operator": "<"}, "unknown operator '<'"),
     ]
 
     @pytest.mark.parametrize(
         "value, changes, message", CHECKED, ids=[type(v).__name__ for v, _, _ in CHECKED]
     )
     def test_replace_runs_the_checks(self, value, changes, message):
+        # __replace__ is what copy.replace calls from Python 3.13 on.
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(value, **changes)
+            value.__replace__(**changes)
 
     def test_init_takes_the_fields_in_order_with_their_defaults(self):
-        # The __init__ signatures are written by hand; they follow the fields.
+        # The __init__ signatures are written by hand; they follow the
+        # fields, less the report's derived totals and index, and a
+        # positional pattern matches on them.
+        derived = {"overall_weighted", "overall_unweighted", "_by_path"}
         for value in self.VALUES:
             cls = type(value)
             parameters = list(inspect.signature(cls.__init__).parameters)[1:]
-            assert parameters == [f.name for f in dataclasses.fields(cls)], cls.__name__
+            assert parameters == [name for name in cls.__slots__ if name not in derived], cls.__name__
+            assert cls.__match_args__ == tuple(parameters), cls.__name__
         paragraph = Paragraph(NumberPath((1,)), "TOP")
         assert (paragraph.weight, paragraph.options, paragraph.connective) == (1, (), Connective.NONE)
         assert (paragraph.comments, paragraph.children) == ((), ())
         assert PolicyOption("keep logs").keyword is None
+        assert Policy("P").roots == ()
+        assert AcceptanceRule(">", 60) == AcceptanceRule(">", 60, None, True)
+        assert ComparisonReport(ComparisonMode.MERGE, "A", "B", ()).diagnostics == ()
 
     def test_lists_are_stored_as_tuples(self):
         child = Paragraph(NumberPath((1, 1)), "Sub")

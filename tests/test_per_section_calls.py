@@ -1,5 +1,5 @@
-"""Per-section work calls neither CPython's enum module nor the methods that
-``dataclass`` generates for NumberPath, nor ``dataclasses.replace``.
+"""Per-section work calls neither CPython's enum module nor the equality,
+hashing and ``__replace__`` of the model's value classes.
 
 All of them are Python-level calls. The CLI reads enum members through
 their ``_value_`` and ``_name_`` attributes or tables keyed by string, keys
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import enum
 import io
 import sys
@@ -32,12 +31,12 @@ from cpcompat.acceptance import evaluate
 from cpcompat.cli import main
 from cpcompat.comparison import compare, pair_by_path
 from cpcompat.merger import merge
-from cpcompat.model import ComparisonMode, Keyword, NumberPath, Paragraph, Policy, PolicyOption
+from cpcompat.model import ComparisonMode, Keyword, NumberPath, Paragraph, Policy, PolicyOption, _Frozen
 from cpcompat.parser import parse_policy, render_policy
 
 _DUNDERS = frozenset(
     function.__code__
-    for function in (NumberPath.__hash__, NumberPath.__eq__, dataclasses.replace)
+    for function in (_Frozen.__hash__, _Frozen.__eq__, _Frozen.__replace__)
 )
 _ENUM_FILE = enum.unique.__code__.co_filename
 _PARSER_FILE = parse_policy.__code__.co_filename
@@ -63,8 +62,8 @@ def _policy_text(top_sections: int, side: str) -> str:
 
 
 def _counted_calls(argv: list[str]) -> tuple[int, int]:
-    """Run the CLI and count the calls of the NumberPath dunders and
-    dataclasses.replace, and of any function in enum.py."""
+    """Run the CLI and count the calls of the value classes' equality,
+    hashing and __replace__, and of any function in enum.py."""
     counts = [0, 0]
 
     def profile(frame, event, arg):

@@ -300,7 +300,7 @@ class TestEvaluate:
         [("overall > 90 weighted", WORKED, "32.5000"), ("overall > 95 unweighted", WORKED, "32.5000"),
          ("paragraph 1 == 100", WORKED, "32.5000")],
     )
-    # A dataclass equals only an instance of its own class, so the row holds
+    # A model value equals only an instance of its own class, so the row holds
     # only for a Verdict of RuleFailure values.
     test_verdict_is_plain_data = _evaluated(
         MIXED_A, MIXED_B, "overall > 49.5 unweighted\noverall >= 50 unweighted\noverall >= 60 unweighted",
